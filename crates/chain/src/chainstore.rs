@@ -7,6 +7,7 @@
 //! [`ChainStore`] is generic over the block type so the same code backs Bitcoin blocks,
 //! Bitcoin-NG key blocks and the simulator's lightweight block descriptors.
 
+use crate::fifo::BoundedFifoMap;
 use crate::forkchoice::{ForkRule, TieBreak};
 use crate::undo::BlockUndo;
 use ng_crypto::pow::Work;
@@ -20,54 +21,55 @@ use std::collections::HashMap;
 /// always be re-fetched through header sync once its parent arrives).
 pub const DEFAULT_ORPHAN_CAP: usize = 512;
 
-/// One buffered item: arrival sequence, the item's own id, the item.
-type BufferedItem<T> = (u64, Hash256, T);
-
 /// A bounded buffer of items waiting on a missing parent, with oldest-first
 /// eviction at capacity. Backs both the chain store's orphan buffer and the NG
 /// chain state's pending-validation buffer — anything an untrusted peer can fill
 /// before validation runs must be bounded.
 #[derive(Clone, Debug)]
 pub struct BoundedParentBuffer<T> {
-    entries: HashMap<Hash256, Vec<BufferedItem<T>>>,
-    /// Ids of every buffered item: a re-sent duplicate must not buffer a second
-    /// copy (at capacity each duplicate would evict a distinct honest item,
-    /// turning retransmission into an eviction amplifier).
-    buffered: std::collections::HashSet<Hash256>,
-    seq: u64,
-    cap: usize,
+    /// Every buffered item under its own id, tagged with the parent it waits on.
+    /// The map is the bound, the eviction order and the dedup set in one: a
+    /// re-sent duplicate must not buffer a second copy (at capacity each duplicate
+    /// would evict a distinct honest item, turning retransmission into an
+    /// eviction amplifier).
+    items: BoundedFifoMap<Hash256, (Hash256, T)>,
+    /// Ids of the items waiting on each parent, in arrival order.
+    by_parent: HashMap<Hash256, Vec<Hash256>>,
 }
 
 impl<T> BoundedParentBuffer<T> {
     /// A buffer holding at most `cap` items.
     pub fn new(cap: usize) -> Self {
         BoundedParentBuffer {
-            entries: HashMap::new(),
-            buffered: std::collections::HashSet::new(),
-            seq: 0,
-            cap: cap.max(1),
+            items: BoundedFifoMap::new(cap),
+            by_parent: HashMap::new(),
         }
     }
 
     /// Overrides the bound (tests use tiny caps).
     pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap.max(1);
+        self.items.set_cap(cap);
+        let items = &self.items;
+        self.by_parent.retain(|_, ids| {
+            ids.retain(|id| items.contains_key(id));
+            !ids.is_empty()
+        });
     }
 
-    /// Total buffered items across all parents (tracked by the id set, so O(1)).
+    /// Total buffered items across all parents.
     pub fn len(&self) -> usize {
-        self.buffered.len()
+        self.items.len()
     }
 
     /// True if nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buffered.is_empty()
+        self.items.is_empty()
     }
 
     /// The parent ids currently waited on, in canonical (sorted) order so the
     /// buffer's hash-map layout never leaks into caller behavior.
     pub fn parents(&self) -> Vec<Hash256> {
-        let mut parents: Vec<Hash256> = self.entries.keys().copied().collect();
+        let mut parents: Vec<Hash256> = self.by_parent.keys().copied().collect();
         parents.sort_unstable();
         parents
     }
@@ -76,62 +78,32 @@ impl<T> BoundedParentBuffer<T> {
     /// globally oldest buffered item first when at capacity. A duplicate id is a
     /// no-op: retransmitting the same item never evicts anything.
     pub fn insert(&mut self, parent: Hash256, id: Hash256, item: T) {
-        if self.buffered.contains(&id) {
+        if self.items.contains_key(&id) {
             return;
         }
-        while self.len() >= self.cap {
-            let oldest = self
-                .entries
-                .iter()
-                .filter_map(|(p, v)| v.iter().map(|(seq, _, _)| *seq).min().map(|seq| (seq, *p)))
-                .min()
-                .map(|(_, p)| p);
-            let Some(victim) = oldest else { break };
-            if let Some(list) = self.entries.get_mut(&victim) {
-                if let Some(pos) = list
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, (seq, _, _))| *seq)
-                    .map(|(pos, _)| pos)
-                {
-                    let (_, evicted_id, _) = list.remove(pos);
-                    self.buffered.remove(&evicted_id);
-                }
-                if list.is_empty() {
-                    self.entries.remove(&victim);
+        if let Some((evicted, (waited_on, _))) = self.items.insert(id, (parent, item)) {
+            if let Some(ids) = self.by_parent.get_mut(&waited_on) {
+                ids.retain(|waiting| *waiting != evicted);
+                if ids.is_empty() {
+                    self.by_parent.remove(&waited_on);
                 }
             }
         }
-        self.seq += 1;
-        self.buffered.insert(id);
-        self.entries
-            .entry(parent)
-            .or_default()
-            .push((self.seq, id, item));
+        self.by_parent.entry(parent).or_default().push(id);
     }
 
     /// Removes and returns everything buffered under `parent` (in arrival order).
     pub fn take(&mut self, parent: &Hash256) -> Vec<T> {
-        self.entries
-            .remove(parent)
-            .map(|list| {
-                list.into_iter()
-                    .map(|(_, id, item)| {
-                        self.buffered.remove(&id);
-                        item
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let ids = self.by_parent.remove(parent).unwrap_or_default();
+        ids.iter()
+            .filter_map(|id| self.items.remove(id))
+            .map(|(_, item)| item)
+            .collect()
     }
 
     /// Drops everything buffered under `parent` without returning it.
     pub fn remove_parent(&mut self, parent: &Hash256) {
-        if let Some(list) = self.entries.remove(parent) {
-            for (_, id, _) in list {
-                self.buffered.remove(&id);
-            }
-        }
+        self.take(parent);
     }
 }
 

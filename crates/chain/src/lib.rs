@@ -15,6 +15,8 @@
 //! * [`undo`] — per-block undo records for incremental (connect/disconnect)
 //!   chainstate maintenance.
 //! * [`sigcache`] — a bounded signature-verification cache keyed by txid.
+//! * [`fifo`] — [`BoundedFifoMap`], the one bounded-buffer type (oldest-first
+//!   eviction) behind every peer-growable collection in the workspace.
 //! * [`forkchoice`] — heaviest-chain, longest-chain and GHOST tip selection.
 //! * [`difficulty`] — epoch-based difficulty adjustment.
 //! * [`genesis`] — genesis block/chain construction helpers.
@@ -28,6 +30,7 @@ pub mod block;
 pub mod chainstore;
 pub mod difficulty;
 pub mod error;
+pub mod fifo;
 pub mod forkchoice;
 pub mod genesis;
 pub mod mempool;
@@ -41,6 +44,7 @@ pub use amount::Amount;
 pub use block::{Block, BlockHeader, BlockLimits};
 pub use chainstore::{BlockLike, ChainStore, InsertOutcome, Reorg, StoredBlock};
 pub use error::{BlockError, TxError};
+pub use fifo::BoundedFifoMap;
 pub use forkchoice::{ForkChoice, ForkRule, TieBreak};
 pub use mempool::Mempool;
 pub use payload::Payload;

@@ -1,4 +1,4 @@
-//! Bounded id sets, the signature-verification cache, and the batch-verification
+//! The signature-verification cache, and the batch-verification
 //! front-end that feeds it.
 //!
 //! Schnorr verification dominates transaction validation cost. Because a txid is the
@@ -26,7 +26,8 @@ use ng_crypto::sha256::Hash256;
 use ng_crypto::signer::{verify_signature, SignatureBytes};
 use ng_crypto::PublicKey;
 use crate::transaction::OutPoint;
-use std::collections::{HashSet, VecDeque};
+use crate::fifo::BoundedFifoMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The dedup key of one signature equation: everything [`SigJob`] carries except
@@ -39,62 +40,11 @@ type SigEquation = (PublicKey, Hash256, SignatureBytes);
 /// transactions than a microblock interval serializes.
 pub const DEFAULT_SIG_CACHE_CAP: usize = 1 << 16;
 
-/// A bounded set of 32-byte ids with FIFO (oldest-first) eviction. Everything an
-/// untrusted peer can grow must be bounded; this is the shared primitive behind the
-/// signature cache and the known-invalid block set.
-#[derive(Clone, Debug)]
-pub struct BoundedIdSet {
-    members: HashSet<Hash256>,
-    order: VecDeque<Hash256>,
-    cap: usize,
-}
-
-impl BoundedIdSet {
-    /// A set holding at most `cap` ids (oldest evicted first).
-    pub fn new(cap: usize) -> Self {
-        BoundedIdSet {
-            members: HashSet::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, id: &Hash256) -> bool {
-        self.members.contains(id)
-    }
-
-    /// Inserts an id, evicting the oldest member at capacity. Returns false if the
-    /// id was already present.
-    pub fn insert(&mut self, id: Hash256) -> bool {
-        if !self.members.insert(id) {
-            return false;
-        }
-        self.order.push_back(id);
-        while self.order.len() > self.cap {
-            if let Some(evicted) = self.order.pop_front() {
-                self.members.remove(&evicted);
-            }
-        }
-        true
-    }
-
-    /// Number of ids held.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if no ids are held.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
-
 /// A bounded FIFO set of transaction ids whose signatures verified, with hit/miss
 /// accounting.
 #[derive(Clone, Debug)]
 pub struct SigCache {
-    verified: BoundedIdSet,
+    verified: BoundedFifoMap<Hash256, ()>,
     hits: u64,
     misses: u64,
 }
@@ -109,7 +59,7 @@ impl SigCache {
     /// Creates a cache holding at most `cap` verdicts (oldest evicted first).
     pub fn new(cap: usize) -> Self {
         SigCache {
-            verified: BoundedIdSet::new(cap),
+            verified: BoundedFifoMap::new(cap),
             hits: 0,
             misses: 0,
         }
@@ -117,7 +67,7 @@ impl SigCache {
 
     /// True if this transaction's signatures are known good; counts the lookup.
     pub fn lookup(&mut self, txid: &Hash256) -> bool {
-        if self.verified.contains(txid) {
+        if self.verified.contains_key(txid) {
             self.hits += 1;
             true
         } else {
@@ -128,12 +78,12 @@ impl SigCache {
 
     /// Read-only membership test (no hit/miss accounting).
     pub fn contains(&self, txid: &Hash256) -> bool {
-        self.verified.contains(txid)
+        self.verified.contains_key(txid)
     }
 
     /// Records a successful verification, evicting the oldest verdict at capacity.
     pub fn insert(&mut self, txid: Hash256) {
-        self.verified.insert(txid);
+        self.verified.insert(txid, ());
     }
 
     /// Number of cached verdicts.
@@ -443,19 +393,5 @@ mod tests {
         let mut cache = SigCache::new(4);
         BatchVerifier::new().flush(&mut cache).unwrap();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn bounded_id_set_basics() {
-        let mut set = BoundedIdSet::new(2);
-        assert!(set.is_empty());
-        let a = sha256(b"a");
-        assert!(set.insert(a));
-        assert!(!set.insert(a), "duplicate insert reports false");
-        assert!(set.contains(&a));
-        set.insert(sha256(b"b"));
-        set.insert(sha256(b"c"));
-        assert_eq!(set.len(), 2);
-        assert!(!set.contains(&a), "oldest evicted at capacity");
     }
 }

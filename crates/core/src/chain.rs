@@ -9,7 +9,8 @@ use ng_chain::chainstore::{BlockLike, ChainStore, InsertOutcome};
 use ng_chain::error::BlockError;
 use ng_chain::forkchoice::{ForkRule, TieBreak};
 use ng_chain::chainstore::BoundedParentBuffer;
-use ng_chain::sigcache::{BoundedIdSet, SigCache};
+use ng_chain::fifo::BoundedFifoMap;
+use ng_chain::sigcache::SigCache;
 use ng_crypto::keys::Address;
 use ng_crypto::sha256::Hash256;
 use ng_crypto::signer::{verify_signature, SignatureBytes};
@@ -49,7 +50,7 @@ pub struct NgChainState {
     /// descendants). Re-offered copies are refused without revalidation. Bounded
     /// FIFO: an evicted id merely costs a revalidation (which re-rejects it), so
     /// even a leader mass-producing invalid microblocks cannot grow memory.
-    invalid: BoundedIdSet,
+    invalid: BoundedFifoMap<Hash256, ()>,
     /// Verified microblock leader signatures, keyed by a digest binding the signing
     /// hash, the leader public key *and* the signature bytes (see
     /// [`microblock_sig_digest`]). Primed when this node signs its own microblocks,
@@ -129,7 +130,7 @@ impl NgChainState {
                 },
             ),
             pending: BoundedParentBuffer::new(MAX_PENDING_BLOCKS),
-            invalid: BoundedIdSet::new(1 << 16),
+            invalid: BoundedFifoMap::new(1 << 16),
             microblock_sigs: SigCache::new(4096),
             epoch_key,
             poisoned: HashSet::new(),
@@ -169,7 +170,7 @@ impl NgChainState {
                 },
             ),
             pending: BoundedParentBuffer::new(MAX_PENDING_BLOCKS),
-            invalid: BoundedIdSet::new(1 << 16),
+            invalid: BoundedFifoMap::new(1 << 16),
             microblock_sigs: SigCache::new(4096),
             epoch_key,
             poisoned: HashSet::new(),
@@ -490,14 +491,14 @@ impl NgChainState {
     /// ledger (or descending from one) are refused outright.
     pub fn insert(&mut self, block: NgBlock, now_ms: u64) -> Result<InsertOutcome, BlockError> {
         let id = block.id();
-        if self.invalid.contains(&id) {
+        if self.invalid.contains_key(&id) {
             return Err(BlockError::KnownInvalid(id));
         }
         if self.store.contains(&id) {
             return Ok(InsertOutcome::Duplicate);
         }
         let parent = block.prev();
-        if self.invalid.contains(&parent) {
+        if self.invalid.contains_key(&parent) {
             return Err(BlockError::KnownInvalid(parent));
         }
         if !self.store.contains(&parent) {
@@ -519,7 +520,7 @@ impl NgChainState {
         while let Some(ready_parent) = newly_connected.pop() {
             for child in self.pending.take(&ready_parent) {
                 let child_id = child.id();
-                if self.store.contains(&child_id) || self.invalid.contains(&child_id) {
+                if self.store.contains(&child_id) || self.invalid.contains_key(&child_id) {
                     continue;
                 }
                 if self.validate(&child, now_ms).is_ok() {
@@ -565,17 +566,17 @@ impl NgChainState {
     pub fn invalidate(&mut self, id: &Hash256) -> Vec<Hash256> {
         let removed = self.store.invalidate(id);
         for gone in &removed {
-            self.invalid.insert(*gone);
+            self.invalid.insert(*gone, ());
             self.pending.remove_parent(gone);
             self.epoch_key.remove(gone);
         }
-        self.invalid.insert(*id);
+        self.invalid.insert(*id, ());
         removed
     }
 
     /// True if the block was invalidated by the ledger (directly or via an ancestor).
     pub fn is_invalid(&self, id: &Hash256) -> bool {
-        self.invalid.contains(id)
+        self.invalid.contains_key(id)
     }
 
     /// Stores the ledger undo record produced when `id` connected.

@@ -19,7 +19,8 @@
 
 use crate::message::InvItem;
 use ng_crypto::sha256::Hash256;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use ng_chain::fifo::BoundedFifoMap;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Tuning knobs of the overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +61,7 @@ struct PendingPull {
 /// Per-node overlay state: the eager/lazy split of ready peers plus pending lazy
 /// pulls. The engine owns one per node and drives it from message arrivals and
 /// `Input::Tick`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Overlay {
     cfg: OverlayConfig,
     // ng-lint: bound(eager_degree)
@@ -68,11 +69,8 @@ pub struct Overlay {
     // ng-lint: allow(bounded-collections): one entry per connected peer not in
     // the eager set; the driver's connection limit is the cap.
     lazy: BTreeSet<u64>,
-    // ng-lint: bound(max_pending_pulls)
-    pulls: BTreeMap<Hash256, PendingPull>,
-    /// Insertion order of `pulls` keys (may hold stale ids; compacted at 2× cap).
-    // ng-lint: bound(max_pending_pulls)
-    pull_order: VecDeque<Hash256>,
+    /// Pending lazy pulls, oldest evicted beyond `max_pending_pulls`.
+    pulls: BoundedFifoMap<Hash256, PendingPull>,
 }
 
 impl Overlay {
@@ -82,8 +80,7 @@ impl Overlay {
             cfg,
             eager: BTreeSet::new(),
             lazy: BTreeSet::new(),
-            pulls: BTreeMap::new(),
-            pull_order: VecDeque::new(),
+            pulls: BoundedFifoMap::new(cfg.max_pending_pulls),
         }
     }
 
@@ -130,8 +127,11 @@ impl Overlay {
     pub fn peer_gone(&mut self, peer: u64) {
         self.eager.remove(&peer);
         self.lazy.remove(&peer);
-        for pull in self.pulls.values_mut() {
-            pull.holders.retain(|&h| h != peer);
+        let pulls: Vec<Hash256> = self.pulls.keys().copied().collect();
+        for id in pulls {
+            if let Some(pull) = self.pulls.get_mut(&id) {
+                pull.holders.retain(|&h| h != peer);
+            }
         }
     }
 
@@ -197,19 +197,6 @@ impl Overlay {
             }
             return false;
         }
-        while self.pulls.len() >= self.cfg.max_pending_pulls {
-            match self.pull_order.pop_front() {
-                Some(oldest) => {
-                    self.pulls.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        self.pull_order.push_back(item.id);
-        if self.pull_order.len() > 2 * self.cfg.max_pending_pulls {
-            let live = &self.pulls;
-            self.pull_order.retain(|k| live.contains_key(k));
-        }
         self.pulls.insert(
             item.id,
             PendingPull {
@@ -235,14 +222,15 @@ impl Overlay {
     /// overdue block (promoting that link to eager) and returns `(item, peer)` pairs
     /// the caller must send `graft` to. Pulls with no advertisers left are dropped —
     /// the block can still arrive via sync. Deterministic: overdue blocks are
-    /// processed in id order (the pull map is a `BTreeMap`).
+    /// processed in id order.
     pub fn expire(&mut self, now_ms: u64) -> Vec<(InvItem, u64)> {
-        let overdue: Vec<Hash256> = self
+        let mut overdue: Vec<Hash256> = self
             .pulls
             .iter()
             .filter(|(_, p)| p.deadline_ms <= now_ms)
             .map(|(id, _)| *id)
             .collect();
+        overdue.sort_unstable();
         let mut grafts = Vec::new();
         for id in overdue {
             let Some(pull) = self.pulls.get_mut(&id) else {

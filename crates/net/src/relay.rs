@@ -21,7 +21,8 @@ use ng_core::block::{MicroBlock, MicroHeader};
 use ng_crypto::sha256::{sha256, Hash256};
 use ng_crypto::signer::SignatureBytes;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use ng_chain::fifo::BoundedFifoMap;
+use std::collections::HashMap;
 
 /// Bytes of a short transaction id on the wire.
 pub const SHORT_ID_BYTES: u64 = 6;
@@ -127,20 +128,23 @@ struct PendingReconstruction {
 
 /// Per-node compact-relay state: partial reconstructions keyed by block id, bounded
 /// oldest-first so a spammer announcing unreconstructable blocks cannot grow memory.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CompactRelay {
-    // ng-lint: bound(MAX_PENDING_RECONSTRUCTIONS)
-    pending: HashMap<Hash256, PendingReconstruction>,
-    /// Insertion order of `pending` keys (may hold stale ids of resolved entries;
-    /// compacted when it outgrows the live map 2×).
-    // ng-lint: bound(MAX_PENDING_RECONSTRUCTIONS)
-    order: VecDeque<Hash256>,
+    pending: BoundedFifoMap<Hash256, PendingReconstruction>,
+}
+
+impl Default for CompactRelay {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CompactRelay {
     /// Creates an empty relay.
     pub fn new() -> Self {
-        Self::default()
+        CompactRelay {
+            pending: BoundedFifoMap::new(MAX_PENDING_RECONSTRUCTIONS),
+        }
     }
 
     /// Number of stashed partial reconstructions.
@@ -197,18 +201,6 @@ impl CompactRelay {
         if self.pending.contains_key(&id) {
             // Already reconstructing this block from another announcement.
             return ReconstructOutcome::MissingTxs(missing);
-        }
-        while self.pending.len() >= MAX_PENDING_RECONSTRUCTIONS {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.pending.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        self.order.push_back(id);
-        if self.order.len() > 2 * MAX_PENDING_RECONSTRUCTIONS {
-            self.order.retain(|k| self.pending.contains_key(k));
         }
         self.pending.insert(
             id,

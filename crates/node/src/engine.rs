@@ -29,6 +29,7 @@
 use crate::chainstate::ChainView;
 use ng_chain::amount::Amount;
 use ng_chain::chainstore::InsertOutcome;
+use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::mempool::Mempool;
 use ng_chain::payload::Payload;
 use ng_chain::transaction::{OutPoint, Transaction};
@@ -471,15 +472,9 @@ pub struct Engine {
     /// Carrier messages of blocks not yet relayable, keyed by block id: chain-level
     /// orphans (announced once the parent arrives and they are adopted) and, under
     /// full validation, side-branch microblocks (announced if their branch wins and
-    /// validates). Bounded: `orphan_order` drives oldest-first eviction at
-    /// [`MAX_ORPHAN_CARRIERS`] — losing-branch carriers must not accumulate for the
-    /// node's lifetime.
-    // ng-lint: bound(MAX_ORPHAN_CARRIERS)
-    orphan_carriers: HashMap<Hash256, Message>,
-    /// Insertion order of `orphan_carriers` keys (may lag behind removals; stale
-    /// ids are skipped during eviction and compacted periodically).
-    // ng-lint: bound(MAX_ORPHAN_CARRIERS)
-    orphan_order: std::collections::VecDeque<Hash256>,
+    /// validates). Oldest-first eviction at [`MAX_ORPHAN_CARRIERS`] — losing-branch
+    /// carriers must not accumulate for the node's lifetime.
+    orphan_carriers: BoundedFifoMap<Hash256, Message>,
     relay: GossipRelay,
     /// Eager/lazy broadcast overlay (only driven when `config.gossip.overlay`).
     overlay: Overlay,
@@ -516,19 +511,11 @@ pub struct Engine {
     /// a snapshot bootstrap. Forward sync ignores header records at or below it —
     /// they can never connect; the backfill owns that range.
     root_height: u64,
-    /// First-seen microblock id per `(parent, leader)`, tagged with its insertion
-    /// sequence. A second distinct id under the same key is an equivocation: the
-    /// leader signed two microblocks at the same height (§4.5), and this node
-    /// constructs the fraud proof.
-    // ng-lint: bound(MAX_MICRO_SIGHTINGS)
-    micro_sightings: BTreeMap<(Hash256, u64), (Hash256, u64)>,
-    /// Insertion order of `micro_sightings` keys, driving oldest-first eviction.
-    /// A queue entry whose sequence no longer matches the map's (the key was
-    /// evicted and later re-seen) is stale and skipped.
-    // ng-lint: bound(MAX_MICRO_SIGHTINGS)
-    sighting_order: std::collections::VecDeque<((Hash256, u64), u64)>,
-    /// Monotonic insertion counter for `micro_sightings` entries.
-    sighting_seq: u64,
+    /// First-seen microblock id per `(parent, leader)`. A second distinct id under
+    /// the same key is an equivocation: the leader signed two microblocks at the
+    /// same height (§4.5), and this node constructs the fraud proof. Oldest-first
+    /// eviction at [`MAX_MICRO_SIGHTINGS`].
+    micro_sightings: BoundedFifoMap<(Hash256, u64), Hash256>,
     /// Canonical accepted poison per `(accused leader, epoch key block)` — see
     /// [`PoisonRecord`] for the min-txid convergence rule. Re-asserted against the
     /// main chain after every ledger roll.
@@ -607,8 +594,7 @@ impl Engine {
             node,
             mempool: Mempool::new(),
             view,
-            orphan_carriers: HashMap::new(),
-            orphan_order: std::collections::VecDeque::new(),
+            orphan_carriers: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
             relay: GossipRelay::new(),
             overlay,
             compact: CompactRelay::new(),
@@ -621,9 +607,7 @@ impl Engine {
             bootstrap,
             backfill: None,
             root_height: 0,
-            micro_sightings: BTreeMap::new(),
-            sighting_order: std::collections::VecDeque::new(),
-            sighting_seq: 0,
+            micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
             poisons: BTreeMap::new(),
             pending_poisons: BTreeMap::new(),
         }
@@ -686,8 +670,7 @@ impl Engine {
             node,
             mempool: Mempool::new(),
             view: placeholder,
-            orphan_carriers: HashMap::new(),
-            orphan_order: std::collections::VecDeque::new(),
+            orphan_carriers: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
             relay: GossipRelay::new(),
             overlay,
             compact: CompactRelay::new(),
@@ -702,9 +685,7 @@ impl Engine {
             bootstrap: None,
             backfill: None,
             root_height,
-            micro_sightings: BTreeMap::new(),
-            sighting_order: std::collections::VecDeque::new(),
-            sighting_seq: 0,
+            micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
             poisons: BTreeMap::new(),
             pending_poisons: BTreeMap::new(),
         };
@@ -1587,23 +1568,8 @@ impl Engine {
     /// capacity (an evicted block can still be fetched from the nodes that validated
     /// it, through header sync).
     fn stash_carrier(&mut self, id: Hash256, carrier: Message) {
-        if self.orphan_carriers.contains_key(&id) {
-            return;
-        }
-        while self.orphan_carriers.len() >= MAX_ORPHAN_CARRIERS {
-            let Some(oldest) = self.orphan_order.pop_front() else {
-                break;
-            };
-            // Skip ids already flushed or invalidated out of the stash.
-            self.orphan_carriers.remove(&oldest);
-        }
-        self.orphan_carriers.insert(id, carrier);
-        self.orphan_order.push_back(id);
-        // The order queue only shrinks under eviction pressure; compact it before
-        // stale (already-removed) ids can dominate.
-        if self.orphan_order.len() > 2 * MAX_ORPHAN_CARRIERS {
-            let live = &self.orphan_carriers;
-            self.orphan_order.retain(|id| live.contains_key(id));
+        if !self.orphan_carriers.contains_key(&id) {
+            self.orphan_carriers.insert(id, carrier);
         }
     }
 
@@ -1659,22 +1625,9 @@ impl Engine {
         id: Hash256,
         effects: &mut Vec<Effect>,
     ) {
-        match self.micro_sightings.get(&key).map(|(first, _)| *first) {
+        match self.micro_sightings.get(&key).copied() {
             None => {
-                while self.micro_sightings.len() >= MAX_MICRO_SIGHTINGS {
-                    let Some((oldest, seq)) = self.sighting_order.pop_front() else {
-                        break;
-                    };
-                    // Skip stale queue entries: the key was evicted earlier and
-                    // re-seen since, so the map holds a newer sighting.
-                    if self.micro_sightings.get(&oldest).is_some_and(|(_, s)| *s == seq) {
-                        self.micro_sightings.remove(&oldest);
-                    }
-                }
-                let seq = self.sighting_seq;
-                self.sighting_seq += 1;
-                self.micro_sightings.insert(key, (id, seq));
-                self.sighting_order.push_back((key, seq));
+                self.micro_sightings.insert(key, id);
             }
             Some(first) if first == id => {}
             Some(first) => {
@@ -2417,7 +2370,6 @@ impl Engine {
         let confirmed: HashMap<Hash256, u32> = snapshot.confirmed.iter().copied().collect();
         self.view = ChainView::restore(&self.config.params, pin.root, utxo, confirmed);
         self.orphan_carriers.clear();
-        self.orphan_order.clear();
         self.mempool = Mempool::new();
         // Keep the applied snapshot in durable-snapshot form: this node can now
         // serve the same bootstrap to the next fresh joiner.
