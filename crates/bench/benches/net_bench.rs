@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the wire stack: frame encoding/decoding (the per-message cost
-//! a live node pays on every socket read/write) and gossip-relay fan-out.
+//! a live node pays on every socket read/write) and the engine's announce fan-out.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ng_chain::amount::Amount;
@@ -8,9 +8,8 @@ use ng_core::params::NgParams;
 use ng_core::NgNode;
 use ng_net::codec::FrameCodec;
 use ng_net::message::{Message, ProtocolKind};
-use ng_net::peer::{Peer, PeerAction};
 use ng_net::sync::build_locator;
-use ng_net::GossipRelay;
+use ng_node::engine::{Engine, EngineConfig, Input};
 use ng_crypto::sha256::sha256;
 use std::hint::black_box;
 
@@ -47,31 +46,32 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-fn ready_relay(peers: u64) -> GossipRelay {
-    let mut relay = GossipRelay::new();
-    for key in 0..peers {
-        let (mut local, hello) = Peer::outbound(1_000, ProtocolKind::BitcoinNg, 0, 0);
-        let mut remote = Peer::inbound(key, ProtocolKind::BitcoinNg);
-        for action in remote.on_message(hello, 0, 0) {
-            if let PeerAction::Send(msg) = action {
-                for back in local.on_message(msg, 0, 0) {
-                    if let PeerAction::Send(msg) = back {
-                        remote.on_message(msg, 0, 0);
-                    }
-                }
-            }
+/// An engine with `peers` handshaken connections.
+fn ready_engine(peers: u64) -> Engine {
+    let mut engine = Engine::new(EngineConfig::new(1_000, NgParams::default()));
+    for peer in 0..peers {
+        engine.handle(0, Input::PeerConnected { peer, inbound: true });
+        for message in [
+            Message::Version {
+                node_id: peer,
+                protocol: ProtocolKind::BitcoinNg,
+                best_height: 0,
+                time_ms: 0,
+            },
+            Message::Verack,
+            Message::Headers(vec![]),
+        ] {
+            engine.handle(0, Input::Message { peer, message });
         }
-        relay.add_peer(key, local);
     }
-    relay
+    engine
 }
 
 fn bench_gossip_fanout(c: &mut Criterion) {
     c.bench_function("gossip_announce_to_32_peers", |b| {
-        let message = microblock_message();
         b.iter_with_setup(
-            || ready_relay(32),
-            |mut relay| black_box(relay.announce(message.clone(), None)),
+            || ready_engine(32),
+            |mut engine| black_box(engine.handle(1_000, Input::MineKeyBlock)),
         )
     });
 }

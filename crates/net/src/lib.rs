@@ -4,17 +4,17 @@
 //! Bitcoin clients over a real overlay network (§7); this crate provides the pieces a
 //! deployable Bitcoin-NG node needs to do the same: a wire format, length-delimited
 //! framing with checksums, a per-peer protocol state machine with the Bitcoin-style
-//! `inv`/`getdata` exchange, a gossip relay that floods blocks over the overlay exactly
-//! once per peer, and a minimal threaded TCP transport for running real sockets in
-//! examples and tests.
+//! `inv`/`getdata` exchange, compact block relay, a structured broadcast overlay, and a
+//! minimal threaded TCP transport for running real sockets in examples and tests. The
+//! crate holds no objects: the engine (`ng_node::engine`) owns the peer table and
+//! serves blocks and transactions from its block tree and mempool.
 //!
 //! * [`message`] — the wire messages (version handshake, inventory, block and
 //!   transaction carriers, keepalives).
 //! * [`codec`] — frame encoding/decoding over [`bytes::BytesMut`] with checksums and
 //!   size limits.
-//! * [`peer`] — the per-connection state machine (handshake, inventory bookkeeping).
-//! * [`gossip`] — the node-level relay: what to send to whom when a block or
-//!   transaction first becomes known.
+//! * [`peer`] — the per-connection state machine (handshake, bounded inventory
+//!   bookkeeping: what the remote is known to hold, what was requested from it).
 //! * [`relay`] — BIP152-style compact microblock relay: salted short tx ids,
 //!   mempool reconstruction, `getblocktxn`/`blocktxn` hole-filling with a
 //!   full-block fallback.
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod gossip;
 pub mod message;
 pub mod overlay;
 pub mod peer;
@@ -41,7 +40,6 @@ pub mod sync;
 pub mod tcp;
 
 pub use codec::{CodecError, FrameCodec};
-pub use gossip::{GossipAction, GossipRelay};
 pub use message::{InvItem, InvKind, Message, ProtocolKind};
 pub use overlay::{Overlay, OverlayConfig};
 pub use relay::{CompactMicroBlock, CompactRelay, ReconstructOutcome};

@@ -15,10 +15,18 @@
 //! version handshake (via [`ng_net::peer::Peer`]), headers-first multi-peer sync
 //! with windowed parallel block download (via [`ng_net::sync::SyncScheduler`]),
 //! assumeutxo-style snapshot bootstrap against a pinned checkpoint
-//! ([`SnapshotPin`]) with background history backfill, `inv`/`getdata` gossip (via
-//! [`ng_net::GossipRelay`]), leader microblock streaming from the mempool,
-//! fork-choice reorg handling over the replayed UTXO ledger view, and
-//! poison-evidence construction hooks exposed by the underlying [`NgNode`].
+//! ([`SnapshotPin`]) with background history backfill, `inv`/`getdata` gossip,
+//! leader microblock streaming from the mempool, fork-choice reorg handling over
+//! the incremental UTXO ledger view, and poison-evidence construction hooks exposed
+//! by the underlying [`NgNode`].
+//!
+//! One copy of every object: a block lives in the block tree ([`NgNode::chain`]),
+//! a pending transaction in the mempool, and the wire is served from those two
+//! stores — a `keyblock`/`microblock`/`tx` message is built at the moment it is
+//! sent, and a block is served exactly when it may be announced
+//! ([`Engine::announceable`]). The only other bodies held are a bounded memory of
+//! recently announced transactions and the below-root history a snapshot-rooted
+//! node backfills.
 //!
 //! Determinism contract: for a fixed [`EngineConfig`], an identical sequence of
 //! `(now_ms, Input)` pairs produces an identical sequence of effects, byte for byte.
@@ -48,7 +56,6 @@ use ng_net::sync::{
     build_locator, ids_after_locator, HeaderRecord, SyncCommand, SyncConfig, SyncScheduler,
     DEFAULT_HEADER_BATCH,
 };
-use ng_net::GossipRelay;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -408,9 +415,18 @@ pub enum ReportEvent {
     },
 }
 
-/// Cap on stashed orphan carriers (a misbehaving peer could otherwise grow the
-/// stash without bound by sending parentless blocks).
+/// Cap on remembered held-back block ids (a misbehaving peer could otherwise grow
+/// the set without bound by sending parentless blocks).
 const MAX_ORPHAN_CARRIERS: usize = 1024;
+
+/// Cap on the relay memory of recently announced transactions (the role Bitcoin's
+/// `mapRelay` played): a `getdata` that arrives after the leader serialized the
+/// transaction out of the mempool is still answered, so the requester's compact
+/// reconstruction hits instead of paying a `getblocktxn` round trip. Sized from
+/// rate × round trip: the densest workload announces 20 tx/ms over links of at
+/// most 20 ms each way, so ≈ 800 transactions are between `inv` and `getdata` at
+/// any moment; 8192 leaves a 10× margin.
+const MAX_RELAY_TXS: usize = 8192;
 
 /// Cap on tracked `(parent, leader)` → first-seen-microblock sightings for
 /// equivocation detection. Entries outlive their usefulness once the epoch
@@ -469,13 +485,27 @@ pub struct Engine {
     /// The incremental ledger view: UTXO set, confirmed-txid set and rolling
     /// commitment, maintained by connecting/disconnecting blocks (never by replay).
     view: ChainView,
-    /// Carrier messages of blocks not yet relayable, keyed by block id: chain-level
-    /// orphans (announced once the parent arrives and they are adopted) and, under
-    /// full validation, side-branch microblocks (announced if their branch wins and
-    /// validates). Oldest-first eviction at [`MAX_ORPHAN_CARRIERS`] — losing-branch
-    /// carriers must not accumulate for the node's lifetime.
-    orphan_carriers: BoundedFifoMap<Hash256, Message>,
-    relay: GossipRelay,
+    /// Ids of tree blocks held back from relay: chain-level orphans (announced once
+    /// the parent arrives and they are adopted) and, under full validation,
+    /// side-branch microblocks (announced if their branch wins and validates). The
+    /// block itself is read from the tree when its turn comes. Oldest-first
+    /// eviction at [`MAX_ORPHAN_CARRIERS`] — losing-branch ids must not accumulate
+    /// for the node's lifetime.
+    held_back: BoundedFifoMap<Hash256, ()>,
+    /// Recently announced transactions, so a `getdata` outlives the transaction's
+    /// stay in the mempool (see [`MAX_RELAY_TXS`]).
+    relay_memory: BoundedFifoMap<Hash256, Transaction>,
+    /// Blocks fetched by the snapshot backfill. They sit below the tree's root, so
+    /// this is the one block store outside the tree; it exists to serve full syncs.
+    /// Capped by the root height: [`Self::claim_backfill_headers`] stops requesting
+    /// once one block per height below the root is held or expected.
+    // ng-lint: bound(root_height)
+    backfilled: HashMap<Hash256, NgBlock>,
+    /// Every registered connection (ready or not) by driver key: handshake state,
+    /// what the remote is known to hold, what was requested from it.
+    // ng-lint: allow(bounded-collections): one entry per live driver connection;
+    // the driver's accept/connect limit is the cap and Closed removes entries.
+    peers: BTreeMap<u64, Peer>,
     /// Eager/lazy broadcast overlay (only driven when `config.gossip.overlay`).
     overlay: Overlay,
     /// Partial compact-block reconstructions awaiting `blocktxn` replies.
@@ -483,10 +513,6 @@ pub struct Engine {
     /// Multi-peer sync: concurrent header walks plus the windowed parallel block
     /// download scheduler (request deadlines, retry-on-another-peer, eviction).
     sync: SyncScheduler,
-    /// Every registered connection key (ready or not).
-    // ng-lint: allow(bounded-collections): one key per live driver connection;
-    // the driver's accept/connect limit is the cap and Closed removes keys.
-    peers: BTreeSet<u64>,
     /// The deadline of the last `SetTimer` effect emitted, to avoid re-arming the
     /// driver with a deadline it already holds. Cleared when a `Tick` consumes it.
     last_timer: Option<u64>,
@@ -594,12 +620,13 @@ impl Engine {
             node,
             mempool: Mempool::new(),
             view,
-            orphan_carriers: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
-            relay: GossipRelay::new(),
+            held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
+            relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
+            backfilled: HashMap::new(),
+            peers: BTreeMap::new(),
             overlay,
             compact: CompactRelay::new(),
             sync,
-            peers: BTreeSet::new(),
             last_timer: None,
             storage: None,
             last_snapshot_height: 0,
@@ -670,12 +697,13 @@ impl Engine {
             node,
             mempool: Mempool::new(),
             view: placeholder,
-            orphan_carriers: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
-            relay: GossipRelay::new(),
+            held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
+            relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
+            backfilled: HashMap::new(),
+            peers: BTreeMap::new(),
             overlay,
             compact: CompactRelay::new(),
             sync,
-            peers: BTreeSet::new(),
             last_timer: None,
             storage: None,
             last_snapshot_height: 0,
@@ -885,18 +913,18 @@ impl Engine {
     /// Connections whose handshake completed, sorted (the expansion set for
     /// [`Effect::Broadcast`]).
     pub fn ready_peers(&self) -> Vec<u64> {
-        self.relay.ready_peers()
+        ready_keys(&self.peers)
     }
 
     /// Number of connections whose handshake completed.
     pub fn ready_peer_count(&self) -> usize {
-        self.relay.ready_peer_count()
+        self.peers.values().filter(|state| state.is_ready()).count()
     }
 
     /// Every registered connection key, sorted (drivers tear these down on
     /// disconnect-all commands).
     pub fn connected_peers(&self) -> Vec<u64> {
-        self.peers.iter().copied().collect()
+        self.peers.keys().copied().collect()
     }
 
     /// Completed sync block downloads per peer, sorted by peer key. The parallel
@@ -974,13 +1002,12 @@ impl Engine {
     // ---- connection lifecycle -------------------------------------------------
 
     fn on_connected(&mut self, peer: u64, inbound: bool, now_ms: u64, effects: &mut Vec<Effect>) {
-        if !self.peers.insert(peer) {
+        if self.peers.contains_key(&peer) {
             return; // already registered (e.g. the driver echoes its own dial)
         }
-        if inbound {
+        let state = if inbound {
             // The remote dialed; it speaks first and we answer with our version.
-            self.relay
-                .add_peer(peer, Peer::inbound(self.config.id, ProtocolKind::BitcoinNg));
+            Peer::inbound(self.config.id, ProtocolKind::BitcoinNg)
         } else {
             let (state, hello) = Peer::outbound(
                 self.config.id,
@@ -988,17 +1015,17 @@ impl Engine {
                 self.height(),
                 now_ms,
             );
-            self.relay.add_peer(peer, state);
             effects.push(Effect::Send {
                 peer,
                 message: hello,
             });
-        }
+            state
+        };
+        self.peers.insert(peer, state);
     }
 
     fn forget_peer(&mut self, peer: u64) {
         self.peers.remove(&peer);
-        self.relay.remove_peer(peer);
         self.overlay.peer_gone(peer);
         self.sync.peer_gone(peer);
         if let Some(boot) = self.bootstrap.as_mut() {
@@ -1017,19 +1044,18 @@ impl Engine {
 
     fn on_message(&mut self, peer: u64, message: Message, now_ms: u64, effects: &mut Vec<Effect>) {
         let height = self.height();
-        let Some(state) = self.relay.peer_mut(peer) else {
+        let Some(state) = self.peers.get_mut(&peer) else {
             return; // unknown or already-forgotten connection
         };
-        let actions = state.on_message(message, height, now_ms);
-        let mut routable = Vec::new();
-        for action in actions {
+        for action in state.on_message(message, height, now_ms) {
             match action {
+                PeerAction::Send(message) => effects.push(Effect::Send { peer, message }),
                 PeerAction::HandshakeComplete {
                     node_id,
                     best_height,
                     ..
                 } => {
-                    // Flush the handshake replies queued so far, then sync. The sync
+                    // The handshake replies are queued above; now sync. The sync
                     // is unconditional: after a partition heals, both sides can sit
                     // at the same *height* on different chains (microblocks add
                     // height without work), so heights cannot tell who needs blocks.
@@ -1037,7 +1063,6 @@ impl Engine {
                     // headers batch. While a snapshot bootstrap is undecided the
                     // walk stays parked — a successful bootstrap would re-root the
                     // chain and discard anything fetched against genesis.
-                    self.flush_routable(peer, std::mem::take(&mut routable), now_ms, effects);
                     effects.push(Effect::Report(ReportEvent::PeerReady { peer, node_id }));
                     // Hand the fresh peer every recorded fraud proof: floods are
                     // one-shot, so without this a node that was dark (eclipsed,
@@ -1068,31 +1093,81 @@ impl Engine {
                     self.forget_peer(peer);
                     return;
                 }
-                other => routable.push(other),
+                PeerAction::Announced(item) => self.on_announced(peer, item, effects),
+                PeerAction::Deliver(message) => {
+                    self.handle_delivered(peer, message, now_ms, effects)
+                }
             }
         }
-        self.flush_routable(peer, routable, now_ms, effects);
     }
 
-    fn flush_routable(
-        &mut self,
-        peer: u64,
-        actions: Vec<PeerAction>,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        if actions.is_empty() {
+    /// The peer named an object in an `inv` or a `getdata` (the peer state machine
+    /// does not tell the two apart): send it if this node can serve it, request it
+    /// otherwise.
+    fn on_announced(&mut self, peer: u64, item: InvItem, effects: &mut Vec<Effect>) {
+        match self.servable(&item) {
+            Some(message) => {
+                if let Some(state) = self.peers.get_mut(&peer) {
+                    state.mark_known(item.id);
+                }
+                effects.push(Effect::Send { peer, message });
+            }
+            None => {
+                let request = self.peers.get_mut(&peer).and_then(|state| state.request(&[item]));
+                if let Some(message) = request {
+                    effects.push(Effect::Send { peer, message });
+                }
+            }
+        }
+    }
+
+    // ---- serving: the wire is answered from the tree and the mempool ------------
+
+    /// The block to answer a `getdata`, `graft` or `getblocktxn` with. The serving
+    /// rule is the announcing rule: a tree block this node may vouch for *now* —
+    /// never an unvalidated side-branch microblock, never an invalidated block (it
+    /// left the tree) — plus the below-root history the backfill fetched.
+    fn served_block(&self, id: &Hash256) -> Option<&NgBlock> {
+        if self.announceable(id) {
+            self.node.chain().get(id)
+        } else {
+            self.backfilled.get(id)
+        }
+    }
+
+    /// Builds the message that carries the named object, if this node serves it.
+    /// Transactions come from the mempool, else from the relay memory.
+    fn servable(&self, item: &InvItem) -> Option<Message> {
+        match item.kind {
+            InvKind::Transaction => self
+                .mempool
+                .get(&item.id)
+                .map(|entry| &entry.tx)
+                .or_else(|| self.relay_memory.get(&item.id))
+                .map(|tx| Message::Tx(Box::new(tx.clone()))),
+            InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(carrier),
+            InvKind::Block => None,
+        }
+    }
+
+    /// True if the block is held, in the tree or below its root.
+    fn holds_block(&self, id: &Hash256) -> bool {
+        self.node.chain().store().contains(id) || self.backfilled.contains_key(id)
+    }
+
+    /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
+    /// on this connection is forgotten first: callers re-issue after a timeout (the
+    /// original `getdata` or its reply may have been lost), and the connection's
+    /// in-flight dedup would otherwise suppress the retry forever.
+    fn request_from(&mut self, peer: u64, items: &[InvItem], effects: &mut Vec<Effect>) {
+        let Some(state) = self.peers.get_mut(&peer) else {
             return;
+        };
+        for item in items {
+            state.forget_request(&item.id);
         }
-        let (outgoing, delivered) = self.relay.route(peer, actions);
-        for action in outgoing {
-            effects.push(Effect::Send {
-                peer: action.to,
-                message: action.message,
-            });
-        }
-        for message in delivered {
-            self.handle_delivered(peer, message, now_ms, effects);
+        if let Some(message) = state.request(items) {
+            effects.push(Effect::Send { peer, message });
         }
     }
 
@@ -1106,18 +1181,8 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         match message {
-            Message::KeyBlock(kb) => {
-                let carrier = Message::KeyBlock(kb.clone());
-                if !self.claim_backfill_block(kb.id(), &carrier, effects) {
-                    self.accept_block(Some(from), NgBlock::Key(*kb), carrier, now_ms, effects);
-                }
-            }
-            Message::MicroBlock(mb) => {
-                let carrier = Message::MicroBlock(mb.clone());
-                if !self.claim_backfill_block(mb.id(), &carrier, effects) {
-                    self.accept_block(Some(from), NgBlock::Micro(*mb), carrier, now_ms, effects);
-                }
-            }
+            Message::KeyBlock(kb) => self.on_block(from, NgBlock::Key(*kb), now_ms, effects),
+            Message::MicroBlock(mb) => self.on_block(from, NgBlock::Micro(*mb), now_ms, effects),
             Message::Block(b) => {
                 // A Bitcoin-flavour block has no place on an NG chain.
                 effects.push(Effect::Report(ReportEvent::BlockRejected { id: b.id() }));
@@ -1152,13 +1217,13 @@ impl Engine {
             Message::Graft(item) => {
                 self.overlay.on_graft(from);
                 // Serve the grafted block in full: the graft *is* the pull request.
-                if let Some(carrier) = self.relay.object(&item.id).cloned() {
-                    if let Some(state) = self.relay.peer_mut(from) {
+                if let Some(message) = self.served_block(&item.id).map(carrier) {
+                    if let Some(state) = self.peers.get_mut(&from) {
                         state.mark_known(item.id);
                     }
                     effects.push(Effect::Send {
                         peer: from,
-                        message: carrier,
+                        message,
                     });
                 }
             }
@@ -1184,7 +1249,7 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         let id = compact.id();
-        if self.node.chain().store().contains(&id) || self.relay.has_object(&id) {
+        if self.node.chain().store().contains(&id) {
             // A second eager path delivered this block: classic Plumtree prune.
             effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
             self.prune_duplicate_link(from, effects);
@@ -1202,8 +1267,7 @@ impl Engine {
                     id,
                     fetched: 0,
                 }));
-                let carrier = Message::MicroBlock(micro.clone());
-                self.accept_block(Some(from), NgBlock::Micro(*micro), carrier, now_ms, effects);
+                self.accept_block(Some(from), NgBlock::Micro(*micro), now_ms, effects);
             }
             ReconstructOutcome::MissingTxs(indexes) => {
                 effects.push(Effect::Send {
@@ -1215,7 +1279,7 @@ impl Engine {
         }
     }
 
-    /// Serves a `getblocktxn` request from the relay's object store.
+    /// Serves a `getblocktxn` request from the block tree.
     fn serve_block_txn(
         &mut self,
         from: u64,
@@ -1223,8 +1287,8 @@ impl Engine {
         indexes: &[u32],
         effects: &mut Vec<Effect>,
     ) {
-        let Some(Message::MicroBlock(micro)) = self.relay.object(&block) else {
-            return; // evicted or never held: the requester's fallback covers it
+        let Some(NgBlock::Micro(micro)) = self.served_block(&block) else {
+            return; // never held or not servable: the requester's fallback covers it
         };
         if let Some(txs) = relay::transactions_at(micro, indexes) {
             effects.push(Effect::Send {
@@ -1251,8 +1315,7 @@ impl Engine {
                     id: block,
                     fetched,
                 }));
-                let carrier = Message::MicroBlock(micro.clone());
-                self.accept_block(Some(from), NgBlock::Micro(*micro), carrier, now_ms, effects);
+                self.accept_block(Some(from), NgBlock::Micro(*micro), now_ms, effects);
             }
             Some(_) => self.fetch_full(from, block, effects),
         }
@@ -1268,10 +1331,7 @@ impl Engine {
             if !matches!(item.kind, InvKind::KeyBlock | InvKind::MicroBlock) {
                 continue;
             }
-            if self.node.chain().store().contains(&item.id)
-                || self.relay.has_object(&item.id)
-                || self.compact.is_pending(&item.id)
-            {
+            if self.holds_block(&item.id) || self.compact.is_pending(&item.id) {
                 continue;
             }
             // arm_timer (end of this handle pass) picks up the new deadline.
@@ -1282,17 +1342,7 @@ impl Engine {
     /// Compact reconstruction failed: fetch the announced block in full.
     fn fetch_full(&mut self, from: u64, id: Hash256, effects: &mut Vec<Effect>) {
         effects.push(Effect::Report(ReportEvent::CompactFallback { id }));
-        let item = InvItem::new(InvKind::MicroBlock, id);
-        let request = self.relay.peer_mut(from).and_then(|state| {
-            state.forget_request(&id);
-            state.request(&[item])
-        });
-        if let Some(request) = request {
-            effects.push(Effect::Send {
-                peer: from,
-                message: request,
-            });
-        }
+        self.request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
     }
 
     /// A duplicate eager push arrived over `from`: demote the link to lazy and tell
@@ -1361,8 +1411,9 @@ impl Engine {
         if !self.mempool.insert_with_fee(tx.clone(), fee) {
             return false;
         }
+        self.relay_memory.insert(txid, tx);
         effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
-        self.announce(Message::Tx(Box::new(tx)), from, effects);
+        self.announce(InvItem::new(InvKind::Transaction, txid), from, effects);
         true
     }
 
@@ -1388,7 +1439,6 @@ impl Engine {
         &mut self,
         from: Option<u64>,
         block: NgBlock,
-        carrier: Message,
         now_ms: u64,
         effects: &mut Vec<Effect>,
     ) {
@@ -1419,22 +1469,22 @@ impl Engine {
                 // validate-on-connect): only a surviving block is announced. Under
                 // full validation a microblock is relayed only once this node's own
                 // ledger validated it (it connected to the main chain) — relaying a
-                // never-validated side-branch block would hand peers a carrier this
+                // never-validated side-branch block would hand peers a block this
                 // node cannot vouch for, and an honest relay must never take the
                 // punishment for a Byzantine block it merely forwarded. Side-branch
-                // carriers are stashed and announced if their branch later wins.
+                // blocks are held back and announced if their branch later wins.
                 if self.node.chain().store().contains(&id) {
                     effects.push(Effect::Report(ReportEvent::BlockAccepted {
                         id,
                         tip_changed,
                         reorg: reorged,
                     }));
-                    if self.announceable(&id, &carrier) {
-                        self.announce(carrier, from, effects);
+                    if self.announceable(&id) {
+                        self.announce_block(id, from, effects);
                     } else {
-                        self.stash_carrier(id, carrier);
+                        self.held_back.insert(id, ());
                     }
-                    self.flush_adopted_orphans(effects);
+                    self.flush_held_back(effects);
                     // A stored sibling microblock under the same (parent, leader)
                     // key is proof of equivocation — construct the fraud proof.
                     if let Some(key) = micro_key {
@@ -1458,9 +1508,9 @@ impl Engine {
             }
             Ok(InsertOutcome::Orphaned { .. }) => {
                 effects.push(Effect::Report(ReportEvent::BlockOrphaned { id }));
-                // Keep the carrier so the block can be announced and served once its
-                // ancestors arrive (the chain layer adopts it without telling us).
-                self.stash_carrier(id, carrier);
+                // Remember the id so the block is announced once its ancestors
+                // arrive (the chain layer adopts it without telling us).
+                self.held_back.insert(id, ());
                 // We are missing history; a header walk fills the gap — unless the
                 // scheduler expected this block, in which case its ancestors are
                 // already queued or in flight. The walk nominally targets the
@@ -1479,135 +1529,138 @@ impl Engine {
         }
     }
 
-    /// Stores a newly known object in the relay and emits its announcements: a
-    /// single [`Effect::Broadcast`] when every ready peer needs it (a freshly
-    /// produced local object), per-peer [`Effect::Send`]s otherwise. With the
-    /// broadcast overlay on, block carriers take the eager/lazy path instead
-    /// (transactions always flood: mempool convergence is what makes compact
-    /// reconstruction work).
-    fn announce(&mut self, carrier: Message, from: Option<u64>, effects: &mut Vec<Effect>) {
-        if self.config.gossip.overlay
-            && matches!(carrier, Message::KeyBlock(_) | Message::MicroBlock(_))
-        {
-            self.overlay_announce(carrier, from, effects);
-            return;
+    /// Announces a newly stored object with an `inv` to every ready peer that does
+    /// not know it yet, the source link excluded: a single [`Effect::Broadcast`]
+    /// when every ready peer needs it (a freshly produced local object), per-peer
+    /// [`Effect::Send`]s otherwise. Transactions always take this path, even with
+    /// the broadcast overlay on: mempool convergence is what makes compact
+    /// reconstruction work.
+    fn announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
+        // The peer that delivered the object obviously has it already.
+        if let Some(source) = from.and_then(|source| self.peers.get_mut(&source)) {
+            source.mark_known(item.id);
         }
-        let actions = self.relay.announce(carrier, from);
-        let broadcast_all =
-            from.is_none() && !actions.is_empty() && actions.len() == self.relay.ready_peer_count();
-        let mut actions = actions.into_iter();
-        if broadcast_all {
-            if let Some(first) = actions.next() {
-                effects.push(Effect::Broadcast {
-                    message: first.message,
-                });
-            }
+        let targets: Vec<u64> = self
+            .peers
+            .iter_mut()
+            .filter(|(_, state)| state.is_ready() && !state.knows(&item.id))
+            .map(|(peer, state)| {
+                state.mark_known(item.id);
+                *peer
+            })
+            .collect();
+        let message = Message::Inv(vec![item]);
+        if from.is_none() && !targets.is_empty() && targets.len() == self.ready_peer_count() {
+            effects.push(Effect::Broadcast { message });
         } else {
-            for action in actions {
+            for peer in targets {
                 effects.push(Effect::Send {
-                    peer: action.to,
-                    message: action.message,
+                    peer,
+                    message: message.clone(),
                 });
             }
         }
     }
 
-    /// Announces a block over the structured overlay: the full carrier (compacted
-    /// for microblocks when `gossip.compact`) is pushed to the eager set, a
-    /// one-item `ihave` to the lazy set, the source link excluded from both. The
-    /// full carrier enters the relay's object store either way — `getdata`,
-    /// `graft` and `getblocktxn` are all served from it.
-    fn overlay_announce(&mut self, carrier: Message, from: Option<u64>, effects: &mut Vec<Effect>) {
-        let (id, kind) = match &carrier {
-            Message::KeyBlock(kb) => (kb.id(), InvKind::KeyBlock),
-            Message::MicroBlock(mb) => (mb.id(), InvKind::MicroBlock),
-            _ => return,
+    /// Announces a tree block: over the eager/lazy overlay when it is on, with a
+    /// plain `inv` otherwise.
+    fn announce_block(&mut self, id: Hash256, from: Option<u64>, effects: &mut Vec<Effect>) {
+        let Some(block) = self.node.chain().get(&id) else {
+            return;
         };
-        let push = if self.config.gossip.compact {
-            relay::compact_announcement(self.config.id, &carrier)
+        let kind = if block.is_key() {
+            InvKind::KeyBlock
         } else {
-            carrier.clone()
+            InvKind::MicroBlock
         };
-        self.relay.store_object(carrier);
-        if let Some(from) = from {
-            if let Some(state) = self.relay.peer_mut(from) {
-                state.mark_known(id);
-            }
+        if self.config.gossip.overlay {
+            self.overlay_announce(InvItem::new(kind, id), from, effects);
+        } else {
+            self.announce(InvItem::new(kind, id), from, effects);
         }
-        for peer in self.overlay.push_targets(from) {
-            let Some(state) = self.relay.peer_mut(peer) else {
-                continue;
+    }
+
+    /// Announces a block over the structured overlay: the block itself (compacted
+    /// for microblocks when `gossip.compact`) is pushed to the eager set, a
+    /// one-item `ihave` to the lazy set, the source link excluded from both.
+    fn overlay_announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
+        let id = item.id;
+        if let Some(source) = from.and_then(|source| self.peers.get_mut(&source)) {
+            source.mark_known(id);
+        }
+        // Only links that actually receive the body are marked as knowing it.
+        let mut eager = self.overlay.push_targets(from);
+        eager.retain(|peer| {
+            self.peers.get_mut(peer).is_some_and(|state| {
+                let push = state.is_ready() && !state.knows(&id);
+                if push {
+                    state.mark_known(id);
+                }
+                push
+            })
+        });
+        if !eager.is_empty() {
+            let push = match self.node.chain().get(&id) {
+                Some(NgBlock::Micro(micro)) if self.config.gossip.compact => {
+                    let salt = relay::announcement_salt(self.config.id, &id);
+                    CompactMicroBlock::from_micro(micro, salt)
+                        .map(|compact| Message::CmpctBlock(Box::new(compact)))
+                        .unwrap_or_else(|| Message::MicroBlock(Box::new(micro.clone())))
+                }
+                Some(block) => carrier(block),
+                None => return,
             };
-            if !state.is_ready() || state.knows(&id) {
-                continue;
+            for peer in eager {
+                effects.push(Effect::Send {
+                    peer,
+                    message: push.clone(),
+                });
             }
-            state.mark_known(id);
-            effects.push(Effect::Send {
-                peer,
-                message: push.clone(),
-            });
         }
-        let item = InvItem::new(kind, id);
         for peer in self.overlay.lazy_targets(from) {
-            let Some(state) = self.relay.peer_mut(peer) else {
-                continue;
-            };
             // An `ihave` does not transfer the block, so the peer is *not* marked
             // as knowing it — a later graft must still be served.
-            if !state.is_ready() || state.knows(&id) {
-                continue;
+            if self.peers.get(&peer).is_some_and(|state| state.is_ready() && !state.knows(&id)) {
+                effects.push(Effect::Send {
+                    peer,
+                    message: Message::IHave(vec![item]),
+                });
             }
-            effects.push(Effect::Send {
-                peer,
-                message: Message::IHave(vec![item]),
-            });
         }
     }
 
-    /// Stashes a not-yet-relayable carrier, evicting the oldest stashed carrier at
-    /// capacity (an evicted block can still be fetched from the nodes that validated
-    /// it, through header sync).
-    fn stash_carrier(&mut self, id: Hash256, carrier: Message) {
-        if !self.orphan_carriers.contains_key(&id) {
-            self.orphan_carriers.insert(id, carrier);
-        }
-    }
-
-    /// True if this node may relay the carrier: the block is in the tree and — under
-    /// full validation — either carries its own proof of work (a key block) or was
-    /// validated by this node's ledger (it sits on the main chain). A node never
+    /// True if this node may relay (and serve) the block: it is in the tree and —
+    /// under full validation — either carries its own proof of work (a key block) or
+    /// was validated by this node's ledger (it sits on the main chain). A node never
     /// vouches for a microblock it has not validated.
-    fn announceable(&self, id: &Hash256, carrier: &Message) -> bool {
-        if !self.node.chain().store().contains(id) {
-            return false;
+    fn announceable(&self, id: &Hash256) -> bool {
+        match self.node.chain().get(id) {
+            None => false,
+            Some(NgBlock::Key(_)) => true,
+            Some(NgBlock::Micro(_)) => {
+                !self.view.validating() || self.node.chain().store().is_in_main_chain(id)
+            }
         }
-        if !self.view.validating() || matches!(carrier, Message::KeyBlock(_)) {
-            return true;
-        }
-        self.node.chain().store().is_in_main_chain(id)
     }
 
-    /// Announces stashed carriers that became relayable — adopted orphans, and
+    /// Announces held-back blocks that became relayable — adopted orphans, and
     /// (under full validation) side-branch microblocks whose branch has since won
-    /// and been validated — so they enter the relay's object store (peers `getdata`
-    /// them during sync) and propagate.
-    fn flush_adopted_orphans(&mut self, effects: &mut Vec<Effect>) {
-        if self.orphan_carriers.is_empty() {
+    /// and been validated.
+    fn flush_held_back(&mut self, effects: &mut Vec<Effect>) {
+        if self.held_back.is_empty() {
             return;
         }
         let mut adopted: Vec<Hash256> = self
-            .orphan_carriers
-            .iter()
-            .filter(|(id, carrier)| self.announceable(id, carrier))
-            .map(|(id, _)| *id)
+            .held_back
+            .keys()
+            .filter(|id| self.announceable(id))
+            .copied()
             .collect();
-        // Sorted so the emitted announcements are independent of hash-map order.
+        // Sorted so the announcement order does not depend on arrival order.
         adopted.sort_unstable();
         for id in adopted {
-            let Some(carrier) = self.orphan_carriers.remove(&id) else {
-                continue;
-            };
-            self.announce(carrier, None, effects);
+            self.held_back.remove(&id);
+            self.announce_block(id, None, effects);
         }
     }
 
@@ -1843,7 +1896,7 @@ impl Engine {
     ) {
         let message = Message::Poison(Box::new(poison));
         let mut relayed = false;
-        for peer in self.relay.ready_peers() {
+        for peer in self.ready_peers() {
             if Some(peer) == origin {
                 continue;
             }
@@ -1891,7 +1944,7 @@ impl Engine {
                     }));
                     self.persist_invalidated(&error.block, effects);
                     for gone in self.node.chain_mut().invalidate(&error.block) {
-                        self.orphan_carriers.remove(&gone);
+                        self.held_back.remove(&gone);
                     }
                 }
                 Err(crate::chainstate::SyncError::UnwindableBlock { .. }) => {
@@ -1907,7 +1960,7 @@ impl Engine {
                     }));
                     self.persist_invalidated(&gone_tip, effects);
                     for gone in self.node.chain_mut().invalidate(&gone_tip) {
-                        self.orphan_carriers.remove(&gone);
+                        self.held_back.remove(&gone);
                     }
                 }
             }
@@ -2183,21 +2236,9 @@ impl Engine {
                     });
                 }
                 SyncCommand::RequestBlocks { peer, items } => {
-                    let request = self.relay.peer_mut(peer).and_then(|state| {
-                        // A timed-out request can be re-assigned to the same peer
-                        // (single-peer networks, post-unjam retries); clear the
-                        // connection's in-flight dedup so the getdata re-sends.
-                        for item in &items {
-                            state.forget_request(&item.id);
-                        }
-                        state.request(&items)
-                    });
-                    if let Some(request) = request {
-                        effects.push(Effect::Send {
-                            peer,
-                            message: request,
-                        });
-                    }
+                    // A timed-out request can be re-assigned to the same peer
+                    // (single-peer networks, post-unjam retries).
+                    self.request_from(peer, &items, effects);
                 }
                 SyncCommand::Evicted { peer } => {
                     effects.push(Effect::Report(ReportEvent::SyncPeerEvicted { peer }));
@@ -2220,7 +2261,7 @@ impl Engine {
             }
             boot.waiting = None; // expired: the candidate never answered
         }
-        let ready = self.relay.ready_peers();
+        let ready = ready_keys(&self.peers);
         if let Some(candidate) = ready.iter().copied().find(|p| !boot.tried.contains(p)) {
             boot.tried.insert(candidate);
             boot.waiting = Some((candidate, now_ms + self.config.sync.request_timeout_ms));
@@ -2369,7 +2410,7 @@ impl Engine {
         }
         let confirmed: HashMap<Hash256, u32> = snapshot.confirmed.iter().copied().collect();
         self.view = ChainView::restore(&self.config.params, pin.root, utxo, confirmed);
-        self.orphan_carriers.clear();
+        self.held_back.clear();
         self.mempool = Mempool::new();
         // Keep the applied snapshot in durable-snapshot form: this node can now
         // serve the same bootstrap to the next fresh joiner.
@@ -2398,15 +2439,13 @@ impl Engine {
         self.last_snapshot_height = snapshot.height;
         self.root_height = snapshot.height;
         self.bootstrap = None;
-        // The root block itself must be servable to peers that sync from us.
-        self.relay.store_object(Message::KeyBlock(Box::new(root)));
         effects.push(Effect::Report(ReportEvent::SnapshotApplied {
             height: snapshot.height,
         }));
         // Everything scheduled so far targeted the genesis root and can never
         // connect; start clean walks from the snapshot root instead.
         self.sync.reset_downloads();
-        let ready = self.relay.ready_peers();
+        let ready = self.ready_peers();
         for peer in &ready {
             self.sync.request_sync(*peer);
         }
@@ -2443,7 +2482,7 @@ impl Engine {
         if outstanding && now_ms < bf.deadline {
             return;
         }
-        let ready = self.relay.ready_peers();
+        let ready = ready_keys(&self.peers);
         let Some(first) = ready.first().copied() else {
             return;
         };
@@ -2475,18 +2514,7 @@ impl Engine {
                 .collect();
             pending.sort_unstable_by_key(|(height, item)| (*height, item.id));
             let items: Vec<InvItem> = pending.into_iter().map(|(_, item)| item).collect();
-            let request = self.relay.peer_mut(peer).and_then(|state| {
-                for item in &items {
-                    state.forget_request(&item.id);
-                }
-                state.request(&items)
-            });
-            if let Some(request) = request {
-                effects.push(Effect::Send {
-                    peer,
-                    message: request,
-                });
-            }
+            self.request_from(peer, &items, effects);
         }
     }
 
@@ -2523,8 +2551,14 @@ impl Engine {
             || (records.len() as u32) < self.config.header_batch;
         let mut fresh: Vec<(u64, InvItem)> = Vec::new();
         for record in wanted {
-            if self.relay.has_object(&record.id) || bf.expected.contains_key(&record.id) {
+            if self.backfilled.contains_key(&record.id) || bf.expected.contains_key(&record.id) {
                 continue;
+            }
+            // One block per height below the root is all of history; a server
+            // describing more is lying, and `backfilled` must stay bounded.
+            if (self.backfilled.len() + bf.expected.len()) as u64 >= bf.target {
+                bf.exhausted = true;
+                break;
             }
             bf.expected.insert(record.id, (record.height, record.kind));
             fresh.push((record.height, InvItem::new(record.kind, record.id)));
@@ -2538,58 +2572,32 @@ impl Engine {
         bf.deadline = now_ms + self.config.sync.request_timeout_ms;
         fresh.sort_unstable_by_key(|(height, item)| (*height, item.id));
         let items: Vec<InvItem> = fresh.into_iter().map(|(_, item)| item).collect();
-        let request = self.relay.peer_mut(peer).and_then(|state| {
-            for item in &items {
-                state.forget_request(&item.id);
-            }
-            state.request(&items)
-        });
-        if let Some(request) = request {
-            effects.push(Effect::Send {
-                peer,
-                message: request,
-            });
-        }
+        self.request_from(peer, &items, effects);
         true
     }
 
-    /// Intercepts a delivered block body the backfill requested. Backfilled
-    /// blocks live below the chain root: they go to durable storage and the
-    /// relay's object store (servable to syncing peers) but never through
-    /// `accept_block`, which could only orphan them. Returns true if consumed.
-    fn claim_backfill_block(
-        &mut self,
-        id: Hash256,
-        carrier: &Message,
-        effects: &mut Vec<Effect>,
-    ) -> bool {
-        if let Some(bf) = self.backfill.as_mut() {
-            if let Some((height, _)) = bf.expected.remove(&id) {
-                bf.fetched += 1;
-                let block = match carrier {
-                    Message::KeyBlock(kb) => Some(NgBlock::Key((**kb).clone())),
-                    Message::MicroBlock(mb) => Some(NgBlock::Micro((**mb).clone())),
-                    _ => None,
-                };
-                if let (Some(block), Some(storage)) = (block, self.storage.as_mut()) {
-                    if let Err(err) = storage.store_block(&block, height) {
-                        Self::report_storage_failure(err, effects);
-                    }
+    /// A block body arrived. One the backfill requested lives below the chain
+    /// root: it goes to durable storage and `backfilled` (servable to syncing
+    /// peers) but never through `accept_block`, which could only orphan it.
+    /// Everything else is offered to the chain.
+    fn on_block(&mut self, from: u64, block: NgBlock, now_ms: u64, effects: &mut Vec<Effect>) {
+        let id = block.id();
+        let claimed = self.backfill.as_mut().and_then(|bf| {
+            let (height, _) = bf.expected.remove(&id)?;
+            bf.fetched += 1;
+            Some(height)
+        });
+        if let Some(height) = claimed {
+            if let Some(storage) = self.storage.as_mut() {
+                if let Err(err) = storage.store_block(&block, height) {
+                    Self::report_storage_failure(err, effects);
                 }
-                self.relay.store_object(carrier.clone());
-                return true;
             }
+            self.backfilled.insert(id, block);
+        } else if !self.backfilled.contains_key(&id) {
+            // (A re-delivered copy of an already-backfilled block is dropped.)
+            self.accept_block(Some(from), block, now_ms, effects);
         }
-        // A re-delivered copy of an already-backfilled block: it sits below the
-        // root (in the relay's object store but not the block tree), so
-        // `accept_block` could only ever orphan it.
-        if self.root_height > 0
-            && self.relay.has_object(&id)
-            && !self.node.chain().store().contains(&id)
-        {
-            return true;
-        }
-        false
     }
 
     fn serve_headers(
@@ -2669,7 +2677,7 @@ impl Engine {
         self.roll_ledger(None, effects);
         let id = kb.id();
         effects.push(Effect::Report(ReportEvent::KeyBlockMined { id }));
-        self.announce(Message::KeyBlock(Box::new(kb)), None, effects);
+        self.announce_block(id, None, effects);
     }
 
     fn produce_microblock(
@@ -2717,7 +2725,7 @@ impl Engine {
         self.roll_ledger(None, effects);
         let id = micro.id();
         effects.push(Effect::Report(ReportEvent::MicroblockProduced { id }));
-        self.announce(Message::MicroBlock(Box::new(micro)), None, effects);
+        self.announce_block(id, None, effects);
         Some(id)
     }
 
@@ -2753,7 +2761,7 @@ impl Engine {
             // Without a ready peer the deadline cannot be acted on; the next
             // handshake re-drives the backfill anyway (don't spin the timer).
             if (bf.awaiting_headers || !bf.expected.is_empty())
-                && self.relay.ready_peer_count() > 0
+                && self.ready_peer_count() > 0
             {
                 candidates.push(bf.deadline);
             }
@@ -2773,6 +2781,27 @@ impl Engine {
                 deadline_ms: deadline,
             });
         }
+    }
+}
+
+/// Keys of the connections whose handshake completed. BTreeMap iteration is key
+/// order, so `Broadcast` expansion and every relay fan-out stay deterministic
+/// without a collect-and-sort pass. (A free function so callers holding a mutable
+/// borrow of another engine field can still use it.)
+fn ready_keys(peers: &BTreeMap<u64, Peer>) -> Vec<u64> {
+    peers
+        .iter()
+        .filter(|(_, state)| state.is_ready())
+        .map(|(peer, _)| *peer)
+        .collect()
+}
+
+/// The wire message that carries a block, built from the tree's copy at the moment
+/// it is sent.
+fn carrier(block: &NgBlock) -> Message {
+    match block {
+        NgBlock::Key(key) => Message::KeyBlock(Box::new(key.clone())),
+        NgBlock::Micro(micro) => Message::MicroBlock(Box::new(micro.clone())),
     }
 }
 
