@@ -42,15 +42,19 @@ impl Drop for TempDir {
     }
 }
 
-/// Opens (or recovers) the durable node's engine over `dir`.
-fn durable_engine(dir: &Path) -> Engine {
-    let params = testnet_params();
+/// Opens (or recovers) the datadir under `dir`.
+fn open_datadir(dir: &Path) -> (FileStorage, ng_storage::Recovery) {
     let storage_config = StorageConfig {
-        finality_depth: params.finality_depth,
+        finality_depth: testnet_params().finality_depth,
         fsync: false,
     };
-    let (storage, recovery) = FileStorage::open(dir, storage_config).expect("open datadir");
-    let mut config = EngineConfig::new(2, params);
+    FileStorage::open(dir, storage_config).expect("open datadir")
+}
+
+/// Opens (or recovers) the durable engine of node `id` over `dir`.
+fn durable_engine(id: u64, dir: &Path) -> Engine {
+    let (storage, recovery) = open_datadir(dir);
+    let mut config = EngineConfig::new(id, testnet_params());
     config.auto_microblocks = true;
     let mut engine = Engine::restore(config, recovery);
     engine.set_storage(Box::new(storage));
@@ -67,16 +71,7 @@ fn durable_node_crashes_under_load_and_restarts_to_the_network_commitment() {
     net.run(1_000);
 
     // Node 2 becomes the durable node: same engine, now writing a datadir.
-    {
-        let params = testnet_params();
-        let storage_config = StorageConfig {
-            finality_depth: params.finality_depth,
-            fsync: false,
-        };
-        let (storage, _recovery) =
-            FileStorage::open(dir.path(), storage_config).expect("open fresh datadir");
-        net.engine_mut(2).set_storage(Box::new(storage));
-    }
+    net.engine_mut(2).set_storage(Box::new(open_datadir(dir.path()).0));
 
     // Sustained load: the leader streams autonomously while transactions keep
     // entering at node 1; node 2 follows along, persisting as it accepts.
@@ -107,7 +102,7 @@ fn durable_node_crashes_under_load_and_restarts_to_the_network_commitment() {
 
     // Relaunch from disk: the restored engine resumes from its persisted chain,
     // proving this is a warm restart and not a fresh resync …
-    let restored = durable_engine(dir.path());
+    let restored = durable_engine(2, dir.path());
     assert!(
         restored.height() >= pre_crash_height.saturating_sub(1) && restored.height() > 1,
         "restore resumed from the on-disk chain (height {} vs pre-crash {})",
@@ -127,4 +122,45 @@ fn durable_node_crashes_under_load_and_restarts_to_the_network_commitment() {
     );
     let snaps = net.snapshots();
     assert!(snaps.iter().all(|s| s.mempool_len == 0), "pool drained");
+}
+
+/// A restarted node holds its pre-crash chain in its block tree and must serve it:
+/// the restore path replays stored blocks into the tree, and the wire is answered
+/// from the tree. (The engine used to answer `getdata` from a separate object map
+/// that a restore left empty — every request for a pre-crash block went
+/// unanswered and the syncing peer struck the node out again and again.)
+#[test]
+fn restored_node_serves_its_precrash_chain() {
+    let dir = TempDir::new("serve");
+    let mut config = SimConfig::new(2, 17);
+    config.auto_microblocks = true;
+    let mut net = SimNet::new(config);
+    // Node 0 starts durable and builds a chain alone; node 1 is not connected yet.
+    net.engine_mut(0).set_storage(Box::new(open_datadir(dir.path()).0));
+    net.mine_key_block(0);
+    for batch in 0u64..6 {
+        assert!(net.submit_tx(0, test_tx(300 + batch)));
+        net.run(1_000);
+    }
+    net.mine_key_block(0);
+    net.run(1_000);
+    let height = net.engine(0).height();
+    assert!(height >= 5, "built {height} blocks alone");
+    let (tip, commitment) = (net.engine(0).tip(), net.engine(0).utxo_commitment());
+
+    drop(net.crash(0));
+    let restored = durable_engine(0, dir.path());
+    assert_eq!(restored.tip(), tip, "restore re-derived the pre-crash tip");
+    net.restart_with(0, restored);
+
+    // A fresh peer whose only connection is the restarted node.
+    net.connect(0, 1);
+    assert!(net.run(60_000), "sync goes quiescent");
+    assert_eq!(net.engine(1).tip(), tip, "{}", net.report());
+    assert_eq!(net.engine(1).utxo_commitment(), commitment);
+    assert_eq!(
+        net.engine(1).sync_evictions(),
+        0,
+        "every block request to the restarted node was answered"
+    );
 }
