@@ -29,9 +29,12 @@ pub enum PeerState {
 pub enum PeerAction {
     /// Send this message to the remote.
     Send(Message),
-    /// Hand this object's id and kind to the node: the remote announced it and we do
-    /// not have it yet (the caller decides whether to request it).
+    /// The remote announced this object in an `inv`; the caller requests it if it
+    /// does not hold it yet.
     Announced(InvItem),
+    /// The remote asked for this object in a `getdata`; the caller owns the stores
+    /// and serves it if it can.
+    Requested(InvItem),
     /// The remote delivered an object we requested (or pushed unsolicited); the caller
     /// should validate and possibly relay it.
     Deliver(Message),
@@ -272,13 +275,7 @@ impl Peer {
                 }
                 actions
             }
-            Message::GetData(items) => {
-                // The caller owns the object store; surface each request.
-                items
-                    .into_iter()
-                    .map(PeerAction::Announced)
-                    .collect()
-            }
+            Message::GetData(items) => items.into_iter().map(PeerAction::Requested).collect(),
             sync @ (Message::GetHeaders { .. } | Message::GetSnapshot { .. } | Message::Snapshot(_)) => {
                 // The caller owns the chain and the snapshot store; surface the
                 // request (or the served snapshot) for it to handle.
@@ -406,6 +403,12 @@ mod tests {
         let actions = alice.on_message(Message::Inv(vec![item]), 5, 200);
         assert_eq!(actions, vec![PeerAction::Announced(item)]);
         assert!(alice.knows(&item.id));
+        // A `getdata` is a request, not an announcement: it says nothing about
+        // what the remote holds beyond what it already told us.
+        let wanted = InvItem::new(InvKind::Transaction, sha256(b"tx"));
+        let actions = alice.on_message(Message::GetData(vec![wanted]), 5, 201);
+        assert_eq!(actions, vec![PeerAction::Requested(wanted)]);
+        assert!(!alice.knows(&wanted.id));
     }
 
     #[test]

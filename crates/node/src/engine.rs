@@ -1093,29 +1093,30 @@ impl Engine {
                     self.forget_peer(peer);
                     return;
                 }
-                PeerAction::Announced(item) => self.on_announced(peer, item, effects),
+                PeerAction::Announced(item) => {
+                    // An `inv`: fetch the object unless it is already here.
+                    if !self.knows_object(&item) {
+                        let request = self
+                            .peers
+                            .get_mut(&peer)
+                            .and_then(|state| state.request(&[item]));
+                        if let Some(message) = request {
+                            effects.push(Effect::Send { peer, message });
+                        }
+                    }
+                }
+                PeerAction::Requested(item) => {
+                    // A `getdata`: answer it if the object can be served; an
+                    // unservable request is simply dropped.
+                    if let Some(message) = self.servable(&item) {
+                        if let Some(state) = self.peers.get_mut(&peer) {
+                            state.mark_known(item.id);
+                        }
+                        effects.push(Effect::Send { peer, message });
+                    }
+                }
                 PeerAction::Deliver(message) => {
                     self.handle_delivered(peer, message, now_ms, effects)
-                }
-            }
-        }
-    }
-
-    /// The peer named an object in an `inv` or a `getdata` (the peer state machine
-    /// does not tell the two apart): send it if this node can serve it, request it
-    /// otherwise.
-    fn on_announced(&mut self, peer: u64, item: InvItem, effects: &mut Vec<Effect>) {
-        match self.servable(&item) {
-            Some(message) => {
-                if let Some(state) = self.peers.get_mut(&peer) {
-                    state.mark_known(item.id);
-                }
-                effects.push(Effect::Send { peer, message });
-            }
-            None => {
-                let request = self.peers.get_mut(&peer).and_then(|state| state.request(&[item]));
-                if let Some(message) = request {
-                    effects.push(Effect::Send { peer, message });
                 }
             }
         }
@@ -1147,6 +1148,21 @@ impl Engine {
                 .map(|tx| Message::Tx(Box::new(tx.clone()))),
             InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(carrier),
             InvKind::Block => None,
+        }
+    }
+
+    /// True if an announced object needs no fetching: a pending, recently relayed
+    /// or already confirmed transaction, or a held block.
+    fn knows_object(&self, item: &InvItem) -> bool {
+        match item.kind {
+            InvKind::Transaction => {
+                self.mempool.contains(&item.id)
+                    || self.relay_memory.contains_key(&item.id)
+                    || self.view.is_confirmed(&item.id)
+            }
+            InvKind::KeyBlock | InvKind::MicroBlock | InvKind::Block => {
+                self.holds_block(&item.id)
+            }
         }
     }
 
@@ -3266,6 +3282,93 @@ mod tests {
         );
         engine.handle(0, Input::Message { peer, message: Message::Verack });
         engine.handle(0, Input::Message { peer, message: Message::Headers(vec![]) });
+    }
+
+    /// The `Send` effects among `effects`, as `(peer, command)` pairs.
+    fn sends(effects: &[Effect]) -> Vec<(u64, &'static str)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { peer, message } => Some((*peer, message.command())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inv_for_a_held_object_sends_nothing_and_getdata_serves_it() {
+        let mut a = engine(1);
+        register_peer(&mut a, 4);
+        a.handle(1_000, Input::MineKeyBlock);
+        let tx = test_tx(5);
+        a.handle(1_100, Input::SubmitTx(Box::new(tx.clone())));
+        let held = [
+            InvItem::new(InvKind::KeyBlock, a.tip()),
+            InvItem::new(InvKind::Transaction, tx.txid()),
+        ];
+        // An `inv` for something already here is not a request: nothing goes out.
+        let effects = a.handle(
+            1_200,
+            Input::Message {
+                peer: 4,
+                message: Message::Inv(held.to_vec()),
+            },
+        );
+        assert_eq!(sends(&effects), vec![]);
+        // A `getdata` for the same objects is answered from the tree and the pool.
+        let effects = a.handle(
+            1_201,
+            Input::Message {
+                peer: 4,
+                message: Message::GetData(held.to_vec()),
+            },
+        );
+        assert_eq!(sends(&effects), vec![(4, "keyblock"), (4, "tx")]);
+    }
+
+    #[test]
+    fn getdata_for_an_unknown_id_is_dropped_and_an_unknown_inv_is_requested_once() {
+        let mut a = engine(1);
+        register_peer(&mut a, 4);
+        let unknown = InvItem::new(InvKind::MicroBlock, sha256(b"nobody has this"));
+        // An unservable `getdata` must not bounce a `getdata` back.
+        let effects = a.handle(
+            1_000,
+            Input::Message {
+                peer: 4,
+                message: Message::GetData(vec![unknown]),
+            },
+        );
+        assert_eq!(sends(&effects), vec![]);
+        // An `inv` for it is what triggers the fetch — once per connection.
+        let inv = Input::Message {
+            peer: 4,
+            message: Message::Inv(vec![unknown]),
+        };
+        let effects = a.handle(1_001, inv.clone());
+        assert!(effects.contains(&Effect::Send {
+            peer: 4,
+            message: Message::GetData(vec![unknown]),
+        }));
+        assert_eq!(sends(&a.handle(1_002, inv)), vec![], "already in flight");
+    }
+
+    #[test]
+    fn relayed_block_is_announced_once_per_peer_and_never_to_its_source() {
+        let mut a = engine(1);
+        for peer in 0..4 {
+            register_peer(&mut a, peer);
+        }
+        let mut miner = ng_core::node::NgNode::new(2, params(), 0);
+        let kb = miner.mine_and_adopt_key_block(1_000);
+        let delivery = Input::Message {
+            peer: 2,
+            message: Message::KeyBlock(Box::new(kb)),
+        };
+        let effects = a.handle(1_100, delivery.clone());
+        assert_eq!(sends(&effects), vec![(0, "inv"), (1, "inv"), (3, "inv")]);
+        // A second copy is a duplicate: every peer already knows the block.
+        assert_eq!(sends(&a.handle(1_101, delivery)), vec![]);
     }
 
     #[test]

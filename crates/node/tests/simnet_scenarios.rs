@@ -47,6 +47,38 @@ fn five_nodes_with_rotating_leaders_converge() {
     }
 }
 
+/// Transaction relay is `inv` → `getdata` → `tx`: each body crosses each link at
+/// most once, so a 4-node mesh needs 3 bodies per transaction. (An `inv` used to
+/// be answered like a `getdata` — any node that already held the transaction
+/// pushed the whole body back at the announcer, 8.85 bodies per transaction.)
+#[test]
+fn each_transaction_body_crosses_the_mesh_about_three_times() {
+    let mut config = SimConfig::new(4, 5);
+    config.min_latency_ms = 2;
+    config.max_latency_ms = 20;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2, 3]);
+    assert!(net.run(2_000), "handshakes settle");
+    net.mine_key_block(0);
+    net.run(500);
+    let txs = 200u64;
+    for seq in 0..txs {
+        assert!(net.submit_tx((seq % 4) as usize, test_tx(seq)));
+        net.run(1);
+    }
+    assert!(net.run(5_000), "relay settles");
+    for node in 0..4 {
+        assert_eq!(net.engine(node).mempool_len(), txs as usize, "node {node}");
+    }
+    let bodies: u64 = (0..4).map(|node| net.wire_stats(node).command("tx").msgs_out).sum();
+    let requests: u64 = (0..4).map(|node| net.wire_stats(node).command("getdata").msgs_out).sum();
+    assert!(
+        bodies as f64 <= 3.5 * txs as f64,
+        "{bodies} tx bodies for {txs} transactions ({requests} getdata)"
+    );
+    assert!(bodies >= 3 * txs, "every node still received every transaction");
+}
+
 #[test]
 fn partition_and_heal_forces_a_reorg() {
     let mut net = SimNet::new(SimConfig::new(5, 2));
