@@ -15,3 +15,9 @@ pub struct Tracker {
     // ng-lint: bound(NO_SUCH_CONST)
     items: Vec<u8>,
 }
+//@ path: crates/net/src/peer.rs
+const MAX_KNOWN: usize = 8;
+pub struct Peer {
+    // ng-lint: bound(MAX_KNOWN)
+    known: BoundedFifoMap<Hash256, ()>,
+}

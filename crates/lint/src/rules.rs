@@ -218,6 +218,10 @@ fn order_excused(file: &SourceFile, i: usize) -> bool {
 // bounded-collections
 // ---------------------------------------------------------------------------
 
+/// The growable std collections. `BoundedFifoMap` (ng_chain) is deliberately not
+/// among them: its constructor takes the cap and every insert evicts down to it,
+/// so a field of that type is bounded by construction and needs no annotation —
+/// a leftover `bound(..)` comment on one is reported as stale.
 const COLLECTION_TYPES: &[&str] = &[
     "Vec", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "BinaryHeap",
 ];

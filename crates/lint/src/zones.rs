@@ -24,6 +24,7 @@ const BOUNDED_STATE: &[&str] = &[
     "crates/node/src/engine.rs",
     "crates/net/src/relay.rs",
     "crates/net/src/overlay.rs",
+    "crates/net/src/peer.rs",
     "crates/net/src/sync.rs",
 ];
 
@@ -81,5 +82,6 @@ mod tests {
         assert!(is_engine_side("fixtures/virtual/crates/node/src/engine.rs"));
         assert!(is_panic_free("crates/net/src/codec.rs"));
         assert!(is_bounded_state("crates/net/src/overlay.rs"));
+        assert!(is_bounded_state("crates/net/src/peer.rs"));
     }
 }

@@ -2,14 +2,27 @@
 //!
 //! A [`Peer`] tracks one remote connection: the version handshake, what inventory the
 //! remote is known to have (so we never announce or send the same object twice), and
-//! which objects we have requested from it. The state machine is I/O free — it consumes
-//! incoming [`Message`]s and returns [`PeerAction`]s for the caller (the gossip relay or
-//! a transport) to execute — which keeps it directly unit-testable.
+//! which objects we have requested from it — both bounded, oldest forgotten first. The
+//! state machine is I/O free — it consumes incoming [`Message`]s and returns
+//! [`PeerAction`]s for the caller (the engine) to execute — which keeps it directly
+//! unit-testable.
 
 use crate::message::{InvItem, Message, ProtocolKind};
+use ng_chain::fifo::BoundedFifoMap;
 use ng_crypto::sha256::Hash256;
-use std::collections::HashSet;
 use std::fmt;
+
+/// Most object ids remembered as known to one remote. Forgetting the oldest only
+/// risks re-announcing an object the remote has long had (it ignores the `inv`);
+/// 2¹⁶ covers hours of blocks and several minutes of transactions at the rates the
+/// benchmarks drive.
+pub const MAX_KNOWN_IDS: usize = 1 << 16;
+
+/// Most outstanding `getdata` ids remembered per remote. Entries leave when the
+/// object arrives; a remote that never answers would otherwise grow the set for
+/// the life of the connection. The bound exceeds the largest single request (a
+/// 4096-header backfill batch).
+pub const MAX_IN_FLIGHT_IDS: usize = 1 << 13;
 
 /// Connection lifecycle states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,9 +110,9 @@ pub struct Peer {
     /// set for inbound ones once we respond).
     version_sent: bool,
     /// Objects the remote is known to have (announced by it, sent by us, or delivered).
-    known: HashSet<Hash256>,
+    known: BoundedFifoMap<Hash256, ()>,
     /// Objects we have asked the remote for and not yet received.
-    in_flight: HashSet<Hash256>,
+    in_flight: BoundedFifoMap<Hash256, ()>,
 }
 
 impl Peer {
@@ -112,8 +125,8 @@ impl Peer {
             remote_id: None,
             state: PeerState::AwaitingVersion,
             version_sent: true,
-            known: HashSet::new(),
-            in_flight: HashSet::new(),
+            known: BoundedFifoMap::new(MAX_KNOWN_IDS),
+            in_flight: BoundedFifoMap::new(MAX_IN_FLIGHT_IDS),
         };
         let hello = Message::Version {
             node_id: local_id,
@@ -133,8 +146,8 @@ impl Peer {
             remote_id: None,
             state: PeerState::AwaitingVersion,
             version_sent: false,
-            known: HashSet::new(),
-            in_flight: HashSet::new(),
+            known: BoundedFifoMap::new(MAX_KNOWN_IDS),
+            in_flight: BoundedFifoMap::new(MAX_IN_FLIGHT_IDS),
         }
     }
 
@@ -150,13 +163,13 @@ impl Peer {
 
     /// True if the remote is known to already have the object.
     pub fn knows(&self, id: &Hash256) -> bool {
-        self.known.contains(id)
+        self.known.contains_key(id)
     }
 
     /// Records that the remote has (or will imminently have) the object, e.g. because
     /// we are about to send it.
     pub fn mark_known(&mut self, id: Hash256) {
-        self.known.insert(id);
+        self.known.insert(id, ());
     }
 
     /// Number of objects currently requested from this peer and not yet delivered.
@@ -167,11 +180,13 @@ impl Peer {
     /// Builds a `getdata` for the subset of `items` not already requested, marking them
     /// in flight.
     pub fn request(&mut self, items: &[InvItem]) -> Option<Message> {
-        let fresh: Vec<InvItem> = items
-            .iter()
-            .filter(|item| self.in_flight.insert(item.id))
-            .copied()
-            .collect();
+        let mut fresh = Vec::new();
+        for item in items {
+            if !self.in_flight.contains_key(&item.id) {
+                self.in_flight.insert(item.id, ());
+                fresh.push(*item);
+            }
+        }
         if fresh.is_empty() {
             None
         } else {
@@ -270,7 +285,7 @@ impl Peer {
             Message::Inv(items) => {
                 let mut actions = Vec::new();
                 for item in items {
-                    self.known.insert(item.id);
+                    self.known.insert(item.id, ());
                     actions.push(PeerAction::Announced(item));
                 }
                 actions
@@ -285,7 +300,7 @@ impl Peer {
                 // The serving peer has every block it describes; remember that so the
                 // fetched blocks are not announced straight back to it.
                 for record in &records {
-                    self.known.insert(record.id);
+                    self.known.insert(record.id, ());
                 }
                 vec![PeerAction::Deliver(Message::Headers(records))]
             }
@@ -294,7 +309,7 @@ impl Peer {
             | Message::MicroBlock(_)
             | Message::Tx(_)) => {
                 if let Some(inv) = carried.carried_inventory() {
-                    self.known.insert(inv.id);
+                    self.known.insert(inv.id, ());
                     self.in_flight.remove(&inv.id);
                 }
                 vec![PeerAction::Deliver(carried)]
@@ -303,7 +318,7 @@ impl Peer {
                 // A compact push proves the sender holds the block; remember that so
                 // a successful reconstruction is never announced straight back.
                 let id = compact.id();
-                self.known.insert(id);
+                self.known.insert(id, ());
                 self.in_flight.remove(&id);
                 vec![PeerAction::Deliver(Message::CmpctBlock(compact))]
             }
@@ -312,7 +327,7 @@ impl Peer {
                 // relay must NOT fetch immediately — the overlay decides; surface
                 // the whole message instead of per-item announcements.
                 for item in &items {
-                    self.known.insert(item.id);
+                    self.known.insert(item.id, ());
                 }
                 vec![PeerAction::Deliver(Message::IHave(items))]
             }
@@ -420,6 +435,22 @@ mod tests {
         assert_eq!(alice.in_flight(), 1);
         // Requesting again while in flight is a no-op.
         assert_eq!(alice.request(&[item]), None);
+    }
+
+    #[test]
+    fn inventory_bookkeeping_is_bounded_oldest_first() {
+        let (mut alice, _) = handshake_pair();
+        let id = |n: usize| sha256(&n.to_le_bytes());
+        for n in 0..MAX_KNOWN_IDS + 8 {
+            alice.mark_known(id(n));
+        }
+        assert!(!alice.knows(&id(7)), "oldest known ids were forgotten");
+        assert!(alice.knows(&id(8)) && alice.knows(&id(MAX_KNOWN_IDS + 7)));
+        // A remote that never answers cannot grow the request set either.
+        for n in 0..MAX_IN_FLIGHT_IDS + 8 {
+            alice.request(&[InvItem::new(InvKind::Transaction, id(n))]);
+        }
+        assert_eq!(alice.in_flight(), MAX_IN_FLIGHT_IDS);
     }
 
     #[test]
