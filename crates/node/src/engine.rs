@@ -3511,6 +3511,70 @@ mod tests {
     }
 
     #[test]
+    fn unvalidated_and_invalidated_blocks_are_not_served() {
+        use ng_core::block::{MicroBlock, MicroHeader};
+        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+
+        // `a` validates and sits on its own three-epoch chain.
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        a.handle(1_000, Input::MineKeyBlock);
+        let kb1 = a.node().chain().get(&a.tip()).expect("key block").clone();
+        a.handle(1_100, Input::MineKeyBlock);
+        a.handle(1_200, Input::MineKeyBlock);
+        let own_tip = a.tip();
+
+        // A Byzantine rival forks off the first epoch: key block, a microblock
+        // spending a nonexistent output, and two more key blocks on top of it.
+        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
+        rival.on_block(kb1, 1_001).unwrap();
+        let rival_kb1 = rival.mine_and_adopt_key_block(2_000);
+        let payload = Payload::Transactions(vec![TransactionBuilder::new()
+            .input(OutPoint::new(sha256(b"phantom"), 0))
+            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
+            .build()]);
+        let header = MicroHeader {
+            prev: rival_kb1.id(),
+            time_ms: 2_010,
+            payload_digest: payload.digest(),
+            leader: 2,
+        };
+        let bad = MicroBlock {
+            signature: SchnorrSigner::new(*rival.keys()).sign(&header.signing_hash()),
+            header,
+            payload,
+        };
+        let bad_id = bad.id();
+        rival.on_block(NgBlock::Micro(bad.clone()), 2_011).unwrap();
+        let rival_kb2 = rival.mine_and_adopt_key_block(2_100);
+        let rival_kb3 = rival.mine_and_adopt_key_block(2_200);
+
+        register_peer(&mut a, 7);
+        let deliver = |a: &mut Engine, now: u64, message: Message| {
+            a.handle(now, Input::Message { peer: 7, message })
+        };
+        deliver(&mut a, 3_000, Message::KeyBlock(Box::new(rival_kb1)));
+        deliver(&mut a, 3_001, Message::MicroBlock(Box::new(bad)));
+        deliver(&mut a, 3_002, Message::KeyBlock(Box::new(rival_kb2.clone())));
+        assert_eq!(a.tip(), own_tip, "the rival branch is not heavier yet");
+
+        let ask = |a: &mut Engine, kind: InvKind, id: Hash256| {
+            let effects = deliver(a, 3_100, Message::GetData(vec![InvItem::new(kind, id)]));
+            sends(&effects)
+        };
+        // A side-branch key block carries its own proof of work and is served; the
+        // microblock under it was never validated by this node and is not.
+        assert_eq!(ask(&mut a, InvKind::KeyBlock, rival_kb2.id()), vec![(7, "keyblock")]);
+        assert_eq!(ask(&mut a, InvKind::MicroBlock, bad_id), vec![]);
+
+        // The third rival key block tips the balance; connecting the branch fails
+        // on the Byzantine microblock and everything above it leaves the tree.
+        deliver(&mut a, 3_200, Message::KeyBlock(Box::new(rival_kb3)));
+        assert!(a.node().chain().is_invalid(&bad_id));
+        assert!(a.node().chain().is_invalid(&rival_kb2.id()));
+        assert_eq!(ask(&mut a, InvKind::KeyBlock, rival_kb2.id()), vec![]);
+    }
+
+    #[test]
     fn reorg_readmits_chained_transactions_across_blocks() {
         use ng_crypto::signer::SchnorrSigner;
         // Parent and child serialized in two separate microblocks; a heavier rival
