@@ -41,7 +41,7 @@ pub mod tcp;
 
 pub use codec::{CodecError, FrameCodec};
 pub use message::{InvItem, InvKind, Message, ProtocolKind};
-pub use overlay::{Overlay, OverlayConfig};
+pub use overlay::Overlay;
 pub use relay::{CompactMicroBlock, CompactRelay, ReconstructOutcome};
 pub use peer::{Peer, PeerAction, PeerError, PeerState};
 pub use message::WireSnapshot;

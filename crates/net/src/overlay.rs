@@ -8,7 +8,7 @@
 //! * **prune** — a duplicate push means two eager paths reach this node; the link the
 //!   duplicate came over is demoted to lazy on both ends.
 //! * **graft** — an `ihave` for a block that never arrives eagerly within
-//!   [`OverlayConfig::pull_timeout_ms`] promotes the advertising link back to eager
+//!   [`PULL_TIMEOUT_MS`] promotes the advertising link back to eager
 //!   and pulls the block over it. This is the self-healing path: severing tree links
 //!   only delays delivery by one pull timeout, after which the tree regrows over the
 //!   surviving lazy links.
@@ -22,30 +22,18 @@ use ng_crypto::sha256::Hash256;
 use ng_chain::fifo::BoundedFifoMap;
 use std::collections::{BTreeSet, VecDeque};
 
-/// Tuning knobs of the overlay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverlayConfig {
-    /// Target size of the eager set (the broadcast-tree fan-out).
-    pub eager_degree: usize,
-    /// How long after an `ihave` a node waits for an eager delivery before grafting
-    /// the advertising link and pulling the block over it.
-    pub pull_timeout_ms: u64,
-    /// Most pending lazy pulls kept at once (oldest evicted beyond this).
-    pub max_pending_pulls: usize,
-    /// Most advertising peers remembered per pending pull.
-    pub max_holders: usize,
-}
+/// Target size of the eager set (the broadcast-tree fan-out).
+pub const EAGER_DEGREE: usize = 3;
 
-impl Default for OverlayConfig {
-    fn default() -> Self {
-        OverlayConfig {
-            eager_degree: 3,
-            pull_timeout_ms: 150,
-            max_pending_pulls: 512,
-            max_holders: 16,
-        }
-    }
-}
+/// How long after an `ihave` a node waits for an eager delivery before grafting
+/// the advertising link and pulling the block over it.
+pub const PULL_TIMEOUT_MS: u64 = 150;
+
+/// Most pending lazy pulls kept at once (oldest evicted beyond this).
+pub const MAX_PENDING_PULLS: usize = 512;
+
+/// Most advertising peers remembered per pending pull.
+pub const MAX_HOLDERS: usize = 16;
 
 /// One block advertised over lazy links but not yet delivered: the peers that claim
 /// to hold it and the deadline after which the next one gets grafted.
@@ -53,7 +41,7 @@ impl Default for OverlayConfig {
 struct PendingPull {
     item: InvItem,
     /// Advertisers not yet grafted, in arrival order.
-    // ng-lint: bound(max_holders)
+    // ng-lint: bound(MAX_HOLDERS)
     holders: VecDeque<u64>,
     deadline_ms: u64,
 }
@@ -63,30 +51,29 @@ struct PendingPull {
 /// `Input::Tick`.
 #[derive(Debug)]
 pub struct Overlay {
-    cfg: OverlayConfig,
-    // ng-lint: bound(eager_degree)
+    // ng-lint: bound(EAGER_DEGREE)
     eager: BTreeSet<u64>,
     // ng-lint: allow(bounded-collections): one entry per connected peer not in
     // the eager set; the driver's connection limit is the cap.
     lazy: BTreeSet<u64>,
-    /// Pending lazy pulls, oldest evicted beyond `max_pending_pulls`.
+    /// Pending lazy pulls, oldest evicted beyond [`MAX_PENDING_PULLS`].
     pulls: BoundedFifoMap<Hash256, PendingPull>,
 }
 
+impl Default for Overlay {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Overlay {
-    /// Creates an overlay with the given knobs.
-    pub fn new(cfg: OverlayConfig) -> Self {
+    /// Creates an overlay with no peers.
+    pub fn new() -> Self {
         Overlay {
-            cfg,
             eager: BTreeSet::new(),
             lazy: BTreeSet::new(),
-            pulls: BoundedFifoMap::new(cfg.max_pending_pulls),
+            pulls: BoundedFifoMap::new(MAX_PENDING_PULLS),
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &OverlayConfig {
-        &self.cfg
     }
 
     /// Current eager peers, ascending.
@@ -115,7 +102,7 @@ impl Overlay {
         if self.eager.contains(&peer) || self.lazy.contains(&peer) {
             return;
         }
-        if self.eager.len() < self.cfg.eager_degree {
+        if self.eager.len() < EAGER_DEGREE {
             self.eager.insert(peer);
         } else {
             self.lazy.insert(peer);
@@ -192,7 +179,7 @@ impl Overlay {
     /// should re-arm its timer).
     pub fn on_ihave(&mut self, peer: u64, item: InvItem, now_ms: u64) -> bool {
         if let Some(pull) = self.pulls.get_mut(&item.id) {
-            if !pull.holders.contains(&peer) && pull.holders.len() < self.cfg.max_holders {
+            if !pull.holders.contains(&peer) && pull.holders.len() < MAX_HOLDERS {
                 pull.holders.push_back(peer);
             }
             return false;
@@ -202,7 +189,7 @@ impl Overlay {
             PendingPull {
                 item,
                 holders: VecDeque::from([peer]),
-                deadline_ms: now_ms + self.cfg.pull_timeout_ms,
+                deadline_ms: now_ms + PULL_TIMEOUT_MS,
             },
         );
         true
@@ -248,7 +235,7 @@ impl Overlay {
             match next {
                 Some(peer) => {
                     let item = pull.item;
-                    pull.deadline_ms = now_ms + self.cfg.pull_timeout_ms;
+                    pull.deadline_ms = now_ms + PULL_TIMEOUT_MS;
                     self.promote(peer);
                     grafts.push((item, peer));
                 }
@@ -267,36 +254,35 @@ mod tests {
     use crate::message::InvKind;
     use ng_crypto::sha256::sha256;
 
-    fn cfg() -> OverlayConfig {
-        OverlayConfig {
-            eager_degree: 2,
-            pull_timeout_ms: 100,
-            max_pending_pulls: 8,
-            max_holders: 3,
-        }
-    }
-
     fn item(tag: &[u8]) -> InvItem {
         InvItem::new(InvKind::MicroBlock, sha256(tag))
     }
 
-    #[test]
-    fn peers_fill_eager_then_overflow_to_lazy() {
-        let mut ov = Overlay::new(cfg());
-        for p in [3, 1, 4, 2] {
+    /// An overlay with peers `1..=n` ready: the first [`EAGER_DEGREE`] eager, the
+    /// rest lazy.
+    fn overlay_with_peers(n: u64) -> Overlay {
+        let mut ov = Overlay::new();
+        for p in 1..=n {
             ov.peer_ready(p);
         }
-        assert_eq!(ov.eager().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(ov.lazy().collect::<Vec<_>>(), vec![2, 4]);
-        assert_eq!(ov.push_targets(Some(1)), vec![3]);
-        assert_eq!(ov.lazy_targets(None), vec![2, 4]);
+        ov
+    }
+
+    #[test]
+    fn peers_fill_eager_then_overflow_to_lazy() {
+        let mut ov = Overlay::new();
+        for p in [3, 1, 4, 2, 5] {
+            ov.peer_ready(p);
+        }
+        assert_eq!(ov.eager().collect::<Vec<_>>(), vec![1, 3, 4]);
+        assert_eq!(ov.lazy().collect::<Vec<_>>(), vec![2, 5]);
+        assert_eq!(ov.push_targets(Some(1)), vec![3, 4]);
+        assert_eq!(ov.lazy_targets(None), vec![2, 5]);
     }
 
     #[test]
     fn duplicate_prunes_the_link_on_both_ends() {
-        let mut ov = Overlay::new(cfg());
-        ov.peer_ready(1);
-        ov.peer_ready(2);
+        let mut ov = overlay_with_peers(2);
         assert!(ov.on_duplicate(1), "first duplicate sends prune");
         assert!(!ov.is_eager(1));
         assert!(ov.lazy().any(|p| p == 1));
@@ -308,36 +294,31 @@ mod tests {
 
     #[test]
     fn ihave_timeout_grafts_advertisers_in_order() {
-        let mut ov = Overlay::new(cfg());
-        for p in [1, 2, 3, 4] {
-            ov.peer_ready(p); // eager {1,2}, lazy {3,4}
-        }
+        let mut ov = overlay_with_peers(5); // eager {1,2,3}, lazy {4,5}
         let it = item(b"blk");
-        assert!(ov.on_ihave(3, it, 1_000), "new pull arms the timer");
-        assert!(!ov.on_ihave(4, it, 1_010), "second advertiser just queues");
-        assert_eq!(ov.next_deadline(), Some(1_100));
+        assert!(ov.on_ihave(4, it, 1_000), "new pull arms the timer");
+        assert!(!ov.on_ihave(5, it, 1_010), "second advertiser just queues");
+        assert_eq!(ov.next_deadline(), Some(1_000 + PULL_TIMEOUT_MS));
         assert!(ov.expire(1_050).is_empty(), "not due yet");
 
-        let grafts = ov.expire(1_100);
-        assert_eq!(grafts, vec![(it, 3)]);
-        assert!(ov.is_eager(3), "grafted link promoted to eager");
-        assert_eq!(ov.next_deadline(), Some(1_200), "re-armed for the next holder");
+        let first = 1_000 + PULL_TIMEOUT_MS;
+        assert_eq!(ov.expire(first), vec![(it, 4)]);
+        assert!(ov.is_eager(4), "grafted link promoted to eager");
+        let second = first + PULL_TIMEOUT_MS;
+        assert_eq!(ov.next_deadline(), Some(second), "re-armed for the next holder");
 
         // Still not delivered: the next advertiser gets grafted.
-        let grafts = ov.expire(1_200);
-        assert_eq!(grafts, vec![(it, 4)]);
+        assert_eq!(ov.expire(second), vec![(it, 5)]);
         // Out of advertisers: the pull is dropped.
-        assert!(ov.expire(1_300).is_empty());
+        assert!(ov.expire(second + PULL_TIMEOUT_MS).is_empty());
         assert_eq!(ov.pending_pulls(), 0);
     }
 
     #[test]
     fn arrival_cancels_the_pull() {
-        let mut ov = Overlay::new(cfg());
-        ov.peer_ready(1);
-        ov.peer_ready(3);
+        let mut ov = overlay_with_peers(4);
         let it = item(b"x");
-        ov.on_ihave(3, it, 0);
+        ov.on_ihave(4, it, 0);
         ov.block_arrived(&it.id);
         assert_eq!(ov.next_deadline(), None);
         assert!(ov.expire(10_000).is_empty());
@@ -345,74 +326,63 @@ mod tests {
 
     #[test]
     fn disconnected_advertisers_are_skipped() {
-        let mut ov = Overlay::new(cfg());
-        for p in [1, 2, 3, 4] {
-            ov.peer_ready(p);
-        }
+        let mut ov = overlay_with_peers(5);
         let it = item(b"y");
-        ov.on_ihave(3, it, 0);
-        ov.on_ihave(4, it, 1);
-        ov.peer_gone(3);
-        let grafts = ov.expire(100);
-        assert_eq!(grafts, vec![(it, 4)], "gone peer skipped, next holder grafted");
+        ov.on_ihave(4, it, 0);
+        ov.on_ihave(5, it, 1);
+        ov.peer_gone(4);
+        let grafts = ov.expire(PULL_TIMEOUT_MS);
+        assert_eq!(grafts, vec![(it, 5)], "gone peer skipped, next holder grafted");
     }
 
     #[test]
     fn pending_pulls_are_bounded_oldest_first() {
-        let mut ov = Overlay::new(cfg());
-        ov.peer_ready(1);
-        ov.peer_ready(9); // lazy advertiser
+        let mut ov = overlay_with_peers(4); // 4 is the lazy advertiser
         let first = item(&0u64.to_le_bytes());
-        for i in 0..20u64 {
-            ov.on_ihave(9, item(&i.to_le_bytes()), i);
-            assert!(ov.pending_pulls() <= cfg().max_pending_pulls);
+        for i in 0..MAX_PENDING_PULLS as u64 + 12 {
+            ov.on_ihave(4, item(&i.to_le_bytes()), i);
+            assert!(ov.pending_pulls() <= MAX_PENDING_PULLS);
         }
-        assert_eq!(ov.pending_pulls(), cfg().max_pending_pulls);
+        assert_eq!(ov.pending_pulls(), MAX_PENDING_PULLS);
         // The earliest pull was evicted with the rest of the overflow; only the
         // surviving (newest) pulls fire, each grafting its one advertiser.
         assert!(!ov.pulls.contains_key(&first.id), "oldest pull evicted");
-        let grafts = ov.expire(1_000);
-        assert_eq!(grafts.len(), cfg().max_pending_pulls);
-        assert!(grafts.iter().all(|&(_, p)| p == 9));
+        let grafts = ov.expire(10_000);
+        assert_eq!(grafts.len(), MAX_PENDING_PULLS);
+        assert!(grafts.iter().all(|&(_, p)| p == 4));
     }
 
     #[test]
     fn holders_per_pull_are_bounded() {
-        let mut ov = Overlay::new(cfg());
-        for p in 0..10 {
-            ov.peer_ready(p);
-        }
+        let mut ov = overlay_with_peers(EAGER_DEGREE as u64 + MAX_HOLDERS as u64 + 4);
         let it = item(b"h");
-        for p in 2..10 {
+        for p in ov.lazy().collect::<Vec<_>>() {
             ov.on_ihave(p, it, 0);
         }
-        // max_holders = 3: expiring repeatedly grafts at most three peers.
-        let mut grafted = Vec::new();
-        let mut now = 100;
+        // Expiring repeatedly grafts at most MAX_HOLDERS peers.
+        let mut grafted = 0;
+        let mut now = PULL_TIMEOUT_MS;
         loop {
-            let g = ov.expire(now);
-            if g.is_empty() {
+            let fired = ov.expire(now).len();
+            if fired == 0 {
                 break;
             }
-            grafted.extend(g.into_iter().map(|(_, p)| p));
-            now += 100;
+            grafted += fired;
+            now += PULL_TIMEOUT_MS;
         }
-        assert_eq!(grafted.len(), 3);
+        assert_eq!(grafted, MAX_HOLDERS);
     }
 
     #[test]
     fn graft_promotes_and_prune_demotes_idempotently() {
-        let mut ov = Overlay::new(cfg());
-        ov.peer_ready(1);
-        ov.peer_ready(2);
-        ov.peer_ready(3); // lazy
-        ov.on_graft(3);
-        assert!(ov.is_eager(3));
-        ov.on_graft(3); // idempotent
-        assert!(ov.is_eager(3));
-        ov.on_prune(3);
-        ov.on_prune(3);
-        assert!(!ov.is_eager(3));
+        let mut ov = overlay_with_peers(4); // 4 is lazy
+        ov.on_graft(4);
+        assert!(ov.is_eager(4));
+        ov.on_graft(4); // idempotent
+        assert!(ov.is_eager(4));
+        ov.on_prune(4);
+        ov.on_prune(4);
+        assert!(!ov.is_eager(4));
         // Unknown peers are ignored.
         ov.on_graft(99);
         assert!(!ov.is_eager(99));

@@ -49,7 +49,7 @@ use ng_core::poison::{poison_effect, PoisonError, PoisonTransaction};
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::Hash256;
 use ng_net::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
-use ng_net::overlay::{Overlay, OverlayConfig};
+use ng_net::overlay::Overlay;
 use ng_net::peer::{Peer, PeerAction};
 use ng_net::relay::{self, CompactMicroBlock, CompactRelay, ReconstructOutcome};
 use ng_net::sync::{
@@ -95,34 +95,19 @@ pub struct EngineConfig {
 }
 
 /// How this engine relays blocks (§7 propagation). The defaults reproduce the
-/// classic flood: full carriers pushed over every link. Enabling `compact` swaps
-/// microblock pushes for BIP152-style [`CompactMicroBlock`] announcements
+/// classic flood: an `inv` over every link, the block fetched with `getdata`.
+/// Enabling `compact` swaps microblock pushes for BIP152-style
+/// [`CompactMicroBlock`] announcements
 /// reconstructed from the receiver's mempool; enabling `overlay` restricts full
 /// pushes to a small eager set and advertises over the rest with `ihave`,
 /// Plumtree-style (see [`ng_net::overlay`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GossipConfig {
     /// Announce microblocks as compact blocks (short tx ids + mempool
-    /// reconstruction) instead of full carriers.
+    /// reconstruction) instead of full blocks.
     pub compact: bool,
     /// Broadcast blocks over the eager/lazy overlay instead of flooding every link.
     pub overlay: bool,
-    /// Target eager-set size (broadcast-tree fan-out) when `overlay` is on.
-    pub eager_degree: usize,
-    /// Lazy-pull timeout before a missed `ihave` grafts the advertising link.
-    pub pull_timeout_ms: u64,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        let overlay = OverlayConfig::default();
-        GossipConfig {
-            compact: false,
-            overlay: false,
-            eager_degree: overlay.eager_degree,
-            pull_timeout_ms: overlay.pull_timeout_ms,
-        }
-    }
 }
 
 impl GossipConfig {
@@ -131,7 +116,6 @@ impl GossipConfig {
         GossipConfig {
             compact: true,
             overlay: true,
-            ..GossipConfig::default()
         }
     }
 }
@@ -610,11 +594,6 @@ impl Engine {
             waiting: None,
         });
         let sync = SyncScheduler::new(config.sync);
-        let overlay = Overlay::new(OverlayConfig {
-            eager_degree: config.gossip.eager_degree,
-            pull_timeout_ms: config.gossip.pull_timeout_ms,
-            ..OverlayConfig::default()
-        });
         Engine {
             config,
             node,
@@ -624,7 +603,7 @@ impl Engine {
             relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
             backfilled: HashMap::new(),
             peers: BTreeMap::new(),
-            overlay,
+            overlay: Overlay::new(),
             compact: CompactRelay::new(),
             sync,
             last_timer: None,
@@ -687,11 +666,6 @@ impl Engine {
         // Placeholder view; replaced below once the replayed store exists.
         let placeholder = ChainView::new(&config.params, Hash256::ZERO);
         let sync = SyncScheduler::new(config.sync);
-        let overlay = Overlay::new(OverlayConfig {
-            eager_degree: config.gossip.eager_degree,
-            pull_timeout_ms: config.gossip.pull_timeout_ms,
-            ..OverlayConfig::default()
-        });
         let mut engine = Engine {
             config,
             node,
@@ -701,7 +675,7 @@ impl Engine {
             relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
             backfilled: HashMap::new(),
             peers: BTreeMap::new(),
-            overlay,
+            overlay: Overlay::new(),
             compact: CompactRelay::new(),
             sync,
             last_timer: None,
@@ -1146,7 +1120,7 @@ impl Engine {
                 .map(|entry| &entry.tx)
                 .or_else(|| self.relay_memory.get(&item.id))
                 .map(|tx| Message::Tx(Box::new(tx.clone()))),
-            InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(carrier),
+            InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(block_message),
             InvKind::Block => None,
         }
     }
@@ -1233,7 +1207,7 @@ impl Engine {
             Message::Graft(item) => {
                 self.overlay.on_graft(from);
                 // Serve the grafted block in full: the graft *is* the pull request.
-                if let Some(message) = self.served_block(&item.id).map(carrier) {
+                if let Some(message) = self.served_block(&item.id).map(block_message) {
                     if let Some(state) = self.peers.get_mut(&from) {
                         state.mark_known(item.id);
                     }
@@ -1623,7 +1597,7 @@ impl Engine {
                         .map(|compact| Message::CmpctBlock(Box::new(compact)))
                         .unwrap_or_else(|| Message::MicroBlock(Box::new(micro.clone())))
                 }
-                Some(block) => carrier(block),
+                Some(block) => block_message(block),
                 None => return,
             };
             for peer in eager {
@@ -1936,7 +1910,7 @@ impl Engine {
     /// (and any descendants) is invalidated out of the block tree, the chain
     /// re-selects its best remaining tip, and the roll retries — so the view always
     /// lands on a fully valid main chain. When the invalid block is the very
-    /// carrier the peer just delivered, that peer is disconnected: it either forged
+    /// block the peer just delivered, that peer is disconnected: it either forged
     /// the microblock (it is the Byzantine leader) or relayed one it failed to
     /// validate. Rejections of *other* blocks (e.g. a pending descendant adopted in
     /// the same insert) never punish the deliverer — an honest relay of a valid
@@ -2814,7 +2788,7 @@ fn ready_keys(peers: &BTreeMap<u64, Peer>) -> Vec<u64> {
 
 /// The wire message that carries a block, built from the tree's copy at the moment
 /// it is sent.
-fn carrier(block: &NgBlock) -> Message {
+fn block_message(block: &NgBlock) -> Message {
     match block {
         NgBlock::Key(key) => Message::KeyBlock(Box::new(key.clone())),
         NgBlock::Micro(micro) => Message::MicroBlock(Box::new(micro.clone())),
@@ -2956,17 +2930,17 @@ mod tests {
 
     #[test]
     fn lazy_ihave_pull_recovers_a_block_never_pushed() {
-        // A zero eager degree makes every link lazy: blocks are only advertised,
-        // so delivery *must* go through the ihave → timeout → graft pull path.
+        // b prunes the link, so a only advertises over it: delivery *must* go
+        // through the ihave → timeout → graft pull path.
         let gossip = GossipConfig {
             compact: false,
             overlay: true,
-            eager_degree: 0,
-            pull_timeout_ms: 50,
         };
         let mut a = gossip_engine(1, gossip);
         let mut b = gossip_engine(2, gossip);
         connect(1_000, &mut a, &mut b);
+        a.handle(1_050, Input::Message { peer: 0, message: Message::Prune });
+        assert!(a.overlay_lazy().contains(&0), "the prune demoted a's end");
         let mined = a.handle(1_100, Input::MineKeyBlock);
         let ihave = mined
             .iter()
@@ -2981,7 +2955,7 @@ mod tests {
         b.handle(1_105, Input::Message { peer: 0, message: ihave });
         assert_eq!(b.height(), 0, "an ihave transfers nothing");
         // The pull timer expires: b grafts the advertising link and pulls.
-        let expired = b.handle(1_200, Input::Tick);
+        let expired = b.handle(1_105 + ng_net::overlay::PULL_TIMEOUT_MS, Input::Tick);
         let graft = expired
             .iter()
             .find_map(|e| match e {
@@ -2992,8 +2966,8 @@ mod tests {
                 _ => None,
             })
             .expect("timeout grafts the advertiser");
-        let served = a.handle(1_205, Input::Message { peer: 0, message: graft });
-        pump(1_205, &mut a, &mut b, served, true);
+        let served = a.handle(1_300, Input::Message { peer: 0, message: graft });
+        pump(1_300, &mut a, &mut b, served, true);
         assert_eq!(b.height(), 1, "the graft pulled the block in full");
         assert!(b.overlay_eager().contains(&0), "grafted link is eager now");
         assert!(a.overlay_eager().contains(&0), "the graft promoted a's end too");
