@@ -268,7 +268,7 @@ mod tests {
             let codec = FrameCodec::default();
             let messages = vec![
                 Message::Ping(nonce),
-                Message::Inv(vec![InvItem::new(InvKind::Block, sha256(&nonce.to_le_bytes()))]),
+                Message::Inv(vec![InvItem::new(InvKind::KeyBlock, sha256(&nonce.to_le_bytes()))]),
                 Message::Pong(nonce),
             ];
             let mut stream = Vec::new();

@@ -7,7 +7,6 @@
 
 use crate::relay::CompactMicroBlock;
 use crate::sync::HeaderRecord;
-use ng_baseline::btc_block::BtcBlock;
 use ng_chain::transaction::{OutPoint, Transaction};
 use ng_chain::utxo::UtxoEntry;
 use ng_core::block::{KeyBlock, MicroBlock};
@@ -28,8 +27,6 @@ pub enum ProtocolKind {
 /// What kind of object an inventory entry announces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InvKind {
-    /// A Bitcoin block.
-    Block,
     /// A Bitcoin-NG key block.
     KeyBlock,
     /// A Bitcoin-NG microblock.
@@ -94,8 +91,6 @@ pub enum Message {
     Inv(Vec<InvItem>),
     /// Request for announced objects the receiver does not have.
     GetData(Vec<InvItem>),
-    /// A Bitcoin block.
-    Block(Box<BtcBlock>),
     /// A Bitcoin-NG key block.
     KeyBlock(Box<KeyBlock>),
     /// A Bitcoin-NG microblock.
@@ -167,7 +162,6 @@ impl Message {
             Message::Verack => "verack",
             Message::Inv(_) => "inv",
             Message::GetData(_) => "getdata",
-            Message::Block(_) => "block",
             Message::KeyBlock(_) => "keyblock",
             Message::MicroBlock(_) => "microblock",
             Message::Tx(_) => "tx",
@@ -201,7 +195,6 @@ impl Message {
             Message::Inv(items) | Message::GetData(items) | Message::IHave(items) => {
                 1 + INV * items.len() as u64
             }
-            Message::Block(b) => b.size_bytes(),
             Message::KeyBlock(k) => k.size_bytes(),
             Message::MicroBlock(m) => m.size_bytes(),
             Message::Tx(t) => t.serialized_size() as u64,
@@ -230,7 +223,6 @@ impl Message {
     /// The inventory item describing the object this message carries, if any.
     pub fn carried_inventory(&self) -> Option<InvItem> {
         match self {
-            Message::Block(b) => Some(InvItem::new(InvKind::Block, b.id())),
             Message::KeyBlock(k) => Some(InvItem::new(InvKind::KeyBlock, k.id())),
             Message::MicroBlock(m) => Some(InvItem::new(InvKind::MicroBlock, m.id())),
             Message::Tx(t) => Some(InvItem::new(InvKind::Transaction, t.txid())),

@@ -304,8 +304,7 @@ impl Peer {
                 }
                 vec![PeerAction::Deliver(Message::Headers(records))]
             }
-            carried @ (Message::Block(_)
-            | Message::KeyBlock(_)
+            carried @ (Message::KeyBlock(_)
             | Message::MicroBlock(_)
             | Message::Tx(_)) => {
                 if let Some(inv) = carried.carried_inventory() {

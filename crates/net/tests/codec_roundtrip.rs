@@ -4,7 +4,6 @@
 //! instead of panicking or yielding a bogus message.
 
 use bytes::{BufMut, BytesMut};
-use ng_baseline::btc_block::BtcBlock;
 use ng_chain::amount::Amount;
 use ng_chain::payload::Payload;
 use ng_chain::transaction::{OutPoint, TransactionBuilder};
@@ -13,7 +12,6 @@ use ng_core::params::NgParams;
 use ng_core::poison::PoisonTransaction;
 use ng_core::NgNode;
 use ng_crypto::keys::KeyPair;
-use ng_crypto::pow::Target;
 use ng_crypto::sha256::sha256;
 use ng_crypto::signer::{SchnorrSigner, Signer};
 use ng_chain::transaction::TxOutput;
@@ -45,7 +43,7 @@ fn every_variant(seed: u64) -> Vec<Message> {
     let micro = MicroBlock {
         signature: SchnorrSigner::new(*node.keys()).sign(&micro_header.signing_hash()),
         header: micro_header,
-        payload: payload.clone(),
+        payload,
     };
     let compact = CompactMicroBlock {
         header: micro.header.clone(),
@@ -80,14 +78,6 @@ fn every_variant(seed: u64) -> Vec<Message> {
     };
     let poison = PoisonTransaction::from_conflict(&micro, &sibling, seed % 11)
         .expect("two signed siblings under one parent form a conflict");
-    let btc = BtcBlock {
-        prev: sha256(&seed.to_le_bytes()),
-        time_ms: seed,
-        target: Target::regtest(),
-        nonce: seed,
-        miner: seed % 5,
-        payload,
-    };
     vec![
         Message::Version {
             node_id: seed,
@@ -101,13 +91,11 @@ fn every_variant(seed: u64) -> Vec<Message> {
         },
         Message::Verack,
         Message::Inv(vec![
-            InvItem::new(InvKind::Block, sha256(b"b")),
             InvItem::new(InvKind::KeyBlock, sha256(&seed.to_le_bytes())),
             InvItem::new(InvKind::MicroBlock, sha256(b"m")),
             InvItem::new(InvKind::Transaction, sha256(b"t")),
         ]),
         Message::GetData(vec![InvItem::new(InvKind::KeyBlock, sha256(&seed.to_le_bytes()))]),
-        Message::Block(Box::new(btc)),
         Message::KeyBlock(Box::new(key_block.clone())),
         Message::MicroBlock(Box::new(micro)),
         Message::Tx(Box::new(tx.clone())),
@@ -186,9 +174,9 @@ fn every_message_variant_is_covered() {
     assert_eq!(
         commands,
         vec![
-            "version", "verack", "inv", "getdata", "block", "keyblock", "microblock",
-            "tx", "getheaders", "headers", "getsnapshot", "snapshot", "cmpct",
-            "getblocktxn", "blocktxn", "ihave", "graft", "prune", "poison", "ping", "pong"
+            "version", "verack", "inv", "getdata", "keyblock", "microblock", "tx",
+            "getheaders", "headers", "getsnapshot", "snapshot", "cmpct", "getblocktxn",
+            "blocktxn", "ihave", "graft", "prune", "poison", "ping", "pong"
         ]
     );
 }

@@ -1121,7 +1121,6 @@ impl Engine {
                 .or_else(|| self.relay_memory.get(&item.id))
                 .map(|tx| Message::Tx(Box::new(tx.clone()))),
             InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(block_message),
-            InvKind::Block => None,
         }
     }
 
@@ -1134,9 +1133,7 @@ impl Engine {
                     || self.relay_memory.contains_key(&item.id)
                     || self.view.is_confirmed(&item.id)
             }
-            InvKind::KeyBlock | InvKind::MicroBlock | InvKind::Block => {
-                self.holds_block(&item.id)
-            }
+            InvKind::KeyBlock | InvKind::MicroBlock => self.holds_block(&item.id),
         }
     }
 
@@ -1173,10 +1170,6 @@ impl Engine {
         match message {
             Message::KeyBlock(kb) => self.on_block(from, NgBlock::Key(*kb), now_ms, effects),
             Message::MicroBlock(mb) => self.on_block(from, NgBlock::Micro(*mb), now_ms, effects),
-            Message::Block(b) => {
-                // A Bitcoin-flavour block has no place on an NG chain.
-                effects.push(Effect::Report(ReportEvent::BlockRejected { id: b.id() }));
-            }
             Message::Tx(tx) => {
                 self.accept_tx(Some(from), *tx, effects);
             }
