@@ -5,7 +5,8 @@
 #   1. release build of every crate and target
 #   2. the full test suite (facade integration tests + every crate's unit tests)
 #   3. the live-network suites under explicit timeouts
-#   4. clippy with warnings denied
+#   4. the stand-alone pipeline benchmark (bench/) builds and passes its smoke run
+#   5. clippy with warnings denied
 #
 # The workspace has no registry dependencies (everything external is vendored
 # under vendor/), so this runs fully offline.
@@ -74,6 +75,10 @@ cargo build --workspace --all-targets
 
 echo "==> bench snapshot smoke (ledger_snapshot emits valid JSON and --assert-fast pins the crypto fast paths; committed BENCH_ledger.json untouched)"
 timeout 300 ./scripts/bench_snapshot.sh --smoke
+
+echo "==> pipeline benchmark builds and smokes against this tree (bench/ is its own package; a PR that breaks the surface it compiles against fails here, not in the benchmark run)"
+cargo build --release --offline --manifest-path bench/Cargo.toml
+timeout 600 bench/run.sh --smoke
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
