@@ -334,7 +334,7 @@ impl Peer {
             | Message::BlockTxn { .. }
             | Message::Graft(_)
             | Message::Prune) => {
-                // The caller owns the object store and the overlay state machine.
+                // The caller owns the block tree and the overlay state machine.
                 vec![PeerAction::Deliver(overlay)]
             }
             poison @ Message::Poison(_) => {

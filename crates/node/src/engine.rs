@@ -464,7 +464,10 @@ struct PoisonRecord {
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
+    /// The protocol node. Its block tree is the one store of blocks: `getdata`,
+    /// `graft`, `getblocktxn` and eager pushes all read from it.
     node: NgNode,
+    /// The one store of pending transactions (`getdata(tx)` reads it first).
     mempool: Mempool,
     /// The incremental ledger view: UTXO set, confirmed-txid set and rolling
     /// commitment, maintained by connecting/disconnecting blocks (never by replay).
