@@ -9,7 +9,7 @@ use proptest::prelude::*;
 /// Decodes one generated word into an operation over a 24-key space: two thirds
 /// inserts (so the map actually fills), one third removals.
 fn decode(word: u32) -> (bool, u8, u32) {
-    (word % 3 != 0, (word / 3 % 24) as u8, word / 72)
+    (!word.is_multiple_of(3), (word / 3 % 24) as u8, word / 72)
 }
 
 proptest! {
@@ -71,7 +71,7 @@ proptest! {
         // Fill to the cap and push out everything older than the re-insertion.
         for key in 1_000..(1_000 + cap as u32 - 1) {
             let evicted = map.insert(key, ());
-            prop_assert!(evicted.map_or(true, |(gone, ())| gone != victim));
+            prop_assert!(evicted.is_none_or(|(gone, ())| gone != victim));
         }
         prop_assert!(map.contains_key(&victim));
         prop_assert_eq!(map.keys().next(), Some(&victim), "now the oldest entry");
