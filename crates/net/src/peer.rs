@@ -172,6 +172,17 @@ impl Peer {
         self.known.insert(id, ());
     }
 
+    /// Decides whether to hand the remote an object (or its announcement): true if
+    /// the handshake completed and the remote is not known to have it — in which
+    /// case it is recorded as having it from now on.
+    pub fn offer(&mut self, id: Hash256) -> bool {
+        let fresh = self.is_ready() && !self.knows(&id);
+        if fresh {
+            self.mark_known(id);
+        }
+        fresh
+    }
+
     /// Number of objects currently requested from this peer and not yet delivered.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()

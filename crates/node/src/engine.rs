@@ -585,10 +585,7 @@ struct BackfillState {
 
 impl Engine {
     /// Creates an engine over a fresh chain (genesis only).
-    pub fn new(mut config: EngineConfig) -> Self {
-        // Keep the requested batch inside what `serve_headers` is willing to serve;
-        // otherwise every served batch would look partial and sync would stop early.
-        config.header_batch = config.header_batch.clamp(1, 4096);
+    pub fn new(config: EngineConfig) -> Self {
         let node = NgNode::new(config.id, config.params, config.tie_break_seed);
         let view = ChainView::new(&config.params, node.chain().genesis_id());
         let bootstrap = config.snapshot_pin.map(|pin| BootstrapState {
@@ -596,6 +593,20 @@ impl Engine {
             tried: BTreeSet::new(),
             waiting: None,
         });
+        Self::assemble(config, node, view, bootstrap, 0)
+    }
+
+    /// An engine around the given chain and ledger view, everything else empty.
+    fn assemble(
+        mut config: EngineConfig,
+        node: NgNode,
+        view: ChainView,
+        bootstrap: Option<BootstrapState>,
+        root_height: u64,
+    ) -> Self {
+        // Keep the requested batch inside what `serve_headers` is willing to serve;
+        // otherwise every served batch would look partial and sync would stop early.
+        config.header_batch = config.header_batch.clamp(1, 4096);
         let sync = SyncScheduler::new(config.sync);
         Engine {
             config,
@@ -615,7 +626,7 @@ impl Engine {
             latest_snapshot: None,
             bootstrap,
             backfill: None,
-            root_height: 0,
+            root_height,
             micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
             poisons: BTreeMap::new(),
             pending_poisons: BTreeMap::new(),
@@ -642,8 +653,7 @@ impl Engine {
     /// [`Self::set_storage`] after construction.
     ///
     /// [`NgChainState::restore_insert`]: ng_core::chain::NgChainState::restore_insert
-    pub fn restore(mut config: EngineConfig, recovery: ng_storage::Recovery) -> Self {
-        config.header_batch = config.header_batch.clamp(1, 4096);
+    pub fn restore(config: EngineConfig, recovery: ng_storage::Recovery) -> Self {
         let ng_storage::Recovery {
             root,
             snapshots,
@@ -666,34 +676,11 @@ impl Engine {
             }
             None => NgNode::new(config.id, config.params, config.tie_break_seed),
         };
-        // Placeholder view; replaced below once the replayed store exists.
+        // Placeholder view; replaced below once the replayed store exists. A
+        // restored node already holds its history — a pin never re-bootstraps an
+        // engine that recovered a chain from disk.
         let placeholder = ChainView::new(&config.params, Hash256::ZERO);
-        let sync = SyncScheduler::new(config.sync);
-        let mut engine = Engine {
-            config,
-            node,
-            mempool: Mempool::new(),
-            view: placeholder,
-            held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
-            relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
-            backfilled: HashMap::new(),
-            peers: BTreeMap::new(),
-            overlay: Overlay::new(),
-            compact: CompactRelay::new(),
-            sync,
-            last_timer: None,
-            storage: None,
-            last_snapshot_height: 0,
-            // A restored node already holds its history — a pin never re-bootstraps
-            // an engine that recovered a chain from disk.
-            latest_snapshot: None,
-            bootstrap: None,
-            backfill: None,
-            root_height,
-            micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
-            poisons: BTreeMap::new(),
-            pending_poisons: BTreeMap::new(),
-        };
+        let mut engine = Self::assemble(config, node, placeholder, None, root_height);
         // 1: replay stored blocks in their original acceptance order. A parent
         // missing because its branch was rooted away (or WAL-invalidated) just
         // drops its descendants — they were not on the finalized path.
@@ -1086,10 +1073,7 @@ impl Engine {
                     // A `getdata`: answer it if the object can be served; an
                     // unservable request is simply dropped.
                     if let Some(message) = self.servable(&item) {
-                        if let Some(state) = self.peers.get_mut(&peer) {
-                            state.mark_known(item.id);
-                        }
-                        effects.push(Effect::Send { peer, message });
+                        self.send_object(peer, item.id, message, effects);
                     }
                 }
                 PeerAction::Deliver(message) => {
@@ -1125,6 +1109,14 @@ impl Engine {
                 .map(|tx| Message::Tx(Box::new(tx.clone()))),
             InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(block_message),
         }
+    }
+
+    /// Sends `peer` the body of object `id` and notes that the remote now has it.
+    fn send_object(&mut self, peer: u64, id: Hash256, message: Message, effects: &mut Vec<Effect>) {
+        if let Some(state) = self.peers.get_mut(&peer) {
+            state.mark_known(id);
+        }
+        effects.push(Effect::Send { peer, message });
     }
 
     /// True if an announced object needs no fetching: a pending, recently relayed
@@ -1204,13 +1196,7 @@ impl Engine {
                 self.overlay.on_graft(from);
                 // Serve the grafted block in full: the graft *is* the pull request.
                 if let Some(message) = self.served_block(&item.id).map(block_message) {
-                    if let Some(state) = self.peers.get_mut(&from) {
-                        state.mark_known(item.id);
-                    }
-                    effects.push(Effect::Send {
-                        peer: from,
-                        message,
-                    });
+                    self.send_object(from, item.id, message, effects);
                 }
             }
             Message::Prune => {
@@ -1529,11 +1515,7 @@ impl Engine {
         let targets: Vec<u64> = self
             .peers
             .iter_mut()
-            .filter(|(_, state)| state.is_ready() && !state.knows(&item.id))
-            .map(|(peer, state)| {
-                state.mark_known(item.id);
-                *peer
-            })
+            .filter_map(|(peer, state)| state.offer(item.id).then_some(*peer))
             .collect();
         let message = Message::Inv(vec![item]);
         if from.is_none() && !targets.is_empty() && targets.len() == self.ready_peer_count() {
@@ -1576,25 +1558,21 @@ impl Engine {
         }
         // Only links that actually receive the body are marked as knowing it.
         let mut eager = self.overlay.push_targets(from);
-        eager.retain(|peer| {
-            self.peers.get_mut(peer).is_some_and(|state| {
-                let push = state.is_ready() && !state.knows(&id);
-                if push {
-                    state.mark_known(id);
-                }
-                push
-            })
-        });
+        eager.retain(|peer| self.peers.get_mut(peer).is_some_and(|state| state.offer(id)));
         if !eager.is_empty() {
-            let push = match self.node.chain().get(&id) {
-                Some(NgBlock::Micro(micro)) if self.config.gossip.compact => {
+            let Some(block) = self.node.chain().get(&id) else {
+                return;
+            };
+            let compact = match block {
+                NgBlock::Micro(micro) if self.config.gossip.compact => {
                     let salt = relay::announcement_salt(self.config.id, &id);
                     CompactMicroBlock::from_micro(micro, salt)
-                        .map(|compact| Message::CmpctBlock(Box::new(compact)))
-                        .unwrap_or_else(|| Message::MicroBlock(Box::new(micro.clone())))
                 }
-                Some(block) => block_message(block),
-                None => return,
+                _ => None,
+            };
+            let push = match compact {
+                Some(compact) => Message::CmpctBlock(Box::new(compact)),
+                None => block_message(block),
             };
             for peer in eager {
                 effects.push(Effect::Send {
