@@ -8,7 +8,13 @@
 //! different seed must change the trace (latencies differ), and a different
 //! schedule must change it too.
 
-use ng_crypto::sha256::Hash256;
+use ng_core::block::{MicroBlock, MicroHeader};
+use ng_core::params::NgParams;
+use ng_crypto::keys::KeyPair;
+use ng_crypto::sha256::{sha256, Hash256};
+use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_net::message::Message;
+use ng_node::engine::{GossipConfig, SnapshotPin};
 use ng_node::simnet::{SimConfig, SimNet};
 use ng_node::testnet::test_tx;
 use proptest::prelude::*;
@@ -23,7 +29,20 @@ fn run_scenario(
     txs_per_epoch: u64,
     auto: bool,
 ) -> (Vec<u8>, Vec<(Hash256, Hash256)>, bool) {
+    run_scenario_over(seed, nodes, max_latency, txs_per_epoch, auto, GossipConfig::default())
+}
+
+/// [`run_scenario`] with the block-propagation stack chosen by the caller.
+fn run_scenario_over(
+    seed: u64,
+    nodes: usize,
+    max_latency: u64,
+    txs_per_epoch: u64,
+    auto: bool,
+    gossip: GossipConfig,
+) -> (Vec<u8>, Vec<(Hash256, Hash256)>, bool) {
     let mut config = SimConfig::new(nodes, seed);
+    config.gossip = gossip;
     config.min_latency_ms = 1;
     config.max_latency_ms = max_latency;
     config.auto_microblocks = auto;
@@ -68,6 +87,113 @@ fn run_scenario(
         .collect();
     (net.trace_bytes(), states, net.converged())
 }
+
+/// The `fast_sync` pin scenario with the trace on: a 3-node network grows past
+/// the checkpoint cadence, a fresh node bootstraps from the pinned snapshot,
+/// syncs forward and backfills the history below its root.
+fn run_snapshot_bootstrap() -> Vec<u8> {
+    let mut config = SimConfig::new(3, 21);
+    config.serve_snapshots = true;
+    config.record_trace = true;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2]);
+    net.run(2_000);
+    for h in 0..320 {
+        net.mine_key_block(0);
+        if h % 64 == 63 {
+            net.run(2_000);
+        }
+    }
+    assert!(net.run(30_000) && net.converged(), "established network settles");
+    let snapshot = net.engine(0).latest_snapshot().expect("checkpoint at 256").clone();
+    let pin = SnapshotPin {
+        height: snapshot.height,
+        root: snapshot.root.id(),
+        sorted: snapshot.sorted,
+    };
+    let fresh = net.add_node_with(|engine_config| engine_config.snapshot_pin = Some(pin));
+    for peer in 0..3 {
+        net.connect(fresh, peer);
+    }
+    net.run(180_000);
+    assert!(net.converged(), "bootstrapped node reached the tip");
+    assert_eq!(net.engine(fresh).root_height(), pin.height);
+    assert!(!net.engine(fresh).backfilling(), "backfill finished");
+    assert_eq!(net.snapshots()[fresh].counters.backfill_blocks, pin.height - 1);
+    net.trace_bytes()
+}
+
+/// The `chaos_scenarios` fraud-proof shape with the trace on: leader 0 produces a
+/// microblock, an equally rooted sibling carrying its signature reaches node 2,
+/// which builds the poison; the flood revokes the epoch revenue on all six nodes.
+fn run_equivocation_to_poison() -> Vec<u8> {
+    let mut config = SimConfig::new(6, 3);
+    config.params = NgParams {
+        min_microblock_interval_ms: 1,
+        microblock_interval_ms: 2,
+        validate_transactions: false,
+        ..NgParams::default()
+    };
+    config.record_trace = true;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2, 3, 4, 5]);
+    net.run(1_000);
+    let kb = net.mine_key_block(0);
+    net.run(1_000);
+    net.produce_microblock(0).expect("leader is due");
+    net.run(1_000);
+    let payload = ng_chain::payload::Payload::Transactions(vec![test_tx(0xE0)]);
+    let header = MicroHeader {
+        prev: kb,
+        time_ms: net.now_ms() + 10,
+        payload_digest: payload.digest(),
+        leader: 0,
+    };
+    let sibling = MicroBlock {
+        signature: SchnorrSigner::new(KeyPair::from_id(0)).sign(&header.signing_hash()),
+        header,
+        payload,
+    };
+    net.inject_message(0, 2, Message::MicroBlock(Box::new(sibling)));
+    assert!(net.run(13_000), "network goes quiescent");
+    assert!(net.converged());
+    for node in 0..6 {
+        assert!(net.engine(node).poisoned().contains(&(0, kb)), "node {node} holds the poison");
+    }
+    net.trace_bytes()
+}
+
+/// Golden effect traces: SHA-256 of [`SimNet::trace_bytes`] for one fixed run per
+/// engine component — flood relay, compact relay + overlay, snapshot bootstrap +
+/// backfill, equivocation → poison. A refactor that moves code without changing
+/// behaviour leaves all four untouched; a change that alters any emitted effect,
+/// or the order of two, moves at least one and has to re-pin it with a reason.
+#[test]
+fn golden_traces_are_pinned() {
+    let traces = [
+        ("flood", run_scenario(42, 4, 20, 3, false).0, GOLDEN_FLOOD),
+        (
+            "scalable",
+            run_scenario_over(42, 4, 20, 3, false, GossipConfig::scalable()).0,
+            GOLDEN_SCALABLE,
+        ),
+        ("snapshot bootstrap", run_snapshot_bootstrap(), GOLDEN_BOOTSTRAP),
+        ("equivocation", run_equivocation_to_poison(), GOLDEN_POISON),
+    ];
+    let got: Vec<String> = traces.iter().map(|(_, trace, _)| sha256(trace).to_hex()).collect();
+    for ((name, _, pinned), hash) in traces.iter().zip(&got) {
+        assert_eq!(hash, pinned, "{name} trace moved; all four: {got:#?}");
+    }
+}
+
+const GOLDEN_FLOOD: &str =
+    "ebcd47346d0effce0a4272cd298f1d1bd10f06e9b4c82c0dfbff8b84293cd9c6";
+const GOLDEN_SCALABLE: &str =
+    "50430970279f324c8011d8be071cb3709a1c45a4432ab2ce9ec27cc855be47ec";
+const GOLDEN_BOOTSTRAP: &str =
+    "d2369895a01be050f1d7c9c4cc1db321724b15a60cb5cfaf1d05b38c6d728c25";
+const GOLDEN_POISON: &str =
+    "0948fe6141970f8b08efc53f7881b0a2a1669193f393a241e63639bd60825f07";
 
 proptest! {
     // Each case replays a full multi-epoch partition/heal scenario twice; 6 cases
