@@ -157,9 +157,20 @@ impl CompactRelay {
         self.pending.contains_key(id)
     }
 
-    /// The peer a pending reconstruction's missing txs were requested from.
-    pub fn pending_peer(&self, id: &Hash256) -> Option<u64> {
-        self.pending.get(id).map(|p| p.from_peer)
+    /// Connection `peer` closed: every reconstruction still waiting for its
+    /// `blocktxn` is dropped, so the next announcement or advert of those blocks —
+    /// from any other peer — starts over instead of being ignored as a duplicate
+    /// of a reply that can no longer arrive.
+    pub fn peer_gone(&mut self, peer: u64) {
+        let orphaned: Vec<Hash256> = self
+            .pending
+            .iter()
+            .filter(|(_, pending)| pending.from_peer == peer)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in orphaned {
+            self.pending.remove(&id);
+        }
     }
 
     /// Drops a pending reconstruction (e.g. the block arrived in full elsewhere).
@@ -341,7 +352,8 @@ mod tests {
         };
         assert_eq!(missing, vec![1, 4]);
         assert!(relay.is_pending(&id));
-        assert_eq!(relay.pending_peer(&id), Some(3));
+        relay.peer_gone(4);
+        assert!(relay.is_pending(&id), "only the awaited peer's exit drops it");
 
         // Serve the request from the full block, then resolve.
         let served = transactions_at(&micro, &missing).unwrap();

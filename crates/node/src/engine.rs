@@ -991,6 +991,7 @@ impl Engine {
     fn forget_peer(&mut self, peer: u64) {
         self.peers.remove(&peer);
         self.overlay.peer_gone(peer);
+        self.compact.peer_gone(peer);
         self.sync.peer_gone(peer);
         if let Some(boot) = self.bootstrap.as_mut() {
             if boot.waiting.is_some_and(|(waiting_on, _)| waiting_on == peer) {
@@ -2900,6 +2901,41 @@ mod tests {
         pump(1_300, &mut a, &mut b, produced, true);
         assert_eq!(b.height(), 2, "b reconstructed the microblock from its pool");
         assert_eq!(b.mempool_len(), 0);
+    }
+
+    #[test]
+    fn reconstruction_restarts_after_the_awaited_peer_disconnects() {
+        // The leader's chain: a key block, then a microblock of two transactions.
+        let mut leader = ng_core::node::NgNode::new(9, params(), 0);
+        let kb = leader.mine_and_adopt_key_block(1_000);
+        let txs = vec![test_tx(1), test_tx(2)];
+        let micro = leader
+            .produce_microblock(1_100, Payload::Transactions(txs.clone()))
+            .expect("leader is due");
+        let id = micro.id();
+        let announcement = |salt| {
+            let compact = CompactMicroBlock::from_micro(&micro, salt).expect("has transactions");
+            Message::CmpctBlock(Box::new(compact))
+        };
+
+        // b holds the key block and one of the two transactions.
+        let mut b = gossip_engine(2, GossipConfig::scalable());
+        register_peer(&mut b, 1);
+        register_peer(&mut b, 2);
+        b.handle(1_050, Input::Message { peer: 1, message: Message::KeyBlock(Box::new(kb)) });
+        b.handle(1_060, Input::SubmitTx(Box::new(txs[0].clone())));
+        let getblocktxn = |effects: &[Effect]| sends(effects).contains(&(1, "getblocktxn"));
+        let asked = b.handle(1_200, Input::Message { peer: 1, message: announcement(7) });
+        assert!(getblocktxn(&asked), "the missing slot is requested from the announcer");
+
+        // The announcer leaves before answering; the next announcement of the same
+        // block must start a fresh reconstruction, not be dropped as a duplicate.
+        b.handle(1_210, Input::PeerDisconnected { peer: 1 });
+        let asked = b.handle(1_220, Input::Message { peer: 2, message: announcement(8) });
+        assert_eq!(sends(&asked), vec![(2, "getblocktxn")]);
+        let reply = Message::BlockTxn { block: id, txs: vec![txs[1].clone()] };
+        b.handle(1_230, Input::Message { peer: 2, message: reply });
+        assert_eq!(b.tip(), id, "reconstructed from the second announcer");
     }
 
     #[test]
