@@ -72,23 +72,12 @@ pub enum BlockError {
     PowNotMet(Hash256),
     /// The header's merkle root does not match the block's transactions.
     MerkleMismatch,
-    /// The block has no coinbase transaction as its first transaction.
-    MissingCoinbase,
-    /// A coinbase transaction appears in a non-first position.
-    MisplacedCoinbase,
     /// The coinbase pays out more than the subsidy plus fees.
     ExcessiveCoinbase {
         /// What the coinbase claims.
         claimed: Amount,
         /// The maximum it may claim.
         allowed: Amount,
-    },
-    /// A transaction in the block failed validation.
-    BadTransaction {
-        /// Index of the failing transaction within the block.
-        index: usize,
-        /// The underlying error.
-        error: TxError,
     },
     /// The block exceeds the maximum serialized size.
     OversizedBlock {
@@ -128,13 +117,8 @@ impl fmt::Display for BlockError {
         match self {
             BlockError::PowNotMet(h) => write!(f, "proof of work not met by {h}"),
             BlockError::MerkleMismatch => write!(f, "merkle root mismatch"),
-            BlockError::MissingCoinbase => write!(f, "first transaction is not a coinbase"),
-            BlockError::MisplacedCoinbase => write!(f, "coinbase in non-first position"),
             BlockError::ExcessiveCoinbase { claimed, allowed } => {
                 write!(f, "coinbase claims {claimed:?}, allowed {allowed:?}")
-            }
-            BlockError::BadTransaction { index, error } => {
-                write!(f, "transaction {index} invalid: {error}")
             }
             BlockError::OversizedBlock { size, max } => {
                 write!(f, "block size {size} exceeds maximum {max}")
@@ -176,9 +160,6 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(TxError::NoOutputs, TxError::NoOutputs);
-        assert_ne!(
-            BlockError::MerkleMismatch,
-            BlockError::MissingCoinbase
-        );
+        assert_ne!(BlockError::MerkleMismatch, BlockError::BadTimestamp);
     }
 }

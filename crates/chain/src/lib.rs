@@ -8,7 +8,6 @@
 //! * [`utxo`] — the unspent-transaction-output set and double-spend prevention.
 //! * [`mempool`] — pending transactions ordered by fee rate (the paper's experiments
 //!   pre-fill mempools with independent transactions, §7).
-//! * [`block`] — block headers, Bitcoin blocks and proof-of-work/merkle validation.
 //! * [`chainstore`] — a generic block tree with work accounting, reorg computation,
 //!   bounded orphan handling and per-block undo storage, reused by every protocol in
 //!   the workspace.
@@ -18,21 +17,16 @@
 //! * [`fifo`] — [`BoundedFifoMap`], the one bounded-buffer type (oldest-first
 //!   eviction) behind every peer-growable collection in the workspace.
 //! * [`forkchoice`] — heaviest-chain, longest-chain and GHOST tip selection.
-//! * [`difficulty`] — epoch-based difficulty adjustment.
-//! * [`genesis`] — genesis block/chain construction helpers.
 //! * [`error`] — validation error types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod amount;
-pub mod block;
 pub mod chainstore;
-pub mod difficulty;
 pub mod error;
 pub mod fifo;
 pub mod forkchoice;
-pub mod genesis;
 pub mod mempool;
 pub mod payload;
 pub mod sigcache;
@@ -41,7 +35,6 @@ pub mod undo;
 pub mod utxo;
 
 pub use amount::Amount;
-pub use block::{Block, BlockHeader, BlockLimits};
 pub use chainstore::{BlockLike, ChainStore, InsertOutcome, Reorg, StoredBlock};
 pub use error::{BlockError, TxError};
 pub use fifo::BoundedFifoMap;

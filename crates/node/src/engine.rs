@@ -734,12 +734,6 @@ impl Engine {
         self.storage = Some(storage);
     }
 
-    /// The durable backend, for driver-side inspection (crash tests read file
-    /// positions through this).
-    pub fn storage_mut(&mut self) -> Option<&mut Box<dyn ng_storage::ChainStorage>> {
-        self.storage.as_mut()
-    }
-
     /// Installs a signature [`ng_chain::sigcache::BatchExecutor`] on the ledger
     /// view. Drivers with real threads (the TCP daemon, the testnet harness) call
     /// this with a worker pool; verification *results* are identical either way, so

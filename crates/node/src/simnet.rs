@@ -92,6 +92,21 @@ impl SimConfig {
             record_arrivals: false,
         }
     }
+
+    /// The engine configuration of node `id` on this network.
+    pub fn engine(&self, id: u64) -> EngineConfig {
+        EngineConfig {
+            id,
+            params: self.params,
+            tie_break_seed: self.tie_break_seed,
+            auto_microblocks: self.auto_microblocks,
+            header_batch: self.header_batch,
+            sync: self.sync,
+            snapshot_pin: None,
+            serve_snapshots: self.serve_snapshots,
+            gossip: self.gossip,
+        }
+    }
 }
 
 /// One recorded effect: what node emitted what, when. The serialized trace is the
@@ -209,19 +224,7 @@ impl SimNet {
             "latency range is empty"
         );
         let engines = (0..config.nodes)
-            .map(|id| {
-                Engine::new(EngineConfig {
-                    id: id as u64,
-                    params: config.params,
-                    tie_break_seed: config.tie_break_seed,
-                    auto_microblocks: config.auto_microblocks,
-                    header_batch: config.header_batch,
-                    sync: config.sync,
-                    snapshot_pin: None,
-                    serve_snapshots: config.serve_snapshots,
-                    gossip: config.gossip,
-                })
-            })
+            .map(|id| Engine::new(config.engine(id as u64)))
             .collect();
         let counters = (0..config.nodes).map(|_| NodeCounters::new()).collect();
         let wire = (0..config.nodes).map(|_| WireStats::new()).collect();
@@ -260,17 +263,7 @@ impl SimNet {
     /// with [`Self::connect`].
     pub fn add_node_with(&mut self, configure: impl FnOnce(&mut EngineConfig)) -> usize {
         let id = self.engines.len();
-        let mut engine_config = EngineConfig {
-            id: id as u64,
-            params: self.config.params,
-            tie_break_seed: self.config.tie_break_seed,
-            auto_microblocks: self.config.auto_microblocks,
-            header_batch: self.config.header_batch,
-            sync: self.config.sync,
-            snapshot_pin: None,
-            serve_snapshots: self.config.serve_snapshots,
-            gossip: self.config.gossip,
-        };
+        let mut engine_config = self.config.engine(id as u64);
         configure(&mut engine_config);
         self.engines.push(Engine::new(engine_config));
         self.counters.push(NodeCounters::new());
@@ -287,11 +280,6 @@ impl SimNet {
     /// handshakes (the connection looks healthy) but never serves a request.
     pub fn mute(&mut self, node: usize) {
         self.muted.insert(node);
-    }
-
-    /// Lifts a [`Self::mute`].
-    pub fn unmute(&mut self, node: usize) {
-        self.muted.remove(&node);
     }
 
     /// Number of nodes.
@@ -908,11 +896,6 @@ impl SimNet {
             elapsed: std::time::Duration::from_millis(self.now),
             snapshots,
         }
-    }
-
-    /// Number of effects recorded so far (zero unless [`SimConfig::record_trace`]).
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
     }
 
     /// The full effect trace, serialized — the unit of byte-identical comparison in
