@@ -1,4 +1,4 @@
-//@ path: crates/node/src/engine.rs
+//@ path: crates/node/src/engine/relay.rs
 use std::time::Duration;
 use std::collections::BTreeMap;
 fn tick(now_ms: u64) -> Duration {

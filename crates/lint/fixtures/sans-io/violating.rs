@@ -1,4 +1,4 @@
-//@ path: crates/node/src/engine.rs
+//@ path: crates/node/src/engine/relay.rs
 use std::time::Instant;
 use std::net::TcpStream;
 fn worker() {

@@ -3,7 +3,7 @@
 //! diagnostics compared byte-for-byte against the `<case>.expected` golden.
 //!
 //! Also hosts the acceptance gates: the real workspace must be clean in
-//! deny-all mode, and seeding a known violation into `engine.rs` must fail.
+//! deny-all mode, and seeding a known violation into any engine module must fail.
 
 use ng_lint::{analyze_files, analyze_workspace};
 use std::fs;
@@ -119,36 +119,60 @@ fn workspace_is_clean_in_deny_all_mode() {
     assert!(diags.is_empty(), "workspace has lint diagnostics:\n{listing}");
 }
 
-/// Acceptance criterion: seeding `use std::time::Instant;` into the real
-/// engine.rs must produce a sans-io diagnostic.
-#[test]
-fn seeded_instant_import_fails_engine() {
-    let path = "crates/node/src/engine.rs";
-    let engine = fs::read_to_string(workspace_root().join(path)).unwrap();
-
-    let baseline = analyze_files(&[(path.to_string(), engine.clone())]);
-    assert!(baseline.is_empty(), "unmodified engine.rs must be clean: {baseline:?}");
-
-    let seeded = format!("{engine}\nuse std::time::Instant;\n");
-    let diags = analyze_files(&[(path.to_string(), seeded)]);
-    assert!(
-        diags.iter().any(|d| d.rule == "sans-io" && d.message.contains("Instant")),
-        "seeded Instant import did not fire sans-io: {diags:?}"
-    );
+/// Every module of the engine (`crates/node/src/engine/*.rs`) with its source.
+fn engine_modules() -> Vec<(String, String)> {
+    let dir = "crates/node/src/engine";
+    let mut modules: Vec<(String, String)> = fs::read_dir(workspace_root().join(dir))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".rs"))
+        .map(|name| {
+            let path = format!("{dir}/{name}");
+            let source = fs::read_to_string(workspace_root().join(&path)).unwrap();
+            (path, source)
+        })
+        .collect();
+    modules.sort();
+    assert!(modules.len() >= 2, "the engine is a directory of modules");
+    modules
 }
 
-/// Acceptance criterion: an unannotated collection field seeded into the real
-/// engine.rs must produce a bounded-collections diagnostic.
+/// Acceptance criterion: seeding `use std::time::Instant;` into any real engine
+/// module must produce a sans-io diagnostic.
 #[test]
-fn seeded_unbounded_field_fails_engine() {
-    let path = "crates/node/src/engine.rs";
-    let engine = fs::read_to_string(workspace_root().join(path)).unwrap();
-    let seeded = format!("{engine}\nstruct Seeded {{\n    backlog: Vec<u64>,\n}}\n");
-    let diags = analyze_files(&[(path.to_string(), seeded)]);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "bounded-collections" && d.message.contains("backlog")),
-        "seeded unbounded field did not fire bounded-collections: {diags:?}"
-    );
+fn seeded_instant_import_fails_every_engine_module() {
+    for (path, source) in engine_modules() {
+        let baseline = analyze_files(&[(path.clone(), source.clone())]);
+        assert!(baseline.is_empty(), "unmodified {path} must be clean: {baseline:?}");
+
+        let seeded = format!("{source}\nuse std::time::Instant;\n");
+        let diags = analyze_files(&[(path.clone(), seeded)]);
+        assert!(
+            diags.iter().any(|d| d.rule == "sans-io" && d.message.contains("Instant")),
+            "seeded Instant import did not fire sans-io in {path}: {diags:?}"
+        );
+    }
+}
+
+/// Acceptance criterion: an unannotated collection field, or an `unwrap()`,
+/// seeded into any real engine module must produce a bounded-collections /
+/// no-panic-protocol diagnostic.
+#[test]
+fn seeded_unbounded_field_and_unwrap_fail_every_engine_module() {
+    for (path, source) in engine_modules() {
+        let seeded = format!(
+            "{source}\nstruct Seeded {{\n    backlog: Vec<u64>,\n}}\nfn seeded(x: Option<u8>) -> u8 {{\n    x.unwrap()\n}}\n"
+        );
+        let diags = analyze_files(&[(path.clone(), seeded)]);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "bounded-collections" && d.message.contains("backlog")),
+            "seeded unbounded field did not fire bounded-collections in {path}: {diags:?}"
+        );
+        assert!(
+            diags.iter().any(|d| d.rule == "no-panic-protocol"),
+            "seeded unwrap did not fire no-panic-protocol in {path}: {diags:?}"
+        );
+    }
 }
