@@ -50,198 +50,39 @@ use ng_crypto::sha256::Hash256;
 use ng_net::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
 use ng_net::overlay::Overlay;
 use ng_net::peer::{Peer, PeerAction};
-use ng_net::relay::{self, CompactMicroBlock, CompactRelay, ReconstructOutcome};
+use ng_net::relay::{announcement_salt, transactions_at, CompactMicroBlock, CompactRelay, ReconstructOutcome};
 use ng_net::sync::{
     build_locator, ids_after_locator, HeaderRecord, SyncCommand, SyncScheduler,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+mod chain;
+mod fraud;
+mod onboarding;
+mod relay;
 mod types;
 
+use chain::Chain;
+use fraud::{
+    Fraud, PoisonRecord, MAX_MICRO_SIGHTINGS, MAX_PENDING_PER_PARENT, MAX_PENDING_POISONS,
+    MAX_POISON_RECORDS,
+};
+use onboarding::{BackfillState, BootstrapState, Onboarding};
+use relay::{Relay, MAX_ORPHAN_CARRIERS, MAX_RELAY_TXS};
+
 pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
-
-/// Cap on remembered held-back block ids (a misbehaving peer could otherwise grow
-/// the set without bound by sending parentless blocks).
-const MAX_ORPHAN_CARRIERS: usize = 1024;
-
-/// Cap on the relay memory of recently announced transactions (the role Bitcoin's
-/// `mapRelay` played): a `getdata` that arrives after the leader serialized the
-/// transaction out of the mempool is still answered, so the requester's compact
-/// reconstruction hits instead of paying a `getblocktxn` round trip. Sized from
-/// rate × round trip: the densest workload announces 20 tx/ms over links of at
-/// most 20 ms each way, so ≈ 800 transactions are between `inv` and `getdata` at
-/// any moment; 8192 leaves a 10× margin.
-const MAX_RELAY_TXS: usize = 8192;
-
-/// Cap on tracked `(parent, leader)` → first-seen-microblock sightings for
-/// equivocation detection. Entries outlive their usefulness once the epoch
-/// closes; eviction drops the **oldest** sighting (insertion order), so
-/// sustained load sheds closed-epoch entries first and never silently disables
-/// detection for a still-active key that merely sorts low.
-const MAX_MICRO_SIGHTINGS: usize = 4096;
-
-/// Cap on recorded poisons. The protocol admits at most one poison per cheater
-/// per epoch (§4.5), so this is reached only if hundreds of distinct leaders
-/// cheat in distinct epochs; past it, further poisons are rejected.
-const MAX_POISON_RECORDS: usize = 256;
-
-/// Cap on poisons parked while their epoch key block is still unknown (a node
-/// mid-sync receiving the flood before the history it judges against).
-const MAX_PENDING_POISONS: usize = 64;
-
-/// Cap on poisons parked under one unknown fork point. A small list (rather
-/// than a single smallest-txid slot) keeps a genuine proof parked even when an
-/// attacker grinds competitors with smaller txids under the same parent key —
-/// displacing it would take [`MAX_PENDING_PER_PARENT`] shape-valid forgeries
-/// that all sort below it.
-const MAX_PENDING_PER_PARENT: usize = 4;
-
-/// An accepted fraud proof and the statically determined facts its ledger
-/// effect derives from. The canonical poison per `(cheater, epoch)` is the one
-/// with the smallest [`PoisonTransaction::txid`]: several honest nodes can
-/// detect the same equivocation simultaneously and each names itself poisoner,
-/// so convergence needs a total order, and min-txid is one every node computes
-/// identically. A smaller-txid competitor replaces the incumbent (its bounty is
-/// reverted) and is re-flooded; anything else is dropped, so the flood
-/// terminates and the network converges on the minimum.
-#[derive(Clone, Debug)]
-struct PoisonRecord {
-    /// The canonical fraud proof.
-    poison: PoisonTransaction,
-    /// Cached [`PoisonTransaction::txid`]; the bounty is minted at `(txid, 0)`.
-    txid: Hash256,
-    /// The epoch key block whose coinbase pays the revoked revenue.
-    epoch_id: Hash256,
-    /// Height of that key block — the bounty entry's height, so every node's
-    /// entry digest matches no matter when it applied the poison.
-    epoch_height: u64,
-    /// The statically determined revocable amount.
-    revoked: Amount,
-    /// The poisoner's bounty (`poison_reward_percent` of `revoked`).
-    reward: Amount,
-}
 
 /// The pure Bitcoin-NG protocol engine. See the module docs for the contract.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    /// The protocol node. Its block tree is the one store of blocks: `getdata`,
-    /// `graft`, `getblocktxn` and eager pushes all read from it.
-    node: NgNode,
-    /// The one store of pending transactions (`getdata(tx)` reads it first).
-    mempool: Mempool,
-    /// The incremental ledger view: UTXO set, confirmed-txid set and rolling
-    /// commitment, maintained by connecting/disconnecting blocks (never by replay).
-    view: ChainView,
-    /// Ids of tree blocks held back from relay: chain-level orphans (announced once
-    /// the parent arrives and they are adopted) and, under full validation,
-    /// side-branch microblocks (announced if their branch wins and validates). The
-    /// block itself is read from the tree when its turn comes. Oldest-first
-    /// eviction at [`MAX_ORPHAN_CARRIERS`] — losing-branch ids must not accumulate
-    /// for the node's lifetime.
-    held_back: BoundedFifoMap<Hash256, ()>,
-    /// Recently announced transactions, so a `getdata` outlives the transaction's
-    /// stay in the mempool (see [`MAX_RELAY_TXS`]).
-    relay_memory: BoundedFifoMap<Hash256, Transaction>,
-    /// Blocks fetched by the snapshot backfill. They sit below the tree's root, so
-    /// this is the one block store outside the tree; it exists to serve full syncs.
-    /// Capped by the root height: [`Self::claim_backfill_headers`] stops requesting
-    /// once one block per height below the root is held or expected.
-    // ng-lint: bound(root_height)
-    backfilled: HashMap<Hash256, NgBlock>,
-    /// Every registered connection (ready or not) by driver key: handshake state,
-    /// what the remote is known to hold, what was requested from it.
-    // ng-lint: allow(bounded-collections): one entry per live driver connection;
-    // the driver's accept/connect limit is the cap and Closed removes entries.
-    peers: BTreeMap<u64, Peer>,
-    /// Eager/lazy broadcast overlay (only driven when `config.gossip.overlay`).
-    overlay: Overlay,
-    /// Partial compact-block reconstructions awaiting `blocktxn` replies.
-    compact: CompactRelay,
-    /// Multi-peer sync: concurrent header walks plus the windowed parallel block
-    /// download scheduler (request deadlines, retry-on-another-peer, eviction).
-    sync: SyncScheduler,
+    chain: Chain,
+    relay: Relay,
+    onboarding: Onboarding,
+    fraud: Fraud,
     /// The deadline of the last `SetTimer` effect emitted, to avoid re-arming the
     /// driver with a deadline it already holds. Cleared when a `Tick` consumes it.
     last_timer: Option<u64>,
-    /// The durable backend, when this engine persists ([`Engine::set_storage`]).
-    /// `None` keeps the engine pure (SimNet, unit tests): no file system, no
-    /// non-determinism. Storage failures are surfaced as
-    /// [`ReportEvent::StorageFailed`] effects, never panics — a full disk degrades
-    /// the node to in-memory operation instead of killing consensus.
-    storage: Option<Box<dyn ng_storage::ChainStorage>>,
-    /// Height of the last snapshot written, gating the checkpoint cadence.
-    last_snapshot_height: u64,
-    /// Newest checkpoint snapshot held in memory — what `getsnapshot` requests are
-    /// served from (falling back to `storage.latest_snapshot()`). Filled by the
-    /// checkpoint cadence and by a successfully applied bootstrap snapshot.
-    latest_snapshot: Option<ng_storage::Snapshot>,
-    /// In-progress snapshot bootstrap; `None` once decided (applied, or fallen
-    /// back to a full block download).
-    bootstrap: Option<BootstrapState>,
-    /// In-progress background backfill of the history below a snapshot root.
-    backfill: Option<BackfillState>,
-    /// Height of the chain root: 0 on a genesis-rooted chain, the pin height after
-    /// a snapshot bootstrap. Forward sync ignores header records at or below it —
-    /// they can never connect; the backfill owns that range.
-    root_height: u64,
-    /// First-seen microblock id per `(parent, leader)`. A second distinct id under
-    /// the same key is an equivocation: the leader signed two microblocks at the
-    /// same height (§4.5), and this node constructs the fraud proof. Oldest-first
-    /// eviction at [`MAX_MICRO_SIGHTINGS`].
-    micro_sightings: BoundedFifoMap<(Hash256, u64), Hash256>,
-    /// Canonical accepted poison per `(accused leader, epoch key block)` — see
-    /// [`PoisonRecord`] for the min-txid convergence rule. Re-asserted against the
-    /// main chain after every ledger roll.
-    // ng-lint: bound(MAX_POISON_RECORDS)
-    poisons: BTreeMap<(u64, Hash256), PoisonRecord>,
-    /// Poisons whose epoch cannot be attributed yet, keyed by the unknown parent
-    /// block id and retried when that block arrives. Each parent keeps a short
-    /// txid-sorted list ([`MAX_PENDING_PER_PARENT`]) of `(txid, proof)` pairs;
-    /// only shape-valid conflicts ([`PoisonTransaction::check_conflict`]) are
-    /// parked, so unverifiable garbage cannot displace a genuine proof.
-    // ng-lint: bound(MAX_PENDING_POISONS)
-    pending_poisons: BTreeMap<Hash256, Vec<(Hash256, PoisonTransaction)>>,
-}
-
-/// Progress of a snapshot bootstrap: ask one ready peer at a time for the pinned
-/// snapshot; fall back to a full block download once every ready peer was tried.
-#[derive(Debug)]
-struct BootstrapState {
-    /// The trusted checkpoint the served snapshot must match.
-    pin: SnapshotPin,
-    /// Peers already asked (whether they answered or not).
-    // ng-lint: allow(bounded-collections): subset of the connected peers, which
-    // the driver's connection limit caps; dropped whole when bootstrap decides.
-    tried: BTreeSet<u64>,
-    /// Outstanding request: `(peer, deadline_ms)`.
-    waiting: Option<(u64, u64)>,
-}
-
-/// Progress of the background history backfill below a snapshot root: a
-/// sequential header walk from genesis toward the root against one peer at a
-/// time, bodies fetched batch by batch. Fetched blocks are stored and made
-/// servable, never connected — they sit below the root.
-#[derive(Debug)]
-struct BackfillState {
-    /// The snapshot root height; everything strictly below it is fetched.
-    target: u64,
-    /// The peer currently serving the walk.
-    peer: u64,
-    /// Deadline of the outstanding request (headers or bodies); expiry rotates
-    /// the walk to the next ready peer.
-    deadline: u64,
-    /// A `getheaders` is out and its reply pending.
-    awaiting_headers: bool,
-    /// Requested bodies not yet delivered: id → (height, kind).
-    // ng-lint: bound(header_batch)
-    expected: HashMap<Hash256, (u64, InvKind)>,
-    /// Id of the last header record fetched (leads the next locator).
-    cursor: Option<Hash256>,
-    /// The header walk reached the root; finish once `expected` drains.
-    exhausted: bool,
-    /// Blocks fetched so far.
-    fetched: u64,
 }
 
 impl Engine {
@@ -271,26 +112,34 @@ impl Engine {
         let sync = SyncScheduler::new(config.sync);
         Engine {
             config,
-            node,
-            mempool: Mempool::new(),
-            view,
-            held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
-            relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
-            backfilled: HashMap::new(),
-            peers: BTreeMap::new(),
-            overlay: Overlay::new(),
-            compact: CompactRelay::new(),
-            sync,
+            chain: Chain {
+                node,
+                mempool: Mempool::new(),
+                view,
+                storage: None,
+                last_snapshot_height: 0,
+                latest_snapshot: None,
+            },
+            relay: Relay {
+                peers: BTreeMap::new(),
+                overlay: Overlay::new(),
+                compact: CompactRelay::new(),
+                held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
+                relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
+            },
+            onboarding: Onboarding {
+                sync,
+                bootstrap,
+                backfill: None,
+                backfilled: HashMap::new(),
+                root_height,
+            },
+            fraud: Fraud {
+                micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
+                poisons: BTreeMap::new(),
+                pending_poisons: BTreeMap::new(),
+            },
             last_timer: None,
-            storage: None,
-            last_snapshot_height: 0,
-            latest_snapshot: None,
-            bootstrap,
-            backfill: None,
-            root_height,
-            micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
-            poisons: BTreeMap::new(),
-            pending_poisons: BTreeMap::new(),
         }
     }
 
@@ -349,12 +198,12 @@ impl Engine {
             if invalidated.contains(&id) {
                 continue;
             }
-            let _ = engine.node.chain_mut().restore_insert_with_id(block, id);
+            let _ = engine.chain.node.chain_mut().restore_insert_with_id(block, id);
         }
         // 2: restore undo records for every block that survived the replay.
         for (id, undo) in undos {
-            if engine.node.chain().store().contains(&id) {
-                engine.node.chain_mut().set_undo(id, undo);
+            if engine.chain.node.chain().store().contains(&id) {
+                engine.chain.node.chain_mut().set_undo(id, undo);
             }
         }
         // 3: restore the view from the newest snapshot whose anchor survived, and
@@ -362,7 +211,7 @@ impl Engine {
         let newest_height = snapshots.first().map(|s| s.height);
         let usable = snapshots
             .into_iter()
-            .find(|snap| engine.node.chain().store().contains(&snap.root.id()));
+            .find(|snap| engine.chain.node.chain().store().contains(&snap.root.id()));
         match usable {
             Some(snap) => {
                 let anchor = snap.root.id();
@@ -372,12 +221,12 @@ impl Engine {
                     snap.rolling,
                 );
                 let confirmed = snap.confirmed.into_iter().collect();
-                engine.view = ChainView::restore(&engine.config.params, anchor, utxo, confirmed);
-                engine.last_snapshot_height = newest_height.unwrap_or(snap.height);
+                engine.chain.view = ChainView::restore(&engine.config.params, anchor, utxo, confirmed);
+                engine.chain.last_snapshot_height = newest_height.unwrap_or(snap.height);
             }
             None => {
-                engine.view =
-                    ChainView::new(&engine.config.params, engine.node.chain().genesis_id());
+                engine.chain.view =
+                    ChainView::new(&engine.config.params, engine.chain.node.chain().genesis_id());
             }
         }
         engine.roll_ledger(None, &mut Vec::new());
@@ -391,8 +240,8 @@ impl Engine {
     ///
     /// [`NgParams::checkpoint_interval`]: ng_core::params::NgParams
     pub fn set_storage(&mut self, storage: Box<dyn ng_storage::ChainStorage>) {
-        self.node.chain_mut().track_newly_stored(true);
-        self.storage = Some(storage);
+        self.chain.node.chain_mut().track_newly_stored(true);
+        self.chain.storage = Some(storage);
     }
 
     /// Installs a signature [`ng_chain::sigcache::BatchExecutor`] on the ledger
@@ -404,7 +253,7 @@ impl Engine {
         &mut self,
         executor: std::sync::Arc<dyn ng_chain::sigcache::BatchExecutor>,
     ) {
-        self.view.set_batch_executor(executor);
+        self.chain.view.set_batch_executor(executor);
     }
 
     /// Feeds one input to the engine and returns the effects to execute, in order.
@@ -456,17 +305,17 @@ impl Engine {
 
     /// Read access to the underlying protocol node.
     pub fn node(&self) -> &NgNode {
-        &self.node
+        &self.chain.node
     }
 
     /// Current main-chain tip.
     pub fn tip(&self) -> Hash256 {
-        self.node.tip()
+        self.chain.node.tip()
     }
 
     /// Height of the tip.
     pub fn height(&self) -> u64 {
-        self.node.chain().store().tip_height()
+        self.chain.node.chain().store().tip_height()
     }
 
     /// Commitment to the UTXO set derived from the main chain — the convergence
@@ -477,127 +326,127 @@ impl Engine {
     /// snapshots or a harness polls convergence — never on the per-block hot path,
     /// which maintains [`ChainView::commitment`] incrementally instead.
     pub fn utxo_commitment(&self) -> Hash256 {
-        self.view.utxo().commitment()
+        self.chain.view.utxo().commitment()
     }
 
     /// The incrementally maintained UTXO ledger view.
     pub fn utxo(&self) -> &UtxoSet {
-        self.view.utxo()
+        self.chain.view.utxo()
     }
 
     /// The incremental chainstate (anchor, confirmed set, signature cache stats).
     pub fn chainstate(&self) -> &ChainView {
-        &self.view
+        &self.chain.view
     }
 
     /// Total blocks known (key + micro, excluding orphans).
     pub fn chain_len(&self) -> usize {
-        self.node.chain().len()
+        self.chain.node.chain().len()
     }
 
     /// Pending transactions in the mempool.
     pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
+        self.chain.mempool.len()
     }
 
     /// True if the transaction id is pending in the mempool.
     pub fn mempool_contains(&self, txid: &Hash256) -> bool {
-        self.mempool.contains(txid)
+        self.chain.mempool.contains(txid)
     }
 
     /// True if this node is the current leader.
     pub fn is_leader(&self) -> bool {
-        self.node.is_leader()
+        self.chain.node.is_leader()
     }
 
     /// The `(accused leader, epoch key block)` keys of every recorded poison —
     /// the fraud proofs this node has accepted and applied (§4.5).
     pub fn poisoned(&self) -> Vec<(u64, Hash256)> {
-        self.poisons.keys().copied().collect()
+        self.fraud.poisons.keys().copied().collect()
     }
 
     /// Total revenue revoked across every recorded poison (the statically
     /// determined amounts, not live balances).
     pub fn poison_revoked_total(&self) -> Amount {
-        self.poisons
+        self.fraud.poisons
             .values()
             .fold(Amount::ZERO, |acc, record| acc + record.revoked)
     }
 
     /// The node's view of the current leader.
     pub fn current_leader(&self) -> Option<u64> {
-        self.node.current_leader()
+        self.chain.node.current_leader()
     }
 
     /// Connections whose handshake completed, sorted (the expansion set for
     /// [`Effect::Broadcast`]).
     pub fn ready_peers(&self) -> Vec<u64> {
-        ready_keys(&self.peers)
+        ready_keys(&self.relay.peers)
     }
 
     /// Number of connections whose handshake completed.
     pub fn ready_peer_count(&self) -> usize {
-        self.peers.values().filter(|state| state.is_ready()).count()
+        self.relay.peers.values().filter(|state| state.is_ready()).count()
     }
 
     /// Every registered connection key, sorted (drivers tear these down on
     /// disconnect-all commands).
     pub fn connected_peers(&self) -> Vec<u64> {
-        self.peers.keys().copied().collect()
+        self.relay.peers.keys().copied().collect()
     }
 
     /// Completed sync block downloads per peer, sorted by peer key. The parallel
     /// cold-sync tests assert ≥ 2 peers contributed through this.
     pub fn sync_downloads_by_peer(&self) -> Vec<(u64, u64)> {
-        self.sync.downloads_by_peer()
+        self.onboarding.sync.downloads_by_peer()
     }
 
     /// Peers evicted from download duty so far.
     pub fn sync_evictions(&self) -> u64 {
-        self.sync.evictions()
+        self.onboarding.sync.evictions()
     }
 
     /// True while the download scheduler has outstanding work (walks, queued or
     /// in-flight blocks).
     pub fn sync_active(&self) -> bool {
-        self.sync.active()
+        self.onboarding.sync.active()
     }
 
     /// Blocks the download scheduler still has queued or in flight.
     pub fn sync_pending(&self) -> usize {
-        self.sync.pending()
+        self.onboarding.sync.pending()
     }
 
     /// True while a snapshot bootstrap is undecided.
     pub fn bootstrapping(&self) -> bool {
-        self.bootstrap.is_some()
+        self.onboarding.bootstrap.is_some()
     }
 
     /// True while the background history backfill still runs.
     pub fn backfilling(&self) -> bool {
-        self.backfill.is_some()
+        self.onboarding.backfill.is_some()
     }
 
     /// Height of the chain root (0 on a genesis-rooted chain; the pin height after
     /// a snapshot bootstrap).
     pub fn root_height(&self) -> u64 {
-        self.root_height
+        self.onboarding.root_height
     }
 
     /// The newest checkpoint snapshot held in memory, if any.
     pub fn latest_snapshot(&self) -> Option<&ng_storage::Snapshot> {
-        self.latest_snapshot.as_ref()
+        self.chain.latest_snapshot.as_ref()
     }
 
     /// Current eager-set connections of the broadcast overlay, ascending (empty
     /// unless `gossip.overlay` is on).
     pub fn overlay_eager(&self) -> Vec<u64> {
-        self.overlay.eager().collect()
+        self.relay.overlay.eager().collect()
     }
 
     /// Current lazy-set connections of the broadcast overlay, ascending.
     pub fn overlay_lazy(&self) -> Vec<u64> {
-        self.overlay.lazy().collect()
+        self.relay.overlay.lazy().collect()
     }
 
     /// Inserts a transaction straight into the mempool — no gossip, no effects.
@@ -606,14 +455,14 @@ impl Engine {
     /// exploits) without paying for a transaction flood first.
     pub fn preload_tx(&mut self, tx: Transaction) -> bool {
         let txid = tx.txid();
-        if self.mempool.contains(&txid) || self.view.is_confirmed(&txid) {
+        if self.chain.mempool.contains(&txid) || self.chain.view.is_confirmed(&txid) {
             return false;
         }
         if tx.serialized_size() as u64 > self.config.params.max_microblock_payload_bytes() {
             return false;
         }
-        match self.view.admission_fee(&tx, self.height() + 1) {
-            Ok(fee) => self.mempool.insert_with_fee(tx, fee),
+        match self.chain.view.admission_fee(&tx, self.height() + 1) {
+            Ok(fee) => self.chain.mempool.insert_with_fee(tx, fee),
             Err(_) => false,
         }
     }
@@ -621,7 +470,7 @@ impl Engine {
     // ---- connection lifecycle -------------------------------------------------
 
     fn on_connected(&mut self, peer: u64, inbound: bool, now_ms: u64, effects: &mut Vec<Effect>) {
-        if self.peers.contains_key(&peer) {
+        if self.relay.peers.contains_key(&peer) {
             return; // already registered (e.g. the driver echoes its own dial)
         }
         let state = if inbound {
@@ -640,20 +489,20 @@ impl Engine {
             });
             state
         };
-        self.peers.insert(peer, state);
+        self.relay.peers.insert(peer, state);
     }
 
     fn forget_peer(&mut self, peer: u64) {
-        self.peers.remove(&peer);
-        self.overlay.peer_gone(peer);
-        self.compact.peer_gone(peer);
-        self.sync.peer_gone(peer);
-        if let Some(boot) = self.bootstrap.as_mut() {
+        self.relay.peers.remove(&peer);
+        self.relay.overlay.peer_gone(peer);
+        self.relay.compact.peer_gone(peer);
+        self.onboarding.sync.peer_gone(peer);
+        if let Some(boot) = self.onboarding.bootstrap.as_mut() {
             if boot.waiting.is_some_and(|(waiting_on, _)| waiting_on == peer) {
                 boot.waiting = None; // ask the next candidate on the next drive
             }
         }
-        if let Some(backfill) = self.backfill.as_mut() {
+        if let Some(backfill) = self.onboarding.backfill.as_mut() {
             if backfill.peer == peer {
                 backfill.deadline = 0; // rotate to another peer on the next drive
             }
@@ -664,7 +513,7 @@ impl Engine {
 
     fn on_message(&mut self, peer: u64, message: Message, now_ms: u64, effects: &mut Vec<Effect>) {
         let height = self.height();
-        let Some(state) = self.peers.get_mut(&peer) else {
+        let Some(state) = self.relay.peers.get_mut(&peer) else {
             return; // unknown or already-forgotten connection
         };
         for action in state.on_message(message, height, now_ms) {
@@ -690,18 +539,18 @@ impl Engine {
                     // revoke the cheater and its commitment would diverge
                     // forever. Bounded by MAX_POISON_RECORDS; duplicates are
                     // dropped without relay on the receiving side.
-                    for record in self.poisons.values() {
+                    for record in self.fraud.poisons.values() {
                         effects.push(Effect::Send {
                             peer,
                             message: Message::Poison(Box::new(record.poison.clone())),
                         });
                     }
                     if self.config.gossip.overlay {
-                        self.overlay.peer_ready(peer);
+                        self.relay.overlay.peer_ready(peer);
                     }
-                    self.sync.peer_ready(peer, best_height);
-                    if self.bootstrap.is_none() {
-                        self.sync.request_sync(peer);
+                    self.onboarding.sync.peer_ready(peer, best_height);
+                    if self.onboarding.bootstrap.is_none() {
+                        self.onboarding.sync.request_sync(peer);
                     }
                 }
                 PeerAction::Disconnect(error) => {
@@ -717,7 +566,7 @@ impl Engine {
                     // An `inv`: fetch the object unless it is already here.
                     if !self.knows_object(&item) {
                         let request = self
-                            .peers
+                            .relay.peers
                             .get_mut(&peer)
                             .and_then(|state| state.request(&[item]));
                         if let Some(message) = request {
@@ -747,9 +596,9 @@ impl Engine {
     /// left the tree) — plus the below-root history the backfill fetched.
     fn served_block(&self, id: &Hash256) -> Option<&NgBlock> {
         if self.announceable(id) {
-            self.node.chain().get(id)
+            self.chain.node.chain().get(id)
         } else {
-            self.backfilled.get(id)
+            self.onboarding.backfilled.get(id)
         }
     }
 
@@ -758,10 +607,10 @@ impl Engine {
     fn servable(&self, item: &InvItem) -> Option<Message> {
         match item.kind {
             InvKind::Transaction => self
-                .mempool
+                .chain.mempool
                 .get(&item.id)
                 .map(|entry| &entry.tx)
-                .or_else(|| self.relay_memory.get(&item.id))
+                .or_else(|| self.relay.relay_memory.get(&item.id))
                 .map(|tx| Message::Tx(Box::new(tx.clone()))),
             InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(block_message),
         }
@@ -769,7 +618,7 @@ impl Engine {
 
     /// Sends `peer` the body of object `id` and notes that the remote now has it.
     fn send_object(&mut self, peer: u64, id: Hash256, message: Message, effects: &mut Vec<Effect>) {
-        if let Some(state) = self.peers.get_mut(&peer) {
+        if let Some(state) = self.relay.peers.get_mut(&peer) {
             state.mark_known(id);
         }
         effects.push(Effect::Send { peer, message });
@@ -780,9 +629,9 @@ impl Engine {
     fn knows_object(&self, item: &InvItem) -> bool {
         match item.kind {
             InvKind::Transaction => {
-                self.mempool.contains(&item.id)
-                    || self.relay_memory.contains_key(&item.id)
-                    || self.view.is_confirmed(&item.id)
+                self.chain.mempool.contains(&item.id)
+                    || self.relay.relay_memory.contains_key(&item.id)
+                    || self.chain.view.is_confirmed(&item.id)
             }
             InvKind::KeyBlock | InvKind::MicroBlock => self.holds_block(&item.id),
         }
@@ -790,7 +639,7 @@ impl Engine {
 
     /// True if the block is held, in the tree or below its root.
     fn holds_block(&self, id: &Hash256) -> bool {
-        self.node.chain().store().contains(id) || self.backfilled.contains_key(id)
+        self.chain.node.chain().store().contains(id) || self.onboarding.backfilled.contains_key(id)
     }
 
     /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
@@ -798,7 +647,7 @@ impl Engine {
     /// original `getdata` or its reply may have been lost), and the connection's
     /// in-flight dedup would otherwise suppress the retry forever.
     fn request_from(&mut self, peer: u64, items: &[InvItem], effects: &mut Vec<Effect>) {
-        let Some(state) = self.peers.get_mut(&peer) else {
+        let Some(state) = self.relay.peers.get_mut(&peer) else {
             return;
         };
         for item in items {
@@ -849,14 +698,14 @@ impl Engine {
                 self.handle_ihave(from, items, now_ms);
             }
             Message::Graft(item) => {
-                self.overlay.on_graft(from);
+                self.relay.overlay.on_graft(from);
                 // Serve the grafted block in full: the graft *is* the pull request.
                 if let Some(message) = self.served_block(&item.id).map(block_message) {
                     self.send_object(from, item.id, message, effects);
                 }
             }
             Message::Prune => {
-                self.overlay.on_prune(from);
+                self.relay.overlay.on_prune(from);
             }
             Message::Poison(poison) => {
                 self.adopt_poison(Some(from), *poison, effects);
@@ -877,19 +726,19 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         let id = compact.id();
-        if self.node.chain().store().contains(&id) {
+        if self.chain.node.chain().store().contains(&id) {
             // A second eager path delivered this block: classic Plumtree prune.
             effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
             self.prune_duplicate_link(from, effects);
             return;
         }
-        if self.compact.is_pending(&id) {
+        if self.relay.compact.is_pending(&id) {
             // Already reconstructing from an earlier announcement; a second
             // concurrent eager push of the same block is a duplicate path too.
             self.prune_duplicate_link(from, effects);
             return;
         }
-        match self.compact.begin(compact, &self.mempool, from) {
+        match self.relay.compact.begin(compact, &self.chain.mempool, from) {
             ReconstructOutcome::Complete(micro) => {
                 effects.push(Effect::Report(ReportEvent::CompactReconstructed {
                     id,
@@ -918,7 +767,7 @@ impl Engine {
         let Some(NgBlock::Micro(micro)) = self.served_block(&block) else {
             return; // never held or not servable: the requester's fallback covers it
         };
-        if let Some(txs) = relay::transactions_at(micro, indexes) {
+        if let Some(txs) = transactions_at(micro, indexes) {
             effects.push(Effect::Send {
                 peer: from,
                 message: Message::BlockTxn { block, txs },
@@ -936,7 +785,7 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         let fetched = txs.len();
-        match self.compact.resolve(&block, txs) {
+        match self.relay.compact.resolve(&block, txs) {
             None => {} // unsolicited or evicted: ignore
             Some(ReconstructOutcome::Complete(micro)) => {
                 effects.push(Effect::Report(ReportEvent::CompactReconstructed {
@@ -959,11 +808,11 @@ impl Engine {
             if !matches!(item.kind, InvKind::KeyBlock | InvKind::MicroBlock) {
                 continue;
             }
-            if self.holds_block(&item.id) || self.compact.is_pending(&item.id) {
+            if self.holds_block(&item.id) || self.relay.compact.is_pending(&item.id) {
                 continue;
             }
             // arm_timer (end of this handle pass) picks up the new deadline.
-            self.overlay.on_ihave(from, item, now_ms);
+            self.relay.overlay.on_ihave(from, item, now_ms);
         }
     }
 
@@ -976,7 +825,7 @@ impl Engine {
     /// A duplicate eager push arrived over `from`: demote the link to lazy and tell
     /// the other end to stop pushing to us (Plumtree's tree-repair move).
     fn prune_duplicate_link(&mut self, from: u64, effects: &mut Vec<Effect>) {
-        if self.config.gossip.overlay && self.overlay.on_duplicate(from) {
+        if self.config.gossip.overlay && self.relay.overlay.on_duplicate(from) {
             effects.push(Effect::Report(ReportEvent::OverlayPrune { peer: from }));
             effects.push(Effect::Send {
                 peer: from,
@@ -988,10 +837,10 @@ impl Engine {
     /// Fires overdue lazy pulls: each grafts its next advertiser back to eager and
     /// pulls the missed block over that link (the overlay's self-healing path).
     fn drive_overlay(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        if self.overlay.pending_pulls() == 0 {
+        if self.relay.overlay.pending_pulls() == 0 {
             return;
         }
-        for (item, peer) in self.overlay.expire(now_ms) {
+        for (item, peer) in self.relay.overlay.expire(now_ms) {
             effects.push(Effect::Report(ReportEvent::OverlayGraft { peer }));
             effects.push(Effect::Send {
                 peer,
@@ -1002,13 +851,13 @@ impl Engine {
 
     fn accept_tx(&mut self, from: Option<u64>, tx: Transaction, effects: &mut Vec<Effect>) -> bool {
         let txid = tx.txid();
-        if self.mempool.contains(&txid) {
+        if self.chain.mempool.contains(&txid) {
             return false;
         }
         // Gossip is multi-hop: a transaction can arrive after the microblock that
         // serialized it. Anything already on the main chain has no business in the
         // mempool.
-        if self.view.is_confirmed(&txid) {
+        if self.chain.view.is_confirmed(&txid) {
             return false;
         }
         // A transaction that cannot fit an empty microblock can never be serialized
@@ -1024,10 +873,10 @@ impl Engine {
         // its inputs resolved against the pool (signatures, vouts and value
         // conservation included); `filter_valid` re-validates the chain as a
         // sequence at production time.
-        let fee = match self.view.admission_fee(&tx, self.height() + 1) {
+        let fee = match self.chain.view.admission_fee(&tx, self.height() + 1) {
             Ok(fee) => fee,
             Err(ng_chain::error::TxError::MissingInput(outpoint))
-                if self.mempool.contains(&outpoint.txid) =>
+                if self.chain.mempool.contains(&outpoint.txid) =>
             {
                 match self.pool_chained_fee(&tx) {
                     Some(fee) => fee,
@@ -1036,10 +885,10 @@ impl Engine {
             }
             Err(_) => return false,
         };
-        if !self.mempool.insert_with_fee(tx.clone(), fee) {
+        if !self.chain.mempool.insert_with_fee(tx.clone(), fee) {
             return false;
         }
-        self.relay_memory.insert(txid, tx);
+        self.relay.relay_memory.insert(txid, tx);
         effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
         self.announce(InvItem::new(InvKind::Transaction, txid), from, effects);
         true
@@ -1052,8 +901,8 @@ impl Engine {
     /// spent-outpoint index at insert time.
     fn pool_chained_fee(&mut self, tx: &Transaction) -> Option<ng_chain::amount::Amount> {
         let height = self.height() + 1;
-        let mempool = &self.mempool;
-        self.view
+        let mempool = &self.chain.mempool;
+        self.chain.view
             .chained_admission_fee(tx, height, &|outpoint| {
                 mempool
                     .get(&outpoint.txid)
@@ -1076,16 +925,16 @@ impl Engine {
         // producer's broadcast. The old per-peer bookkeeping only credited the
         // syncing peer, leaving the in-flight entry stuck (and the block
         // re-downloaded) whenever gossip won the race.
-        let expected = self.sync.note_delivery(&id);
+        let expected = self.onboarding.sync.note_delivery(&id);
         // Likewise the overlay's pending lazy pull and any half-done compact
         // reconstruction of this block: the full copy is here.
-        self.overlay.block_arrived(&id);
-        self.compact.abandon(&id);
+        self.relay.overlay.block_arrived(&id);
+        self.relay.compact.abandon(&id);
         let micro_key = match &block {
             NgBlock::Micro(mb) => Some((mb.header.prev, mb.header.leader)),
             NgBlock::Key(_) => None,
         };
-        match self.node.on_block(block, now_ms) {
+        match self.chain.node.on_block(block, now_ms) {
             Ok(InsertOutcome::Accepted {
                 tip_changed, reorg, ..
             }) => {
@@ -1101,7 +950,7 @@ impl Engine {
                 // node cannot vouch for, and an honest relay must never take the
                 // punishment for a Byzantine block it merely forwarded. Side-branch
                 // blocks are held back and announced if their branch later wins.
-                if self.node.chain().store().contains(&id) {
+                if self.chain.node.chain().store().contains(&id) {
                     effects.push(Effect::Report(ReportEvent::BlockAccepted {
                         id,
                         tip_changed,
@@ -1110,7 +959,7 @@ impl Engine {
                     if self.announceable(&id) {
                         self.announce_block(id, from, effects);
                     } else {
-                        self.held_back.insert(id, ());
+                        self.relay.held_back.insert(id, ());
                     }
                     self.flush_held_back(effects);
                     // A stored sibling microblock under the same (parent, leader)
@@ -1120,7 +969,7 @@ impl Engine {
                     }
                     // Parked poisons may have been waiting for exactly this block
                     // to attribute their epoch.
-                    if let Some(parked) = self.pending_poisons.remove(&id) {
+                    if let Some(parked) = self.fraud.pending_poisons.remove(&id) {
                         for (_, poison) in parked {
                             self.adopt_poison(None, poison, effects);
                         }
@@ -1138,7 +987,7 @@ impl Engine {
                 effects.push(Effect::Report(ReportEvent::BlockOrphaned { id }));
                 // Remember the id so the block is announced once its ancestors
                 // arrive (the chain layer adopts it without telling us).
-                self.held_back.insert(id, ());
+                self.relay.held_back.insert(id, ());
                 // We are missing history; a header walk fills the gap — unless the
                 // scheduler expected this block, in which case its ancestors are
                 // already queued or in flight. The walk nominally targets the
@@ -1147,7 +996,7 @@ impl Engine {
                 // behind (it relayed before syncing itself) or Byzantine.
                 if let Some(from) = from {
                     if !expected {
-                        self.sync.request_sync(from);
+                        self.onboarding.sync.request_sync(from);
                     }
                 }
             }
@@ -1165,11 +1014,11 @@ impl Engine {
     /// reconstruction work.
     fn announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
         // The peer that delivered the object obviously has it already.
-        if let Some(source) = from.and_then(|source| self.peers.get_mut(&source)) {
+        if let Some(source) = from.and_then(|source| self.relay.peers.get_mut(&source)) {
             source.mark_known(item.id);
         }
         let targets: Vec<u64> = self
-            .peers
+            .relay.peers
             .iter_mut()
             .filter_map(|(peer, state)| state.offer(item.id).then_some(*peer))
             .collect();
@@ -1189,7 +1038,7 @@ impl Engine {
     /// Announces a tree block: over the eager/lazy overlay when it is on, with a
     /// plain `inv` otherwise.
     fn announce_block(&mut self, id: Hash256, from: Option<u64>, effects: &mut Vec<Effect>) {
-        let Some(block) = self.node.chain().get(&id) else {
+        let Some(block) = self.chain.node.chain().get(&id) else {
             return;
         };
         let kind = if block.is_key() {
@@ -1209,19 +1058,19 @@ impl Engine {
     /// one-item `ihave` to the lazy set, the source link excluded from both.
     fn overlay_announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
         let id = item.id;
-        if let Some(source) = from.and_then(|source| self.peers.get_mut(&source)) {
+        if let Some(source) = from.and_then(|source| self.relay.peers.get_mut(&source)) {
             source.mark_known(id);
         }
         // Only links that actually receive the body are marked as knowing it.
-        let mut eager = self.overlay.push_targets(from);
-        eager.retain(|peer| self.peers.get_mut(peer).is_some_and(|state| state.offer(id)));
+        let mut eager = self.relay.overlay.push_targets(from);
+        eager.retain(|peer| self.relay.peers.get_mut(peer).is_some_and(|state| state.offer(id)));
         if !eager.is_empty() {
-            let Some(block) = self.node.chain().get(&id) else {
+            let Some(block) = self.chain.node.chain().get(&id) else {
                 return;
             };
             let compact = match block {
                 NgBlock::Micro(micro) if self.config.gossip.compact => {
-                    let salt = relay::announcement_salt(self.config.id, &id);
+                    let salt = announcement_salt(self.config.id, &id);
                     CompactMicroBlock::from_micro(micro, salt)
                 }
                 _ => None,
@@ -1237,10 +1086,10 @@ impl Engine {
                 });
             }
         }
-        for peer in self.overlay.lazy_targets(from) {
+        for peer in self.relay.overlay.lazy_targets(from) {
             // An `ihave` does not transfer the block, so the peer is *not* marked
             // as knowing it — a later graft must still be served.
-            if self.peers.get(&peer).is_some_and(|state| state.is_ready() && !state.knows(&id)) {
+            if self.relay.peers.get(&peer).is_some_and(|state| state.is_ready() && !state.knows(&id)) {
                 effects.push(Effect::Send {
                     peer,
                     message: Message::IHave(vec![item]),
@@ -1254,11 +1103,11 @@ impl Engine {
     /// was validated by this node's ledger (it sits on the main chain). A node never
     /// vouches for a microblock it has not validated.
     fn announceable(&self, id: &Hash256) -> bool {
-        match self.node.chain().get(id) {
+        match self.chain.node.chain().get(id) {
             None => false,
             Some(NgBlock::Key(_)) => true,
             Some(NgBlock::Micro(_)) => {
-                !self.view.validating() || self.node.chain().store().is_in_main_chain(id)
+                !self.chain.view.validating() || self.chain.node.chain().store().is_in_main_chain(id)
             }
         }
     }
@@ -1267,11 +1116,11 @@ impl Engine {
     /// (under full validation) side-branch microblocks whose branch has since won
     /// and been validated.
     fn flush_held_back(&mut self, effects: &mut Vec<Effect>) {
-        if self.held_back.is_empty() {
+        if self.relay.held_back.is_empty() {
             return;
         }
         let mut adopted: Vec<Hash256> = self
-            .held_back
+            .relay.held_back
             .keys()
             .filter(|id| self.announceable(id))
             .copied()
@@ -1279,7 +1128,7 @@ impl Engine {
         // Sorted so the announcement order does not depend on arrival order.
         adopted.sort_unstable();
         for id in adopted {
-            self.held_back.remove(&id);
+            self.relay.held_back.remove(&id);
             self.announce_block(id, None, effects);
         }
     }
@@ -1298,20 +1147,20 @@ impl Engine {
         id: Hash256,
         effects: &mut Vec<Effect>,
     ) {
-        match self.micro_sightings.get(&key).copied() {
+        match self.fraud.micro_sightings.get(&key).copied() {
             None => {
-                self.micro_sightings.insert(key, id);
+                self.fraud.micro_sightings.insert(key, id);
             }
             Some(first) if first == id => {}
             Some(first) => {
-                let chain = self.node.chain();
+                let chain = self.chain.node.chain();
                 let (Some(a), Some(b)) = (
                     chain.get(&first).and_then(NgBlock::as_micro),
                     chain.get(&id).and_then(NgBlock::as_micro),
                 ) else {
                     return;
                 };
-                let Some(poison) = self.node.build_poison(a, b) else {
+                let Some(poison) = self.chain.node.build_poison(a, b) else {
                     return;
                 };
                 effects.push(Effect::Report(ReportEvent::PoisonDetected {
@@ -1335,7 +1184,7 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         let txid = poison.txid();
-        let (epoch_id, revoked) = match self.node.validate_poison(&poison) {
+        let (epoch_id, revoked) = match self.chain.node.validate_poison(&poison) {
             Ok(verdict) => verdict,
             Err(err @ PoisonError::UnknownParent) => {
                 // Transient: this node is behind and cannot attribute the epoch
@@ -1362,7 +1211,7 @@ impl Engine {
             }
         };
         let key = (poison.accused_leader, epoch_id);
-        match self.poisons.get(&key) {
+        match self.fraud.poisons.get(&key) {
             Some(existing) if existing.txid <= txid => {
                 // A duplicate of the canonical poison, or a losing competitor:
                 // drop without relaying, so the flood terminates.
@@ -1383,18 +1232,18 @@ impl Engine {
                 // late competitor is rejected instead; the network keeps the
                 // incumbent it converged on.
                 let old_outpoint = OutPoint::new(existing.txid, 0);
-                if self.view.bounty_spent(&old_outpoint) {
+                if self.chain.view.bounty_spent(&old_outpoint) {
                     effects.push(Effect::Report(ReportEvent::PoisonRejected {
                         reason: "canonical poison bounty already spent; competitor too late"
                             .to_string(),
                     }));
                     return;
                 }
-                self.view.revert_poison_reward(&old_outpoint);
-                self.poisons.remove(&key);
+                self.chain.view.revert_poison_reward(&old_outpoint);
+                self.fraud.poisons.remove(&key);
             }
             None => {
-                if self.poisons.len() >= MAX_POISON_RECORDS {
+                if self.fraud.poisons.len() >= MAX_POISON_RECORDS {
                     effects.push(Effect::Report(ReportEvent::PoisonRejected {
                         reason: "poison record capacity reached".to_string(),
                     }));
@@ -1402,7 +1251,7 @@ impl Engine {
                 }
             }
         }
-        let Some(epoch_height) = self.node.chain().store().height_of(&epoch_id) else {
+        let Some(epoch_height) = self.chain.node.chain().store().height_of(&epoch_id) else {
             effects.push(Effect::Report(ReportEvent::PoisonRejected {
                 reason: "epoch key block height unknown".to_string(),
             }));
@@ -1410,7 +1259,7 @@ impl Engine {
         };
         let reward =
             poison_effect(poison.accused_leader, revoked, &self.config.params).poisoner_reward;
-        self.poisons.insert(
+        self.fraud.poisons.insert(
             key,
             PoisonRecord {
                 poison: poison.clone(),
@@ -1436,7 +1285,7 @@ impl Engine {
     /// parents — deterministic, and the entry least likely to win adoption.
     fn park_poison(&mut self, txid: Hash256, poison: PoisonTransaction) {
         let parent = poison.parent();
-        let list = self.pending_poisons.entry(parent).or_default();
+        let list = self.fraud.pending_poisons.entry(parent).or_default();
         if let Err(at) = list.binary_search_by(|(parked, _)| parked.cmp(&txid)) {
             if at < MAX_PENDING_PER_PARENT {
                 list.insert(at, (txid, poison));
@@ -1444,26 +1293,26 @@ impl Engine {
             }
         }
         if list.is_empty() {
-            self.pending_poisons.remove(&parent);
+            self.fraud.pending_poisons.remove(&parent);
             return;
         }
         loop {
-            let total: usize = self.pending_poisons.values().map(Vec::len).sum();
+            let total: usize = self.fraud.pending_poisons.values().map(Vec::len).sum();
             if total <= MAX_PENDING_POISONS {
                 break;
             }
             let Some((_, worst_parent)) = self
-                .pending_poisons
+                .fraud.pending_poisons
                 .iter()
                 .filter_map(|(p, l)| l.last().map(|(t, _)| (*t, *p)))
                 .max()
             else {
                 break;
             };
-            if let Some(l) = self.pending_poisons.get_mut(&worst_parent) {
+            if let Some(l) = self.fraud.pending_poisons.get_mut(&worst_parent) {
                 l.pop();
                 if l.is_empty() {
-                    self.pending_poisons.remove(&worst_parent);
+                    self.fraud.pending_poisons.remove(&worst_parent);
                 }
             }
         }
@@ -1481,16 +1330,16 @@ impl Engine {
     /// effect of a poison is a pure function of (main chain, poison set) and
     /// every honest node's commitment converges.
     fn assert_poisons(&mut self) {
-        if self.poisons.is_empty() {
+        if self.fraud.poisons.is_empty() {
             return;
         }
-        for record in self.poisons.values() {
+        for record in self.fraud.poisons.values() {
             let reward_outpoint = OutPoint::new(record.txid, 0);
-            if self.node.chain().store().is_in_main_chain(&record.epoch_id) {
-                let Some(NgBlock::Key(kb)) = self.node.chain().get(&record.epoch_id) else {
+            if self.chain.node.chain().store().is_in_main_chain(&record.epoch_id) {
+                let Some(NgBlock::Key(kb)) = self.chain.node.chain().get(&record.epoch_id) else {
                     continue;
                 };
-                self.view.apply_poison_revocation(
+                self.chain.view.apply_poison_revocation(
                     kb,
                     record.epoch_id,
                     record.epoch_height,
@@ -1499,7 +1348,7 @@ impl Engine {
                     KeyPair::from_id(record.poison.poisoner).address(),
                 );
             } else {
-                self.view.revert_poison_reward(&reward_outpoint);
+                self.chain.view.revert_poison_reward(&reward_outpoint);
             }
         }
     }
@@ -1552,8 +1401,8 @@ impl Engine {
         let mut delta = crate::chainstate::SyncDelta::default();
         let mut sender_misbehaved = false;
         loop {
-            let target = self.node.tip();
-            match self.view.sync_into(self.node.chain_mut(), target, &mut delta) {
+            let target = self.chain.node.tip();
+            match self.chain.view.sync_into(self.chain.node.chain_mut(), target, &mut delta) {
                 Ok(()) => break,
                 Err(crate::chainstate::SyncError::Connect(error)) => {
                     if let Some((_, delivered)) = from {
@@ -1563,8 +1412,8 @@ impl Engine {
                         id: error.block,
                     }));
                     self.persist_invalidated(&error.block, effects);
-                    for gone in self.node.chain_mut().invalidate(&error.block) {
-                        self.held_back.remove(&gone);
+                    for gone in self.chain.node.chain_mut().invalidate(&error.block) {
+                        self.relay.held_back.remove(&gone);
                     }
                 }
                 Err(crate::chainstate::SyncError::UnwindableBlock { .. }) => {
@@ -1574,13 +1423,13 @@ impl Engine {
                     // rewind: invalidating the candidate tip re-selects the best
                     // tip elsewhere, and the loop converges because each pass
                     // removes at least one block from the tree.
-                    let gone_tip = self.node.tip();
+                    let gone_tip = self.chain.node.tip();
                     effects.push(Effect::Report(ReportEvent::BlockRejected {
                         id: gone_tip,
                     }));
                     self.persist_invalidated(&gone_tip, effects);
-                    for gone in self.node.chain_mut().invalidate(&gone_tip) {
-                        self.held_back.remove(&gone);
+                    for gone in self.chain.node.chain_mut().invalidate(&gone_tip) {
+                        self.relay.held_back.remove(&gone);
                     }
                 }
             }
@@ -1591,8 +1440,8 @@ impl Engine {
         // The roll may also have made a parked proof attributable (its fork point
         // connected as part of a multi-block adoption). Retry the whole parked
         // set; anything still unattributable re-parks via the same bounded path.
-        if !self.pending_poisons.is_empty() {
-            let parked: Vec<PoisonTransaction> = std::mem::take(&mut self.pending_poisons)
+        if !self.fraud.pending_poisons.is_empty() {
+            let parked: Vec<PoisonTransaction> = std::mem::take(&mut self.fraud.pending_poisons)
                 .into_values()
                 .flatten()
                 .map(|(_, poison)| poison)
@@ -1618,13 +1467,13 @@ impl Engine {
             // whose parent was just re-admitted resolves through the pool.
             for tx in delta.disconnected_txs {
                 let txid = tx.txid();
-                if self.view.is_confirmed(&txid) || self.mempool.contains(&txid) {
+                if self.chain.view.is_confirmed(&txid) || self.chain.mempool.contains(&txid) {
                     continue;
                 }
-                let fee = match self.view.admission_fee(&tx, self.height() + 1) {
+                let fee = match self.chain.view.admission_fee(&tx, self.height() + 1) {
                     Ok(fee) => Some(fee),
                     Err(ng_chain::error::TxError::MissingInput(outpoint))
-                        if self.mempool.contains(&outpoint.txid) =>
+                        if self.chain.mempool.contains(&outpoint.txid) =>
                     {
                         self.pool_chained_fee(&tx)
                     }
@@ -1637,7 +1486,7 @@ impl Engine {
                     Err(_) => None,
                 };
                 if let Some(fee) = fee {
-                    self.mempool.insert_with_fee(tx, fee);
+                    self.chain.mempool.insert_with_fee(tx, fee);
                 }
             }
             // A retried roll can have connected a block and then disconnected it
@@ -1646,10 +1495,10 @@ impl Engine {
             let confirmed_now: Vec<Hash256> = delta
                 .connected_txids
                 .iter()
-                .filter(|txid| self.view.is_confirmed(txid))
+                .filter(|txid| self.chain.view.is_confirmed(txid))
                 .copied()
                 .collect();
-            self.mempool.remove_all(confirmed_now.iter());
+            self.chain.mempool.remove_all(confirmed_now.iter());
         }
         if sender_misbehaved {
             if let Some((peer, _)) = from {
@@ -1673,7 +1522,7 @@ impl Engine {
 
     /// Logs an invalidation to the WAL so recovery never re-adopts the block.
     fn persist_invalidated(&mut self, id: &Hash256, effects: &mut Vec<Effect>) {
-        let Some(storage) = self.storage.as_mut() else {
+        let Some(storage) = self.chain.storage.as_mut() else {
             return;
         };
         if let Err(err) = storage.note_invalidated(id) {
@@ -1690,11 +1539,11 @@ impl Engine {
         // One binding up front: `storage` borrows only the `storage` field, so
         // the chain accesses below stay legal and no panicking re-unwrap of the
         // option is ever needed.
-        let Some(storage) = self.storage.as_mut() else {
+        let Some(storage) = self.chain.storage.as_mut() else {
             return;
         };
-        for id in self.node.chain_mut().drain_newly_stored() {
-            let Some(stored) = self.node.chain().store().get(&id) else {
+        for id in self.chain.node.chain_mut().drain_newly_stored() {
+            let Some(stored) = self.chain.node.chain().store().get(&id) else {
                 // Inserted, then invalidated before this roll completed: the
                 // WAL's invalidation record (already written) covers it.
                 continue;
@@ -1710,18 +1559,18 @@ impl Engine {
         for id in &delta.connected_block_ids {
             // A retried roll can have disconnected (or invalidated) a block it
             // connected earlier; only blocks with a live undo are re-persisted.
-            let Some(undo) = self.node.chain().undo_of(id) else {
+            let Some(undo) = self.chain.node.chain().undo_of(id) else {
                 continue;
             };
             let undo = undo.clone();
-            let height = self.node.chain().store().height_of(id).unwrap_or(0);
+            let height = self.chain.node.chain().store().height_of(id).unwrap_or(0);
             if let Err(err) = storage.store_undo(id, height, &undo) {
                 Self::report_storage_failure(err, effects);
             }
         }
-        let anchor = self.view.anchor();
+        let anchor = self.chain.view.anchor();
         let anchor_height = self
-            .node
+            .chain.node
             .chain()
             .store()
             .get(&anchor)
@@ -1730,7 +1579,7 @@ impl Engine {
         let roll = ng_storage::RollCommit {
             anchor,
             anchor_height,
-            rolling: self.view.commitment(),
+            rolling: self.chain.view.commitment(),
             disconnected: delta.disconnected_block_ids.clone(),
             connected: delta.connected_block_ids.clone(),
         };
@@ -1749,15 +1598,15 @@ impl Engine {
     ///
     /// [`NgParams::checkpoint_interval`]: ng_core::params::NgParams
     fn maybe_checkpoint(&mut self, effects: &mut Vec<Effect>) {
-        if self.storage.is_none() && !self.config.serve_snapshots {
+        if self.chain.storage.is_none() && !self.config.serve_snapshots {
             return;
         }
-        let anchor = self.view.anchor();
-        let Some(stored) = self.node.chain().store().get(&anchor) else {
+        let anchor = self.chain.view.anchor();
+        let Some(stored) = self.chain.node.chain().store().get(&anchor) else {
             return;
         };
         let height = stored.height;
-        if height < self.last_snapshot_height + self.config.params.checkpoint_interval {
+        if height < self.chain.last_snapshot_height + self.config.params.checkpoint_interval {
             return;
         }
         let Some(root) = stored.block.as_key().cloned() else {
@@ -1765,14 +1614,14 @@ impl Engine {
         };
         let total_work = stored.total_work;
         let mut entries: Vec<_> = self
-            .view
+            .chain.view
             .utxo()
             .iter()
             .map(|(outpoint, entry)| (*outpoint, *entry))
             .collect();
         entries.sort_unstable_by_key(|(outpoint, _)| *outpoint);
         let mut confirmed: Vec<_> = self
-            .view
+            .chain.view
             .confirmed_counts()
             .iter()
             .map(|(txid, count)| (*txid, *count))
@@ -1782,20 +1631,20 @@ impl Engine {
             root,
             height,
             total_work,
-            rolling: self.view.commitment(),
-            sorted: self.view.utxo().commitment(),
+            rolling: self.chain.view.commitment(),
+            sorted: self.chain.view.utxo().commitment(),
             entries,
             confirmed,
         };
-        if let Some(storage) = self.storage.as_mut() {
+        if let Some(storage) = self.chain.storage.as_mut() {
             if let Err(err) = storage.store_snapshot(&snapshot) {
                 // Do not advance the cadence: the next roll retries the write.
                 Self::report_storage_failure(err, effects);
                 return;
             }
         }
-        self.last_snapshot_height = height;
-        self.latest_snapshot = Some(snapshot);
+        self.chain.last_snapshot_height = height;
+        self.chain.latest_snapshot = Some(snapshot);
         effects.push(Effect::Report(ReportEvent::CheckpointWritten { height }));
     }
 
@@ -1806,10 +1655,10 @@ impl Engine {
     /// a long-lived node's undo map O(finality depth) instead of O(chain length).
     fn advance_finality(&mut self) {
         let depth = self.config.params.finality_depth;
-        let tip_height = self.node.chain().store().tip_height();
+        let tip_height = self.chain.node.chain().store().tip_height();
         let fin_height = tip_height.saturating_sub(depth);
         let current = self
-            .node
+            .chain.node
             .chain()
             .finalized()
             .map(|(height, _)| height)
@@ -1817,12 +1666,12 @@ impl Engine {
         if fin_height <= current {
             return;
         }
-        let tip = self.node.tip();
-        let Some(fin_id) = self.node.chain().store().ancestor_at(&tip, fin_height) else {
+        let tip = self.chain.node.tip();
+        let Some(fin_id) = self.chain.node.chain().store().ancestor_at(&tip, fin_height) else {
             return;
         };
-        self.node.chain_mut().set_finalized(&fin_id);
-        self.node.chain_mut().prune_undo(fin_height);
+        self.chain.node.chain_mut().set_finalized(&fin_id);
+        self.chain.node.chain_mut().prune_undo(fin_height);
     }
 
     // ---- sync: headers-first download, snapshot bootstrap, backfill -----------
@@ -1834,16 +1683,16 @@ impl Engine {
     /// background backfill.
     fn drive_sync(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
         self.drive_bootstrap(now_ms, effects);
-        if self.bootstrap.is_some() {
+        if self.onboarding.bootstrap.is_some() {
             return;
         }
         // The connect frontier caps how far ahead assignments may run: arrivals
         // beyond it sit in the bounded orphan buffer until the gap closes.
-        let frontier = self.node.chain().store().tip_height();
-        for command in self.sync.plan(now_ms, frontier) {
+        let frontier = self.chain.node.chain().store().tip_height();
+        for command in self.onboarding.sync.plan(now_ms, frontier) {
             match command {
                 SyncCommand::RequestHeaders { peer, lead } => {
-                    let mut locator = build_locator(&self.node.chain().store().main_chain());
+                    let mut locator = build_locator(&self.chain.node.chain().store().main_chain());
                     if let Some(lead) = lead {
                         locator.insert(0, lead);
                     }
@@ -1872,7 +1721,7 @@ impl Engine {
     /// pinned snapshot, rotate on timeout or an honest miss, and fall back to a
     /// full parallel block download once every connected peer has been tried.
     fn drive_bootstrap(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let Some(boot) = self.bootstrap.as_mut() else {
+        let Some(boot) = self.onboarding.bootstrap.as_mut() else {
             return;
         };
         if let Some((_, deadline)) = boot.waiting {
@@ -1881,7 +1730,7 @@ impl Engine {
             }
             boot.waiting = None; // expired: the candidate never answered
         }
-        let ready = ready_keys(&self.peers);
+        let ready = ready_keys(&self.relay.peers);
         if let Some(candidate) = ready.iter().copied().find(|p| !boot.tried.contains(p)) {
             boot.tried.insert(candidate);
             boot.waiting = Some((candidate, now_ms + self.config.sync.request_timeout_ms));
@@ -1897,9 +1746,9 @@ impl Engine {
         }
         // Every connected peer was tried and none served the pin: give up on the
         // shortcut and sync the whole chain the normal way.
-        self.bootstrap = None;
+        self.onboarding.bootstrap = None;
         for peer in ready {
-            self.sync.request_sync(peer);
+            self.onboarding.sync.request_sync(peer);
         }
     }
 
@@ -1909,12 +1758,12 @@ impl Engine {
     /// waiting out a timeout.
     fn serve_snapshot(&mut self, peer: u64, height: u64, effects: &mut Vec<Effect>) {
         let snapshot = self
-            .latest_snapshot
+            .chain.latest_snapshot
             .as_ref()
             .filter(|snap| snap.height == height)
             .cloned()
             .or_else(|| {
-                self.storage
+                self.chain.storage
                     .as_mut()
                     .and_then(|storage| storage.latest_snapshot().ok().flatten())
                     .filter(|snap| snap.height == height)
@@ -1948,7 +1797,7 @@ impl Engine {
         now_ms: u64,
         effects: &mut Vec<Effect>,
     ) {
-        let Some(boot) = self.bootstrap.as_mut() else {
+        let Some(boot) = self.onboarding.bootstrap.as_mut() else {
             return;
         };
         if boot.waiting.is_none_or(|(peer, _)| peer != from) {
@@ -2024,14 +1873,14 @@ impl Engine {
             snapshot.height,
             snapshot.total_work,
         );
-        self.node = NgNode::from_chain(self.config.id, chain);
-        if self.storage.is_some() {
-            self.node.chain_mut().track_newly_stored(true);
+        self.chain.node = NgNode::from_chain(self.config.id, chain);
+        if self.chain.storage.is_some() {
+            self.chain.node.chain_mut().track_newly_stored(true);
         }
         let confirmed: HashMap<Hash256, u32> = snapshot.confirmed.iter().copied().collect();
-        self.view = ChainView::restore(&self.config.params, pin.root, utxo, confirmed);
-        self.held_back.clear();
-        self.mempool = Mempool::new();
+        self.chain.view = ChainView::restore(&self.config.params, pin.root, utxo, confirmed);
+        self.relay.held_back.clear();
+        self.chain.mempool = Mempool::new();
         // Keep the applied snapshot in durable-snapshot form: this node can now
         // serve the same bootstrap to the next fresh joiner.
         let mut entries = snapshot.entries.clone();
@@ -2042,12 +1891,12 @@ impl Engine {
             root: root.clone(),
             height: snapshot.height,
             total_work: snapshot.total_work,
-            rolling: self.view.commitment(),
+            rolling: self.chain.view.commitment(),
             sorted: pin.sorted,
             entries,
             confirmed: confirmed_sorted,
         };
-        if let Some(storage) = self.storage.as_mut() {
+        if let Some(storage) = self.chain.storage.as_mut() {
             if let Err(err) = storage.store_block(&NgBlock::Key(root.clone()), snapshot.height) {
                 Self::report_storage_failure(err, effects);
             }
@@ -2055,24 +1904,24 @@ impl Engine {
                 Self::report_storage_failure(err, effects);
             }
         }
-        self.latest_snapshot = Some(stored);
-        self.last_snapshot_height = snapshot.height;
-        self.root_height = snapshot.height;
-        self.bootstrap = None;
+        self.chain.latest_snapshot = Some(stored);
+        self.chain.last_snapshot_height = snapshot.height;
+        self.onboarding.root_height = snapshot.height;
+        self.onboarding.bootstrap = None;
         effects.push(Effect::Report(ReportEvent::SnapshotApplied {
             height: snapshot.height,
         }));
         // Everything scheduled so far targeted the genesis root and can never
         // connect; start clean walks from the snapshot root instead.
-        self.sync.reset_downloads();
+        self.onboarding.sync.reset_downloads();
         let ready = self.ready_peers();
         for peer in &ready {
-            self.sync.request_sync(*peer);
+            self.onboarding.sync.request_sync(*peer);
         }
         // Background backfill of pre-root history, so this node can serve full
         // syncs too. Deadline `now` makes the next drive issue the first request.
         if let Some(first) = ready.first() {
-            self.backfill = Some(BackfillState {
+            self.onboarding.backfill = Some(BackfillState {
                 target: snapshot.height,
                 peer: *first,
                 deadline: now_ms,
@@ -2089,12 +1938,12 @@ impl Engine {
     /// plain sequential walk — one `getheaders` below the root, then the bodies —
     /// because it is off the critical path: the node is already at the tip.
     fn drive_backfill(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let Some(bf) = self.backfill.as_mut() else {
+        let Some(bf) = self.onboarding.backfill.as_mut() else {
             return;
         };
         if bf.exhausted && bf.expected.is_empty() && !bf.awaiting_headers {
             let blocks = bf.fetched;
-            self.backfill = None;
+            self.onboarding.backfill = None;
             effects.push(Effect::Report(ReportEvent::BackfillCompleted { blocks }));
             return;
         }
@@ -2102,7 +1951,7 @@ impl Engine {
         if outstanding && now_ms < bf.deadline {
             return;
         }
-        let ready = ready_keys(&self.peers);
+        let ready = ready_keys(&self.relay.peers);
         let Some(first) = ready.first().copied() else {
             return;
         };
@@ -2149,7 +1998,7 @@ impl Engine {
         now_ms: u64,
         effects: &mut Vec<Effect>,
     ) -> bool {
-        let Some(bf) = self.backfill.as_mut() else {
+        let Some(bf) = self.onboarding.backfill.as_mut() else {
             return false;
         };
         if bf.peer != peer || !bf.awaiting_headers {
@@ -2171,12 +2020,12 @@ impl Engine {
             || (records.len() as u32) < self.config.header_batch;
         let mut fresh: Vec<(u64, InvItem)> = Vec::new();
         for record in wanted {
-            if self.backfilled.contains_key(&record.id) || bf.expected.contains_key(&record.id) {
+            if self.onboarding.backfilled.contains_key(&record.id) || bf.expected.contains_key(&record.id) {
                 continue;
             }
             // One block per height below the root is all of history; a server
             // describing more is lying, and `backfilled` must stay bounded.
-            if (self.backfilled.len() + bf.expected.len()) as u64 >= bf.target {
+            if (self.onboarding.backfilled.len() + bf.expected.len()) as u64 >= bf.target {
                 bf.exhausted = true;
                 break;
             }
@@ -2202,19 +2051,19 @@ impl Engine {
     /// Everything else is offered to the chain.
     fn on_block(&mut self, from: u64, block: NgBlock, now_ms: u64, effects: &mut Vec<Effect>) {
         let id = block.id();
-        let claimed = self.backfill.as_mut().and_then(|bf| {
+        let claimed = self.onboarding.backfill.as_mut().and_then(|bf| {
             let (height, _) = bf.expected.remove(&id)?;
             bf.fetched += 1;
             Some(height)
         });
         if let Some(height) = claimed {
-            if let Some(storage) = self.storage.as_mut() {
+            if let Some(storage) = self.chain.storage.as_mut() {
                 if let Err(err) = storage.store_block(&block, height) {
                     Self::report_storage_failure(err, effects);
                 }
             }
-            self.backfilled.insert(id, block);
-        } else if !self.backfilled.contains_key(&id) {
+            self.onboarding.backfilled.insert(id, block);
+        } else if !self.onboarding.backfilled.contains_key(&id) {
             // (A re-delivered copy of an already-backfilled block is dropped.)
             self.accept_block(Some(from), block, now_ms, effects);
         }
@@ -2228,12 +2077,12 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         effects.push(Effect::Report(ReportEvent::SyncRequestServed { peer }));
-        let chain = self.node.chain().store().main_chain();
+        let chain = self.chain.node.chain().store().main_chain();
         let limit = (limit as usize).clamp(1, 4096);
         let records: Vec<HeaderRecord> = ids_after_locator(&chain, locator, limit)
             .iter()
             .filter_map(|id| {
-                let stored = self.node.chain().store().get(id)?;
+                let stored = self.chain.node.chain().store().get(id)?;
                 Some(HeaderRecord {
                     id: *id,
                     prev: stored.block.prev(),
@@ -2270,7 +2119,7 @@ impl Engine {
         // store holds no history there); they are the backfill's business, not the
         // forward sync's. Feeding the remainder with a correspondingly reduced
         // limit preserves the "partial batch means tip reached" signal.
-        let root_height = self.root_height;
+        let root_height = self.onboarding.root_height;
         let forward: Vec<HeaderRecord> = records
             .iter()
             .filter(|r| r.height > root_height)
@@ -2286,14 +2135,14 @@ impl Engine {
         } else {
             self.config.header_batch.saturating_sub(dropped)
         };
-        let store = self.node.chain().store();
-        self.sync.on_headers(peer, &forward, limit, |id| store.contains(id));
+        let store = self.chain.node.chain().store();
+        self.onboarding.sync.on_headers(peer, &forward, limit, |id| store.contains(id));
     }
 
     // ---- block production -----------------------------------------------------
 
     fn mine_key_block(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let kb = self.node.mine_and_adopt_key_block(now_ms);
+        let kb = self.chain.node.mine_and_adopt_key_block(now_ms);
         self.roll_ledger(None, effects);
         let id = kb.id();
         effects.push(Effect::Report(ReportEvent::KeyBlockMined { id }));
@@ -2306,11 +2155,11 @@ impl Engine {
         require_transactions: bool,
         effects: &mut Vec<Effect>,
     ) -> Option<Hash256> {
-        if !self.node.microblock_ready(now_ms) {
+        if !self.chain.node.microblock_ready(now_ms) {
             return None;
         }
         let budget = self.config.params.max_microblock_payload_bytes() as usize;
-        let selected = self.mempool.select_fifo(budget);
+        let selected = self.chain.mempool.select_fifo(budget);
         // Under full validation the payload must validate as a sequence against the
         // live view — a pooled transaction can have gone stale (its input spent on
         // a reorged-in branch). Hopelessly stale ones are dropped from the pool
@@ -2319,12 +2168,12 @@ impl Engine {
         // invalid: a child whose missing input another pooled transaction still
         // provides (merely ordered ahead of its parent this round), and a coinbase
         // spend a reorg pushed back below maturity (valid again in a few blocks).
-        let (txs, rejected) = self.view.filter_valid(selected, self.height() + 1);
+        let (txs, rejected) = self.chain.view.filter_valid(selected, self.height() + 1);
         let stale: Vec<Hash256> = rejected
             .into_iter()
             .filter(|(_, error)| match error {
                 ng_chain::error::TxError::MissingInput(outpoint) => {
-                    !self.mempool.contains(&outpoint.txid)
+                    !self.chain.mempool.contains(&outpoint.txid)
                 }
                 ng_chain::error::TxError::ImmatureCoinbase { .. } => false,
                 _ => true,
@@ -2332,16 +2181,16 @@ impl Engine {
             .map(|(txid, _)| txid)
             .collect();
         if !stale.is_empty() {
-            self.mempool.remove_all(stale.iter());
+            self.chain.mempool.remove_all(stale.iter());
         }
         if require_transactions && txs.is_empty() {
             return None;
         }
         let txids: Vec<Hash256> = txs.iter().map(|t| t.txid()).collect();
         let micro = self
-            .node
+            .chain.node
             .produce_microblock(now_ms, Payload::Transactions(txs))?;
-        self.mempool.remove_all(txids.iter());
+        self.chain.mempool.remove_all(txids.iter());
         self.roll_ledger(None, effects);
         let id = micro.id();
         effects.push(Effect::Report(ReportEvent::MicroblockProduced { id }));
@@ -2354,7 +2203,7 @@ impl Engine {
         if !self.config.auto_microblocks {
             return;
         }
-        while !self.mempool.is_empty() && self.produce_microblock(now_ms, true, effects).is_some() {}
+        while !self.chain.mempool.is_empty() && self.produce_microblock(now_ms, true, effects).is_some() {}
     }
 
     /// Arms the driver's wakeup timer with the earliest pending deadline across
@@ -2362,22 +2211,22 @@ impl Engine {
     /// backfill — if there is one and the driver does not hold it already.
     fn arm_timer(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
         let mut candidates: Vec<u64> = Vec::new();
-        if self.config.auto_microblocks && !self.mempool.is_empty() {
+        if self.config.auto_microblocks && !self.chain.mempool.is_empty() {
             // `None` while not leader: only a new key block unblocks production.
-            if let Some(deadline) = self.node.next_microblock_ms() {
+            if let Some(deadline) = self.chain.node.next_microblock_ms() {
                 candidates.push(deadline);
             }
         }
-        if let Some(deadline) = self.sync.next_deadline() {
+        if let Some(deadline) = self.onboarding.sync.next_deadline() {
             candidates.push(deadline);
         }
-        if let Some(deadline) = self.overlay.next_deadline() {
+        if let Some(deadline) = self.relay.overlay.next_deadline() {
             candidates.push(deadline);
         }
-        if let Some((_, deadline)) = self.bootstrap.as_ref().and_then(|boot| boot.waiting) {
+        if let Some((_, deadline)) = self.onboarding.bootstrap.as_ref().and_then(|boot| boot.waiting) {
             candidates.push(deadline);
         }
-        if let Some(bf) = self.backfill.as_ref() {
+        if let Some(bf) = self.onboarding.backfill.as_ref() {
             // Without a ready peer the deadline cannot be acted on; the next
             // handshake re-drives the backfill anyway (don't spin the timer).
             if (bf.awaiting_headers || !bf.expected.is_empty())

@@ -1,0 +1,47 @@
+//! The relay component: the peer table and everything that decides what goes to
+//! which connection — `inv`/`getdata`, compact blocks, the eager/lazy overlay.
+
+use ng_chain::fifo::BoundedFifoMap;
+use ng_chain::transaction::Transaction;
+use ng_crypto::sha256::Hash256;
+use ng_net::overlay::Overlay;
+use ng_net::peer::Peer;
+use ng_net::relay::CompactRelay;
+use std::collections::BTreeMap;
+
+/// Cap on remembered held-back block ids (a misbehaving peer could otherwise grow
+/// the set without bound by sending parentless blocks).
+pub(super) const MAX_ORPHAN_CARRIERS: usize = 1024;
+
+/// Cap on the relay memory of recently announced transactions (the role Bitcoin's
+/// `mapRelay` played): a `getdata` that arrives after the leader serialized the
+/// transaction out of the mempool is still answered, so the requester's compact
+/// reconstruction hits instead of paying a `getblocktxn` round trip. Sized from
+/// rate × round trip: the densest workload announces 20 tx/ms over links of at
+/// most 20 ms each way, so ≈ 800 transactions are between `inv` and `getdata` at
+/// any moment; 8192 leaves a 10× margin.
+pub(super) const MAX_RELAY_TXS: usize = 8192;
+
+/// The connections and what has been said over them.
+#[derive(Debug)]
+pub(super) struct Relay {
+    /// Every registered connection (ready or not) by driver key: handshake state,
+    /// what the remote is known to hold, what was requested from it.
+    // ng-lint: allow(bounded-collections): one entry per live driver connection;
+    // the driver's accept/connect limit is the cap and Closed removes entries.
+    pub(super) peers: BTreeMap<u64, Peer>,
+    /// Eager/lazy broadcast overlay (only driven when `config.gossip.overlay`).
+    pub(super) overlay: Overlay,
+    /// Partial compact-block reconstructions awaiting `blocktxn` replies.
+    pub(super) compact: CompactRelay,
+    /// Ids of tree blocks held back from relay: chain-level orphans (announced once
+    /// the parent arrives and they are adopted) and, under full validation,
+    /// side-branch microblocks (announced if their branch wins and validates). The
+    /// block itself is read from the tree when its turn comes. Oldest-first
+    /// eviction at [`MAX_ORPHAN_CARRIERS`] — losing-branch ids must not accumulate
+    /// for the node's lifetime.
+    pub(super) held_back: BoundedFifoMap<Hash256, ()>,
+    /// Recently announced transactions, so a `getdata` outlives the transaction's
+    /// stay in the mempool (see [`MAX_RELAY_TXS`]).
+    pub(super) relay_memory: BoundedFifoMap<Hash256, Transaction>,
+}
