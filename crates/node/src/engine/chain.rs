@@ -29,3 +29,21 @@ pub(super) struct Chain {
     /// checkpoint cadence and by a successfully applied bootstrap snapshot.
     pub(super) latest_snapshot: Option<ng_storage::Snapshot>,
 }
+
+impl Chain {
+    /// The protocol node and its block tree.
+    pub(super) fn node(&self) -> &NgNode {
+        &self.node
+    }
+
+    /// The incremental ledger view.
+    pub(super) fn view(&self) -> &ChainView {
+        &self.view
+    }
+
+    /// The block tree to read and the ledger view to write, together: what the
+    /// fraud component needs to apply a poison's revocation and bounty.
+    pub(super) fn ledger_mut(&mut self) -> (&NgNode, &mut ChainView) {
+        (&self.node, &mut self.view)
+    }
+}

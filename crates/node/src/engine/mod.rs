@@ -40,12 +40,10 @@ use ng_chain::chainstore::InsertOutcome;
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::mempool::Mempool;
 use ng_chain::payload::Payload;
-use ng_chain::transaction::{OutPoint, Transaction};
+use ng_chain::transaction::Transaction;
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_core::node::NgNode;
-use ng_core::poison::{poison_effect, PoisonError, PoisonTransaction};
-use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::Hash256;
 use ng_net::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
 use ng_net::overlay::Overlay;
@@ -63,10 +61,7 @@ mod relay;
 mod types;
 
 use chain::Chain;
-use fraud::{
-    Fraud, PoisonRecord, MAX_MICRO_SIGHTINGS, MAX_PENDING_PER_PARENT, MAX_PENDING_POISONS,
-    MAX_POISON_RECORDS,
-};
+use fraud::Fraud;
 use onboarding::{BackfillState, BootstrapState, Onboarding};
 use relay::{Relay, MAX_ORPHAN_CARRIERS, MAX_RELAY_TXS};
 
@@ -134,11 +129,7 @@ impl Engine {
                 backfilled: HashMap::new(),
                 root_height,
             },
-            fraud: Fraud {
-                micro_sightings: BoundedFifoMap::new(MAX_MICRO_SIGHTINGS),
-                poisons: BTreeMap::new(),
-                pending_poisons: BTreeMap::new(),
-            },
+            fraud: Fraud::new(),
             last_timer: None,
         }
     }
@@ -362,15 +353,13 @@ impl Engine {
     /// The `(accused leader, epoch key block)` keys of every recorded poison —
     /// the fraud proofs this node has accepted and applied (§4.5).
     pub fn poisoned(&self) -> Vec<(u64, Hash256)> {
-        self.fraud.poisons.keys().copied().collect()
+        self.fraud.poisoned()
     }
 
     /// Total revenue revoked across every recorded poison (the statically
     /// determined amounts, not live balances).
     pub fn poison_revoked_total(&self) -> Amount {
-        self.fraud.poisons
-            .values()
-            .fold(Amount::ZERO, |acc, record| acc + record.revoked)
+        self.fraud.revoked_total()
     }
 
     /// The node's view of the current leader.
@@ -533,18 +522,7 @@ impl Engine {
                     // walk stays parked — a successful bootstrap would re-root the
                     // chain and discard anything fetched against genesis.
                     effects.push(Effect::Report(ReportEvent::PeerReady { peer, node_id }));
-                    // Hand the fresh peer every recorded fraud proof: floods are
-                    // one-shot, so without this a node that was dark (eclipsed,
-                    // crashed, late-joining) while a poison spread would never
-                    // revoke the cheater and its commitment would diverge
-                    // forever. Bounded by MAX_POISON_RECORDS; duplicates are
-                    // dropped without relay on the receiving side.
-                    for record in self.fraud.poisons.values() {
-                        effects.push(Effect::Send {
-                            peer,
-                            message: Message::Poison(Box::new(record.poison.clone())),
-                        });
-                    }
+                    self.fraud.offer_records(peer, effects);
                     if self.config.gossip.overlay {
                         self.relay.overlay.peer_ready(peer);
                     }
@@ -708,7 +686,8 @@ impl Engine {
                 self.relay.overlay.on_prune(from);
             }
             Message::Poison(poison) => {
-                self.adopt_poison(Some(from), *poison, effects);
+                self.fraud
+                    .adopt(&mut self.chain, &self.relay, Some(from), *poison, effects);
             }
             _ => {}
         }
@@ -962,18 +941,8 @@ impl Engine {
                         self.relay.held_back.insert(id, ());
                     }
                     self.flush_held_back(effects);
-                    // A stored sibling microblock under the same (parent, leader)
-                    // key is proof of equivocation — construct the fraud proof.
-                    if let Some(key) = micro_key {
-                        self.detect_equivocation(key, id, effects);
-                    }
-                    // Parked poisons may have been waiting for exactly this block
-                    // to attribute their epoch.
-                    if let Some(parked) = self.fraud.pending_poisons.remove(&id) {
-                        for (_, poison) in parked {
-                            self.adopt_poison(None, poison, effects);
-                        }
-                    }
+                    self.fraud
+                        .block_stored(&mut self.chain, &self.relay, micro_key, id, effects);
                 }
             }
             Ok(InsertOutcome::Duplicate) => {
@@ -1133,253 +1102,6 @@ impl Engine {
         }
     }
 
-    // ---- equivocation detection + poison transactions (§4.5) -------------------
-
-    /// Records a stored microblock's `(parent, leader)` sighting; a second distinct
-    /// microblock under the same key is an equivocation and this node constructs
-    /// the fraud proof from **both** signed siblings. The evidence is therefore
-    /// self-contained — two conflicting headers under one parent, both signed by
-    /// the leader — and validates network-wide regardless of which sibling any
-    /// particular node's main chain carries.
-    fn detect_equivocation(
-        &mut self,
-        key: (Hash256, u64),
-        id: Hash256,
-        effects: &mut Vec<Effect>,
-    ) {
-        match self.fraud.micro_sightings.get(&key).copied() {
-            None => {
-                self.fraud.micro_sightings.insert(key, id);
-            }
-            Some(first) if first == id => {}
-            Some(first) => {
-                let chain = self.chain.node.chain();
-                let (Some(a), Some(b)) = (
-                    chain.get(&first).and_then(NgBlock::as_micro),
-                    chain.get(&id).and_then(NgBlock::as_micro),
-                ) else {
-                    return;
-                };
-                let Some(poison) = self.chain.node.build_poison(a, b) else {
-                    return;
-                };
-                effects.push(Effect::Report(ReportEvent::PoisonDetected {
-                    accused: poison.accused_leader,
-                    txid: poison.txid(),
-                }));
-                self.adopt_poison(None, poison, effects);
-            }
-        }
-    }
-
-    /// Validates a poison transaction (locally constructed or delivered by a peer)
-    /// and, if it is the canonical one for its `(cheater, epoch)`, records it,
-    /// applies the revenue revocation to the ledger view and floods it onward.
-    /// `origin` is the delivering link (excluded from the flood); `None` marks a
-    /// locally constructed or re-tried poison.
-    fn adopt_poison(
-        &mut self,
-        origin: Option<u64>,
-        poison: PoisonTransaction,
-        effects: &mut Vec<Effect>,
-    ) {
-        let txid = poison.txid();
-        let (epoch_id, revoked) = match self.chain.node.validate_poison(&poison) {
-            Ok(verdict) => verdict,
-            Err(err @ PoisonError::UnknownParent) => {
-                // Transient: this node is behind and cannot attribute the epoch
-                // yet. Park the proof instead of dropping it — floods are
-                // one-shot and never repeat — and retry when the fork point
-                // arrives (and after every ledger roll). Only shape-valid
-                // conflicts park: garbage that could never validate must not
-                // occupy (or displace anything from) the bounded buffer.
-                // An overflow just drops the proof (the flood is redundant, and
-                // a fresh handshake re-offers every record).
-                if poison.check_conflict().is_ok() {
-                    self.park_poison(txid, poison);
-                }
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: format!("{err} (parked)"),
-                }));
-                return;
-            }
-            Err(err) => {
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: err.to_string(),
-                }));
-                return;
-            }
-        };
-        let key = (poison.accused_leader, epoch_id);
-        match self.fraud.poisons.get(&key) {
-            Some(existing) if existing.txid <= txid => {
-                // A duplicate of the canonical poison, or a losing competitor:
-                // drop without relaying, so the flood terminates.
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: if existing.txid == txid {
-                        "duplicate poison".to_string()
-                    } else {
-                        "losing competitor of the canonical poison".to_string()
-                    },
-                }));
-                return;
-            }
-            Some(existing) => {
-                // Smaller txid wins: revert the incumbent's bounty and replace
-                // it — unless that bounty already matured and was spent, in
-                // which case its value is irrevocably in circulation and
-                // minting a replacement bounty would inflate the supply. The
-                // late competitor is rejected instead; the network keeps the
-                // incumbent it converged on.
-                let old_outpoint = OutPoint::new(existing.txid, 0);
-                if self.chain.view.bounty_spent(&old_outpoint) {
-                    effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                        reason: "canonical poison bounty already spent; competitor too late"
-                            .to_string(),
-                    }));
-                    return;
-                }
-                self.chain.view.revert_poison_reward(&old_outpoint);
-                self.fraud.poisons.remove(&key);
-            }
-            None => {
-                if self.fraud.poisons.len() >= MAX_POISON_RECORDS {
-                    effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                        reason: "poison record capacity reached".to_string(),
-                    }));
-                    return;
-                }
-            }
-        }
-        let Some(epoch_height) = self.chain.node.chain().store().height_of(&epoch_id) else {
-            effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                reason: "epoch key block height unknown".to_string(),
-            }));
-            return;
-        };
-        let reward =
-            poison_effect(poison.accused_leader, revoked, &self.config.params).poisoner_reward;
-        self.fraud.poisons.insert(
-            key,
-            PoisonRecord {
-                poison: poison.clone(),
-                txid,
-                epoch_id,
-                epoch_height,
-                revoked,
-                reward,
-            },
-        );
-        self.assert_poisons();
-        effects.push(Effect::Report(ReportEvent::PoisonAccepted {
-            accused: poison.accused_leader,
-            revoked_sats: revoked.sats(),
-        }));
-        self.flood_poison(origin, poison, txid, effects);
-    }
-
-    /// Parks a shape-valid proof whose epoch cannot be attributed yet under its
-    /// fork-point key. Each parent keeps the [`MAX_PENDING_PER_PARENT`] smallest
-    /// txids in sorted order; the global entry count stays under
-    /// [`MAX_PENDING_POISONS`] by shedding the largest parked txid across all
-    /// parents — deterministic, and the entry least likely to win adoption.
-    fn park_poison(&mut self, txid: Hash256, poison: PoisonTransaction) {
-        let parent = poison.parent();
-        let list = self.fraud.pending_poisons.entry(parent).or_default();
-        if let Err(at) = list.binary_search_by(|(parked, _)| parked.cmp(&txid)) {
-            if at < MAX_PENDING_PER_PARENT {
-                list.insert(at, (txid, poison));
-                list.truncate(MAX_PENDING_PER_PARENT);
-            }
-        }
-        if list.is_empty() {
-            self.fraud.pending_poisons.remove(&parent);
-            return;
-        }
-        loop {
-            let total: usize = self.fraud.pending_poisons.values().map(Vec::len).sum();
-            if total <= MAX_PENDING_POISONS {
-                break;
-            }
-            let Some((_, worst_parent)) = self
-                .fraud.pending_poisons
-                .iter()
-                .filter_map(|(p, l)| l.last().map(|(t, _)| (*t, *p)))
-                .max()
-            else {
-                break;
-            };
-            if let Some(l) = self.fraud.pending_poisons.get_mut(&worst_parent) {
-                l.pop();
-                if l.is_empty() {
-                    self.fraud.pending_poisons.remove(&worst_parent);
-                }
-            }
-        }
-    }
-
-    /// Re-asserts every recorded poison against the current main chain: while the
-    /// epoch key block is on the main chain the revocation holds (idempotently —
-    /// a reorg that reconnects the key block resurrects the cheater's outputs via
-    /// its undo/connect cycle, and they are removed again here); while it is off
-    /// the main chain the bounty is reverted (the revoked outputs themselves were
-    /// rewound by the disconnect). The evidence itself is chain-independent — two
-    /// conflicting signed headers prove the equivocation no matter which sibling
-    /// the current main chain carries — so the epoch key block's membership is the
-    /// *only* chain-dependent input. Runs after every ledger roll, so the ledger
-    /// effect of a poison is a pure function of (main chain, poison set) and
-    /// every honest node's commitment converges.
-    fn assert_poisons(&mut self) {
-        if self.fraud.poisons.is_empty() {
-            return;
-        }
-        for record in self.fraud.poisons.values() {
-            let reward_outpoint = OutPoint::new(record.txid, 0);
-            if self.chain.node.chain().store().is_in_main_chain(&record.epoch_id) {
-                let Some(NgBlock::Key(kb)) = self.chain.node.chain().get(&record.epoch_id) else {
-                    continue;
-                };
-                self.chain.view.apply_poison_revocation(
-                    kb,
-                    record.epoch_id,
-                    record.epoch_height,
-                    reward_outpoint,
-                    record.reward,
-                    KeyPair::from_id(record.poison.poisoner).address(),
-                );
-            } else {
-                self.chain.view.revert_poison_reward(&reward_outpoint);
-            }
-        }
-    }
-
-    /// Floods a poison transaction to every ready peer except the link it arrived
-    /// on. Poisons never take the overlay: a fraud proof must reach every honest
-    /// node even when eager links are degraded, and its size makes the flood cheap.
-    fn flood_poison(
-        &mut self,
-        origin: Option<u64>,
-        poison: PoisonTransaction,
-        txid: Hash256,
-        effects: &mut Vec<Effect>,
-    ) {
-        let message = Message::Poison(Box::new(poison));
-        let mut relayed = false;
-        for peer in self.ready_peers() {
-            if Some(peer) == origin {
-                continue;
-            }
-            effects.push(Effect::Send {
-                peer,
-                message: message.clone(),
-            });
-            relayed = true;
-        }
-        if relayed {
-            effects.push(Effect::Report(ReportEvent::PoisonRelayed { txid }));
-        }
-    }
-
     /// Rolls the incremental ledger view to the current tip and the mempool with it:
     /// reorg-disconnected transactions return to the pool (unless reconfirmed on the
     /// new branch), newly serialized transactions leave it. Per-block cost is
@@ -1434,22 +1156,7 @@ impl Engine {
                 }
             }
         }
-        // The roll may have moved the epoch key block of a recorded poison on or
-        // off the main chain; re-assert before the new view state is persisted.
-        self.assert_poisons();
-        // The roll may also have made a parked proof attributable (its fork point
-        // connected as part of a multi-block adoption). Retry the whole parked
-        // set; anything still unattributable re-parks via the same bounded path.
-        if !self.fraud.pending_poisons.is_empty() {
-            let parked: Vec<PoisonTransaction> = std::mem::take(&mut self.fraud.pending_poisons)
-                .into_values()
-                .flatten()
-                .map(|(_, poison)| poison)
-                .collect();
-            for poison in parked {
-                self.adopt_poison(None, poison, effects);
-            }
-        }
+        self.fraud.ledger_rolled(&mut self.chain, &self.relay, effects);
         self.persist_roll(&delta, effects);
         self.advance_finality();
         if !delta.is_empty() {

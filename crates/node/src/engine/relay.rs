@@ -45,3 +45,20 @@ pub(super) struct Relay {
     /// stay in the mempool (see [`MAX_RELAY_TXS`]).
     pub(super) relay_memory: BoundedFifoMap<Hash256, Transaction>,
 }
+
+impl Relay {
+    /// Connections whose handshake completed, ascending. BTreeMap iteration is
+    /// key order, so `Broadcast` expansion and every fan-out stay deterministic
+    /// without a collect-and-sort pass.
+    pub(super) fn ready(&self) -> impl Iterator<Item = u64> + '_ {
+        self.peers
+            .iter()
+            .filter(|(_, state)| state.is_ready())
+            .map(|(peer, _)| *peer)
+    }
+
+    /// [`Self::ready`], collected.
+    pub(super) fn ready_peers(&self) -> Vec<u64> {
+        self.ready().collect()
+    }
+}
