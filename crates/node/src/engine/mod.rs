@@ -45,14 +45,11 @@ use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_core::node::NgNode;
 use ng_crypto::sha256::Hash256;
-use ng_net::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
+use ng_net::message::{InvItem, InvKind, Message, ProtocolKind};
 use ng_net::overlay::Overlay;
 use ng_net::peer::{Peer, PeerAction};
 use ng_net::relay::{announcement_salt, transactions_at, CompactMicroBlock, CompactRelay, ReconstructOutcome};
-use ng_net::sync::{
-    build_locator, ids_after_locator, HeaderRecord, SyncCommand, SyncScheduler,
-};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 mod chain;
 mod fraud;
@@ -62,7 +59,7 @@ mod types;
 
 use chain::Chain;
 use fraud::Fraud;
-use onboarding::{BackfillState, BootstrapState, Onboarding};
+use onboarding::Onboarding;
 use relay::{Relay, MAX_ORPHAN_CARRIERS, MAX_RELAY_TXS};
 
 pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
@@ -85,12 +82,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let node = NgNode::new(config.id, config.params, config.tie_break_seed);
         let view = ChainView::new(&config.params, node.chain().genesis_id());
-        let bootstrap = config.snapshot_pin.map(|pin| BootstrapState {
-            pin,
-            tried: BTreeSet::new(),
-            waiting: None,
-        });
-        Self::assemble(config, node, view, bootstrap, 0)
+        Self::assemble(config, node, view, true, 0)
     }
 
     /// An engine around the given chain and ledger view, everything else empty.
@@ -98,13 +90,13 @@ impl Engine {
         mut config: EngineConfig,
         node: NgNode,
         view: ChainView,
-        bootstrap: Option<BootstrapState>,
+        bootstrap: bool,
         root_height: u64,
     ) -> Self {
         // Keep the requested batch inside what `serve_headers` is willing to serve;
         // otherwise every served batch would look partial and sync would stop early.
         config.header_batch = config.header_batch.clamp(1, 4096);
-        let sync = SyncScheduler::new(config.sync);
+        let onboarding = Onboarding::new(&config, root_height, bootstrap);
         Engine {
             config,
             chain: Chain {
@@ -122,13 +114,7 @@ impl Engine {
                 held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
                 relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
             },
-            onboarding: Onboarding {
-                sync,
-                bootstrap,
-                backfill: None,
-                backfilled: HashMap::new(),
-                root_height,
-            },
+            onboarding,
             fraud: Fraud::new(),
             last_timer: None,
         }
@@ -181,7 +167,7 @@ impl Engine {
         // restored node already holds its history — a pin never re-bootstraps an
         // engine that recovered a chain from disk.
         let placeholder = ChainView::new(&config.params, Hash256::ZERO);
-        let mut engine = Self::assemble(config, node, placeholder, None, root_height);
+        let mut engine = Self::assemble(config, node, placeholder, false, root_height);
         // 1: replay stored blocks in their original acceptance order. A parent
         // missing because its branch was rooted away (or WAL-invalidated) just
         // drops its descendants — they were not on the finalized path.
@@ -254,7 +240,7 @@ impl Engine {
             Input::PeerConnected { peer, inbound } => {
                 self.on_connected(peer, inbound, now_ms, &mut effects)
             }
-            Input::PeerDisconnected { peer } => self.forget_peer(peer),
+            Input::PeerDisconnected { peer } => self.relay.forget(peer, &mut self.onboarding),
             Input::Message { peer, message } => {
                 self.on_message(peer, message, now_ms, &mut effects)
             }
@@ -276,7 +262,8 @@ impl Engine {
         self.autostream(now_ms, &mut effects);
         // Any input may have freed download windows, expired deadlines, or changed
         // the bootstrap/backfill state: run one scheduler pass before re-arming.
-        self.drive_sync(now_ms, &mut effects);
+        self.onboarding
+            .drive(now_ms, &self.chain, &mut self.relay, &mut effects);
         self.drive_overlay(now_ms, &mut effects);
         self.arm_timer(now_ms, &mut effects);
         effects
@@ -387,39 +374,39 @@ impl Engine {
     /// Completed sync block downloads per peer, sorted by peer key. The parallel
     /// cold-sync tests assert ≥ 2 peers contributed through this.
     pub fn sync_downloads_by_peer(&self) -> Vec<(u64, u64)> {
-        self.onboarding.sync.downloads_by_peer()
+        self.onboarding.sync().downloads_by_peer()
     }
 
     /// Peers evicted from download duty so far.
     pub fn sync_evictions(&self) -> u64 {
-        self.onboarding.sync.evictions()
+        self.onboarding.sync().evictions()
     }
 
     /// True while the download scheduler has outstanding work (walks, queued or
     /// in-flight blocks).
     pub fn sync_active(&self) -> bool {
-        self.onboarding.sync.active()
+        self.onboarding.sync().active()
     }
 
     /// Blocks the download scheduler still has queued or in flight.
     pub fn sync_pending(&self) -> usize {
-        self.onboarding.sync.pending()
+        self.onboarding.sync().pending()
     }
 
     /// True while a snapshot bootstrap is undecided.
     pub fn bootstrapping(&self) -> bool {
-        self.onboarding.bootstrap.is_some()
+        self.onboarding.bootstrapping()
     }
 
     /// True while the background history backfill still runs.
     pub fn backfilling(&self) -> bool {
-        self.onboarding.backfill.is_some()
+        self.onboarding.backfilling()
     }
 
     /// Height of the chain root (0 on a genesis-rooted chain; the pin height after
     /// a snapshot bootstrap).
     pub fn root_height(&self) -> u64 {
-        self.onboarding.root_height
+        self.onboarding.root_height()
     }
 
     /// The newest checkpoint snapshot held in memory, if any.
@@ -481,23 +468,6 @@ impl Engine {
         self.relay.peers.insert(peer, state);
     }
 
-    fn forget_peer(&mut self, peer: u64) {
-        self.relay.peers.remove(&peer);
-        self.relay.overlay.peer_gone(peer);
-        self.relay.compact.peer_gone(peer);
-        self.onboarding.sync.peer_gone(peer);
-        if let Some(boot) = self.onboarding.bootstrap.as_mut() {
-            if boot.waiting.is_some_and(|(waiting_on, _)| waiting_on == peer) {
-                boot.waiting = None; // ask the next candidate on the next drive
-            }
-        }
-        if let Some(backfill) = self.onboarding.backfill.as_mut() {
-            if backfill.peer == peer {
-                backfill.deadline = 0; // rotate to another peer on the next drive
-            }
-        }
-    }
-
     // ---- incoming messages ----------------------------------------------------
 
     fn on_message(&mut self, peer: u64, message: Message, now_ms: u64, effects: &mut Vec<Effect>) {
@@ -513,31 +483,17 @@ impl Engine {
                     best_height,
                     ..
                 } => {
-                    // The handshake replies are queued above; now sync. The sync
-                    // is unconditional: after a partition heals, both sides can sit
-                    // at the same *height* on different chains (microblocks add
-                    // height without work), so heights cannot tell who needs blocks.
-                    // A peer that is already in sync just answers with an empty
-                    // headers batch. While a snapshot bootstrap is undecided the
-                    // walk stays parked — a successful bootstrap would re-root the
-                    // chain and discard anything fetched against genesis.
+                    // The handshake replies are queued above; now sync.
                     effects.push(Effect::Report(ReportEvent::PeerReady { peer, node_id }));
                     self.fraud.offer_records(peer, effects);
                     if self.config.gossip.overlay {
                         self.relay.overlay.peer_ready(peer);
                     }
-                    self.onboarding.sync.peer_ready(peer, best_height);
-                    if self.onboarding.bootstrap.is_none() {
-                        self.onboarding.sync.request_sync(peer);
-                    }
+                    self.onboarding.peer_ready(peer, best_height);
                 }
                 PeerAction::Disconnect(error) => {
-                    effects.push(Effect::Report(ReportEvent::PeerMisbehaved {
-                        peer,
-                        reason: error.to_string(),
-                    }));
-                    effects.push(Effect::Disconnect { peer });
-                    self.forget_peer(peer);
+                    self.relay
+                        .punish(peer, error.to_string(), &mut self.onboarding, effects);
                     return;
                 }
                 PeerAction::Announced(item) => {
@@ -576,7 +532,7 @@ impl Engine {
         if self.announceable(id) {
             self.chain.node.chain().get(id)
         } else {
-            self.onboarding.backfilled.get(id)
+            self.onboarding.backfilled_block(id)
         }
     }
 
@@ -617,22 +573,14 @@ impl Engine {
 
     /// True if the block is held, in the tree or below its root.
     fn holds_block(&self, id: &Hash256) -> bool {
-        self.chain.node.chain().store().contains(id) || self.onboarding.backfilled.contains_key(id)
+        self.chain.node.chain().store().contains(id) || self.onboarding.backfilled_block(id).is_some()
     }
 
-    /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
-    /// on this connection is forgotten first: callers re-issue after a timeout (the
-    /// original `getdata` or its reply may have been lost), and the connection's
-    /// in-flight dedup would otherwise suppress the retry forever.
-    fn request_from(&mut self, peer: u64, items: &[InvItem], effects: &mut Vec<Effect>) {
-        let Some(state) = self.relay.peers.get_mut(&peer) else {
-            return;
-        };
-        for item in items {
-            state.forget_request(&item.id);
-        }
-        if let Some(message) = state.request(items) {
-            effects.push(Effect::Send { peer, message });
+    /// A block body arrived: the snapshot backfill takes the ones it asked for,
+    /// everything else is offered to the chain.
+    fn on_block(&mut self, from: u64, block: NgBlock, now_ms: u64, effects: &mut Vec<Effect>) {
+        if let Some(block) = self.onboarding.claim_block(block, &mut self.chain, effects) {
+            self.accept_block(Some(from), block, now_ms, effects);
         }
     }
 
@@ -652,16 +600,30 @@ impl Engine {
                 self.accept_tx(Some(from), *tx, effects);
             }
             Message::GetHeaders { locator, limit } => {
-                self.serve_headers(from, &locator, limit, effects);
+                onboarding::serve_headers(&self.chain, from, &locator, limit, effects);
             }
             Message::Headers(records) => {
-                self.handle_headers(from, records, now_ms, effects);
+                self.onboarding.handle_headers(
+                    from,
+                    records,
+                    now_ms,
+                    &self.chain,
+                    &mut self.relay,
+                    effects,
+                );
             }
             Message::GetSnapshot { height } => {
-                self.serve_snapshot(from, height, effects);
+                onboarding::serve_snapshot(&mut self.chain, from, height, effects);
             }
             Message::Snapshot(snapshot) => {
-                self.handle_snapshot(from, snapshot.map(|boxed| *boxed), now_ms, effects);
+                self.onboarding.handle_snapshot(
+                    &self.config,
+                    from,
+                    snapshot.map(|boxed| *boxed),
+                    &mut self.chain,
+                    &mut self.relay,
+                    effects,
+                );
             }
             Message::CmpctBlock(compact) => {
                 self.handle_compact(from, *compact, now_ms, effects);
@@ -798,7 +760,8 @@ impl Engine {
     /// Compact reconstruction failed: fetch the announced block in full.
     fn fetch_full(&mut self, from: u64, id: Hash256, effects: &mut Vec<Effect>) {
         effects.push(Effect::Report(ReportEvent::CompactFallback { id }));
-        self.request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
+        self.relay
+            .request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
     }
 
     /// A duplicate eager push arrived over `from`: demote the link to lazy and tell
@@ -904,7 +867,7 @@ impl Engine {
         // producer's broadcast. The old per-peer bookkeeping only credited the
         // syncing peer, leaving the in-flight entry stuck (and the block
         // re-downloaded) whenever gossip won the race.
-        let expected = self.onboarding.sync.note_delivery(&id);
+        let expected = self.onboarding.note_delivery(&id);
         // Likewise the overlay's pending lazy pull and any half-done compact
         // reconstruction of this block: the full copy is here.
         self.relay.overlay.block_arrived(&id);
@@ -965,7 +928,7 @@ impl Engine {
                 // behind (it relayed before syncing itself) or Byzantine.
                 if let Some(from) = from {
                     if !expected {
-                        self.onboarding.sync.request_sync(from);
+                        self.onboarding.request_sync(from);
                     }
                 }
             }
@@ -1209,12 +1172,8 @@ impl Engine {
         }
         if sender_misbehaved {
             if let Some((peer, _)) = from {
-                effects.push(Effect::Report(ReportEvent::PeerMisbehaved {
-                    peer,
-                    reason: "sent a microblock with invalid transactions".to_string(),
-                }));
-                effects.push(Effect::Disconnect { peer });
-                self.forget_peer(peer);
+                let reason = "sent a microblock with invalid transactions".to_string();
+                self.relay.punish(peer, reason, &mut self.onboarding, effects);
             }
         }
     }
@@ -1381,471 +1340,6 @@ impl Engine {
         self.chain.node.chain_mut().prune_undo(fin_height);
     }
 
-    // ---- sync: headers-first download, snapshot bootstrap, backfill -----------
-
-    /// One scheduler pass, run after every input: drive the snapshot bootstrap
-    /// while it is undecided (header walks stay parked — a successful bootstrap
-    /// re-roots the chain and would discard anything fetched against genesis),
-    /// then execute the download scheduler's commands, then advance the
-    /// background backfill.
-    fn drive_sync(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        self.drive_bootstrap(now_ms, effects);
-        if self.onboarding.bootstrap.is_some() {
-            return;
-        }
-        // The connect frontier caps how far ahead assignments may run: arrivals
-        // beyond it sit in the bounded orphan buffer until the gap closes.
-        let frontier = self.chain.node.chain().store().tip_height();
-        for command in self.onboarding.sync.plan(now_ms, frontier) {
-            match command {
-                SyncCommand::RequestHeaders { peer, lead } => {
-                    let mut locator = build_locator(&self.chain.node.chain().store().main_chain());
-                    if let Some(lead) = lead {
-                        locator.insert(0, lead);
-                    }
-                    effects.push(Effect::Send {
-                        peer,
-                        message: Message::GetHeaders {
-                            locator,
-                            limit: self.config.header_batch,
-                        },
-                    });
-                }
-                SyncCommand::RequestBlocks { peer, items } => {
-                    // A timed-out request can be re-assigned to the same peer
-                    // (single-peer networks, post-unjam retries).
-                    self.request_from(peer, &items, effects);
-                }
-                SyncCommand::Evicted { peer } => {
-                    effects.push(Effect::Report(ReportEvent::SyncPeerEvicted { peer }));
-                }
-            }
-        }
-        self.drive_backfill(now_ms, effects);
-    }
-
-    /// Advances the snapshot bootstrap: ask one ready peer at a time for the
-    /// pinned snapshot, rotate on timeout or an honest miss, and fall back to a
-    /// full parallel block download once every connected peer has been tried.
-    fn drive_bootstrap(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let Some(boot) = self.onboarding.bootstrap.as_mut() else {
-            return;
-        };
-        if let Some((_, deadline)) = boot.waiting {
-            if now_ms < deadline {
-                return;
-            }
-            boot.waiting = None; // expired: the candidate never answered
-        }
-        let ready = ready_keys(&self.relay.peers);
-        if let Some(candidate) = ready.iter().copied().find(|p| !boot.tried.contains(p)) {
-            boot.tried.insert(candidate);
-            boot.waiting = Some((candidate, now_ms + self.config.sync.request_timeout_ms));
-            let height = boot.pin.height;
-            effects.push(Effect::Send {
-                peer: candidate,
-                message: Message::GetSnapshot { height },
-            });
-            return;
-        }
-        if ready.is_empty() {
-            return; // nobody to ask yet; retried when a handshake completes
-        }
-        // Every connected peer was tried and none served the pin: give up on the
-        // shortcut and sync the whole chain the normal way.
-        self.onboarding.bootstrap = None;
-        for peer in ready {
-            self.onboarding.sync.request_sync(peer);
-        }
-    }
-
-    /// Answers a `getsnapshot`. Serves the in-memory checkpoint when it matches
-    /// the requested height, falling back to durable storage; a miss is an honest
-    /// `Snapshot(None)` so the requester moves to its next candidate without
-    /// waiting out a timeout.
-    fn serve_snapshot(&mut self, peer: u64, height: u64, effects: &mut Vec<Effect>) {
-        let snapshot = self
-            .chain.latest_snapshot
-            .as_ref()
-            .filter(|snap| snap.height == height)
-            .cloned()
-            .or_else(|| {
-                self.chain.storage
-                    .as_mut()
-                    .and_then(|storage| storage.latest_snapshot().ok().flatten())
-                    .filter(|snap| snap.height == height)
-            });
-        let reply = snapshot.map(|snap| {
-            Box::new(WireSnapshot {
-                root: snap.root,
-                height: snap.height,
-                total_work: snap.total_work,
-                entries: snap.entries,
-                confirmed: snap.confirmed,
-            })
-        });
-        if reply.is_some() {
-            effects.push(Effect::Report(ReportEvent::SnapshotServed { peer }));
-        }
-        effects.push(Effect::Send {
-            peer,
-            message: Message::Snapshot(reply),
-        });
-    }
-
-    /// Handles a `snapshot` reply while bootstrapping. Only the candidate the
-    /// bootstrap is currently waiting on is listened to — stray or late replies
-    /// are dropped. A verified snapshot re-roots the chain; a tampered one costs
-    /// the server its connection.
-    fn handle_snapshot(
-        &mut self,
-        from: u64,
-        snapshot: Option<WireSnapshot>,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        let Some(boot) = self.onboarding.bootstrap.as_mut() else {
-            return;
-        };
-        if boot.waiting.is_none_or(|(peer, _)| peer != from) {
-            return;
-        }
-        boot.waiting = None;
-        let pin = boot.pin;
-        let Some(snapshot) = snapshot else {
-            return; // honest miss; `drive_sync` asks the next candidate
-        };
-        match self.verify_pinned_snapshot(pin, snapshot) {
-            Ok((snapshot, utxo)) => self.apply_snapshot(pin, snapshot, utxo, now_ms, effects),
-            Err(reason) => {
-                // Served bytes that fail the pinned commitment are not a cache
-                // miss but an attempted feed of a forged ledger: cut the cord.
-                effects.push(Effect::Report(ReportEvent::SnapshotRejected { peer: from }));
-                effects.push(Effect::Report(ReportEvent::PeerMisbehaved {
-                    peer: from,
-                    reason,
-                }));
-                effects.push(Effect::Disconnect { peer: from });
-                self.forget_peer(from);
-            }
-        }
-    }
-
-    /// Checks a served snapshot against the configured pin. The commitment is
-    /// recomputed locally from the served entries — nothing the server claims
-    /// about its own UTXO set is trusted, only bytes that hash to the pin.
-    fn verify_pinned_snapshot(
-        &self,
-        pin: SnapshotPin,
-        snapshot: WireSnapshot,
-    ) -> Result<(WireSnapshot, ng_chain::utxo::UtxoSet), String> {
-        if snapshot.height != pin.height {
-            return Err(format!(
-                "snapshot height {} does not match pinned height {}",
-                snapshot.height, pin.height
-            ));
-        }
-        if snapshot.root.id() != pin.root {
-            return Err("snapshot root does not match pinned key block".into());
-        }
-        let mut utxo = ng_chain::utxo::UtxoSet::with_maturity(self.config.params.coinbase_maturity);
-        for (outpoint, entry) in &snapshot.entries {
-            if utxo.insert_unchecked(*outpoint, *entry).is_some() {
-                return Err("snapshot lists a UTXO twice".into());
-            }
-        }
-        if utxo.commitment() != pin.sorted {
-            return Err("snapshot UTXO set does not hash to the pinned commitment".into());
-        }
-        Ok((snapshot, utxo))
-    }
-
-    /// Re-roots the engine at a verified snapshot: the chain restarts from the
-    /// pinned key block as if it were genesis, the ledger view adopts the served
-    /// UTXO set, and the download scheduler starts fresh against the new root.
-    /// History below the root is handed to the background backfill.
-    fn apply_snapshot(
-        &mut self,
-        pin: SnapshotPin,
-        snapshot: WireSnapshot,
-        utxo: ng_chain::utxo::UtxoSet,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        let root = snapshot.root.clone();
-        let chain = ng_core::chain::NgChainState::from_root(
-            self.config.params,
-            self.config.tie_break_seed,
-            root.clone(),
-            snapshot.height,
-            snapshot.total_work,
-        );
-        self.chain.node = NgNode::from_chain(self.config.id, chain);
-        if self.chain.storage.is_some() {
-            self.chain.node.chain_mut().track_newly_stored(true);
-        }
-        let confirmed: HashMap<Hash256, u32> = snapshot.confirmed.iter().copied().collect();
-        self.chain.view = ChainView::restore(&self.config.params, pin.root, utxo, confirmed);
-        self.relay.held_back.clear();
-        self.chain.mempool = Mempool::new();
-        // Keep the applied snapshot in durable-snapshot form: this node can now
-        // serve the same bootstrap to the next fresh joiner.
-        let mut entries = snapshot.entries.clone();
-        entries.sort_unstable_by_key(|(outpoint, _)| *outpoint);
-        let mut confirmed_sorted = snapshot.confirmed.clone();
-        confirmed_sorted.sort_unstable();
-        let stored = ng_storage::Snapshot {
-            root: root.clone(),
-            height: snapshot.height,
-            total_work: snapshot.total_work,
-            rolling: self.chain.view.commitment(),
-            sorted: pin.sorted,
-            entries,
-            confirmed: confirmed_sorted,
-        };
-        if let Some(storage) = self.chain.storage.as_mut() {
-            if let Err(err) = storage.store_block(&NgBlock::Key(root.clone()), snapshot.height) {
-                Self::report_storage_failure(err, effects);
-            }
-            if let Err(err) = storage.store_snapshot(&stored) {
-                Self::report_storage_failure(err, effects);
-            }
-        }
-        self.chain.latest_snapshot = Some(stored);
-        self.chain.last_snapshot_height = snapshot.height;
-        self.onboarding.root_height = snapshot.height;
-        self.onboarding.bootstrap = None;
-        effects.push(Effect::Report(ReportEvent::SnapshotApplied {
-            height: snapshot.height,
-        }));
-        // Everything scheduled so far targeted the genesis root and can never
-        // connect; start clean walks from the snapshot root instead.
-        self.onboarding.sync.reset_downloads();
-        let ready = self.ready_peers();
-        for peer in &ready {
-            self.onboarding.sync.request_sync(*peer);
-        }
-        // Background backfill of pre-root history, so this node can serve full
-        // syncs too. Deadline `now` makes the next drive issue the first request.
-        if let Some(first) = ready.first() {
-            self.onboarding.backfill = Some(BackfillState {
-                target: snapshot.height,
-                peer: *first,
-                deadline: now_ms,
-                awaiting_headers: false,
-                expected: HashMap::new(),
-                cursor: None,
-                exhausted: false,
-                fetched: 0,
-            });
-        }
-    }
-
-    /// Advances the background backfill of pre-root history. The backfill is a
-    /// plain sequential walk — one `getheaders` below the root, then the bodies —
-    /// because it is off the critical path: the node is already at the tip.
-    fn drive_backfill(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let Some(bf) = self.onboarding.backfill.as_mut() else {
-            return;
-        };
-        if bf.exhausted && bf.expected.is_empty() && !bf.awaiting_headers {
-            let blocks = bf.fetched;
-            self.onboarding.backfill = None;
-            effects.push(Effect::Report(ReportEvent::BackfillCompleted { blocks }));
-            return;
-        }
-        let outstanding = bf.awaiting_headers || !bf.expected.is_empty();
-        if outstanding && now_ms < bf.deadline {
-            return;
-        }
-        let ready = ready_keys(&self.relay.peers);
-        let Some(first) = ready.first().copied() else {
-            return;
-        };
-        if outstanding {
-            // The current peer missed its deadline: rotate to the next one and
-            // re-issue (the sequential walk tolerates duplicate replies).
-            bf.awaiting_headers = false;
-            bf.peer = ready.iter().copied().find(|p| *p > bf.peer).unwrap_or(first);
-        } else if !ready.contains(&bf.peer) {
-            bf.peer = first;
-        }
-        bf.deadline = now_ms + self.config.sync.request_timeout_ms;
-        let peer = bf.peer;
-        if bf.expected.is_empty() {
-            bf.awaiting_headers = true;
-            let locator = bf.cursor.map(|id| vec![id]).unwrap_or_default();
-            effects.push(Effect::Send {
-                peer,
-                message: Message::GetHeaders {
-                    locator,
-                    limit: self.config.header_batch,
-                },
-            });
-        } else {
-            let mut pending: Vec<(u64, InvItem)> = bf
-                .expected
-                .iter()
-                .map(|(id, (height, kind))| (*height, InvItem::new(*kind, *id)))
-                .collect();
-            pending.sort_unstable_by_key(|(height, item)| (*height, item.id));
-            let items: Vec<InvItem> = pending.into_iter().map(|(_, item)| item).collect();
-            self.request_from(peer, &items, effects);
-        }
-    }
-
-    /// Intercepts a `headers` reply that belongs to the backfill walk rather than
-    /// the forward sync. Attribution: a backfill reply starts at or below the
-    /// root height, while forward-sync replies always start above it (honest
-    /// servers fork forward from our rooted locator). Returns true if claimed.
-    fn claim_backfill_headers(
-        &mut self,
-        peer: u64,
-        records: &[HeaderRecord],
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) -> bool {
-        let Some(bf) = self.onboarding.backfill.as_mut() else {
-            return false;
-        };
-        if bf.peer != peer || !bf.awaiting_headers {
-            return false;
-        }
-        if records.first().is_some_and(|first| first.height > bf.target) {
-            return false; // starts above the root: that is the forward sync's reply
-        }
-        bf.awaiting_headers = false;
-        let wanted: Vec<&HeaderRecord> =
-            records.iter().filter(|r| r.height < bf.target).collect();
-        if let Some(last) = wanted.last() {
-            bf.cursor = Some(last.id);
-        }
-        // The walk ends when the batch reaches the root (records at or above the
-        // target were filtered out), runs dry, or hits the server's tip early.
-        bf.exhausted |= records.is_empty()
-            || wanted.len() < records.len()
-            || (records.len() as u32) < self.config.header_batch;
-        let mut fresh: Vec<(u64, InvItem)> = Vec::new();
-        for record in wanted {
-            if self.onboarding.backfilled.contains_key(&record.id) || bf.expected.contains_key(&record.id) {
-                continue;
-            }
-            // One block per height below the root is all of history; a server
-            // describing more is lying, and `backfilled` must stay bounded.
-            if (self.onboarding.backfilled.len() + bf.expected.len()) as u64 >= bf.target {
-                bf.exhausted = true;
-                break;
-            }
-            bf.expected.insert(record.id, (record.height, record.kind));
-            fresh.push((record.height, InvItem::new(record.kind, record.id)));
-        }
-        if fresh.is_empty() {
-            // Everything in this batch is already held: step again immediately
-            // (the next drive sends the next getheaders, or finishes).
-            bf.deadline = now_ms;
-            return true;
-        }
-        bf.deadline = now_ms + self.config.sync.request_timeout_ms;
-        fresh.sort_unstable_by_key(|(height, item)| (*height, item.id));
-        let items: Vec<InvItem> = fresh.into_iter().map(|(_, item)| item).collect();
-        self.request_from(peer, &items, effects);
-        true
-    }
-
-    /// A block body arrived. One the backfill requested lives below the chain
-    /// root: it goes to durable storage and `backfilled` (servable to syncing
-    /// peers) but never through `accept_block`, which could only orphan it.
-    /// Everything else is offered to the chain.
-    fn on_block(&mut self, from: u64, block: NgBlock, now_ms: u64, effects: &mut Vec<Effect>) {
-        let id = block.id();
-        let claimed = self.onboarding.backfill.as_mut().and_then(|bf| {
-            let (height, _) = bf.expected.remove(&id)?;
-            bf.fetched += 1;
-            Some(height)
-        });
-        if let Some(height) = claimed {
-            if let Some(storage) = self.chain.storage.as_mut() {
-                if let Err(err) = storage.store_block(&block, height) {
-                    Self::report_storage_failure(err, effects);
-                }
-            }
-            self.onboarding.backfilled.insert(id, block);
-        } else if !self.onboarding.backfilled.contains_key(&id) {
-            // (A re-delivered copy of an already-backfilled block is dropped.)
-            self.accept_block(Some(from), block, now_ms, effects);
-        }
-    }
-
-    fn serve_headers(
-        &mut self,
-        peer: u64,
-        locator: &[Hash256],
-        limit: u32,
-        effects: &mut Vec<Effect>,
-    ) {
-        effects.push(Effect::Report(ReportEvent::SyncRequestServed { peer }));
-        let chain = self.chain.node.chain().store().main_chain();
-        let limit = (limit as usize).clamp(1, 4096);
-        let records: Vec<HeaderRecord> = ids_after_locator(&chain, locator, limit)
-            .iter()
-            .filter_map(|id| {
-                let stored = self.chain.node.chain().store().get(id)?;
-                Some(HeaderRecord {
-                    id: *id,
-                    prev: stored.block.prev(),
-                    kind: if stored.block.is_key() {
-                        InvKind::KeyBlock
-                    } else {
-                        InvKind::MicroBlock
-                    },
-                    height: stored.height,
-                })
-            })
-            .collect();
-        effects.push(Effect::Send {
-            peer,
-            message: Message::Headers(records),
-        });
-    }
-
-    fn handle_headers(
-        &mut self,
-        peer: u64,
-        records: Vec<HeaderRecord>,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        effects.push(Effect::Report(ReportEvent::SyncBatchReceived {
-            peer,
-            count: records.len(),
-        }));
-        if self.claim_backfill_headers(peer, &records, now_ms, effects) {
-            return;
-        }
-        // Records at or below the chain root can never connect (a snapshot-rooted
-        // store holds no history there); they are the backfill's business, not the
-        // forward sync's. Feeding the remainder with a correspondingly reduced
-        // limit preserves the "partial batch means tip reached" signal.
-        let root_height = self.onboarding.root_height;
-        let forward: Vec<HeaderRecord> = records
-            .iter()
-            .filter(|r| r.height > root_height)
-            .copied()
-            .collect();
-        let dropped = (records.len() - forward.len()) as u32;
-        let limit = if forward.is_empty() && !records.is_empty() {
-            // Every record fell at or below the root: this peer has nothing for
-            // the forward sync (it may be stuck on a pre-root branch). An
-            // unreachable limit makes the batch read as partial, ending the walk
-            // instead of re-requesting the same useless range forever.
-            u32::MAX
-        } else {
-            self.config.header_batch.saturating_sub(dropped)
-        };
-        let store = self.chain.node.chain().store();
-        self.onboarding.sync.on_headers(peer, &forward, limit, |id| store.contains(id));
-    }
-
     // ---- block production -----------------------------------------------------
 
     fn mine_key_block(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
@@ -1924,23 +1418,11 @@ impl Engine {
                 candidates.push(deadline);
             }
         }
-        if let Some(deadline) = self.onboarding.sync.next_deadline() {
+        if let Some(deadline) = self.onboarding.next_deadline(&self.relay) {
             candidates.push(deadline);
         }
         if let Some(deadline) = self.relay.overlay.next_deadline() {
             candidates.push(deadline);
-        }
-        if let Some((_, deadline)) = self.onboarding.bootstrap.as_ref().and_then(|boot| boot.waiting) {
-            candidates.push(deadline);
-        }
-        if let Some(bf) = self.onboarding.backfill.as_ref() {
-            // Without a ready peer the deadline cannot be acted on; the next
-            // handshake re-drives the backfill anyway (don't spin the timer).
-            if (bf.awaiting_headers || !bf.expected.is_empty())
-                && self.ready_peer_count() > 0
-            {
-                candidates.push(bf.deadline);
-            }
         }
         let Some(deadline) = candidates.into_iter().min() else {
             if self.last_timer.take().is_some() {

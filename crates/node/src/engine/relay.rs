@@ -1,9 +1,12 @@
 //! The relay component: the peer table and everything that decides what goes to
 //! which connection — `inv`/`getdata`, compact blocks, the eager/lazy overlay.
 
+use super::onboarding::Onboarding;
+use super::{Effect, ReportEvent};
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::transaction::Transaction;
 use ng_crypto::sha256::Hash256;
+use ng_net::message::InvItem;
 use ng_net::overlay::Overlay;
 use ng_net::peer::Peer;
 use ng_net::relay::CompactRelay;
@@ -60,5 +63,50 @@ impl Relay {
     /// [`Self::ready`], collected.
     pub(super) fn ready_peers(&self) -> Vec<u64> {
         self.ready().collect()
+    }
+
+    /// Connection `peer` is gone: forget what was said over it, drop the
+    /// reconstructions waiting on it, and tell the onboarding component, whose
+    /// downloads, bootstrap or backfill may have been waiting on it too.
+    pub(super) fn forget(&mut self, peer: u64, onboarding: &mut Onboarding) {
+        self.peers.remove(&peer);
+        self.overlay.peer_gone(peer);
+        self.compact.peer_gone(peer);
+        onboarding.peer_gone(peer);
+    }
+
+    /// `peer` violated the protocol: report it, close the connection, forget it.
+    pub(super) fn punish(
+        &mut self,
+        peer: u64,
+        reason: String,
+        onboarding: &mut Onboarding,
+        effects: &mut Vec<Effect>,
+    ) {
+        effects.push(Effect::Report(ReportEvent::PeerMisbehaved { peer, reason }));
+        effects.push(Effect::Disconnect { peer });
+        self.forget(peer, onboarding);
+    }
+
+    /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
+    /// on this connection is forgotten first: callers re-issue after a timeout (the
+    /// original `getdata` or its reply may have been lost), and the connection's
+    /// in-flight dedup would otherwise suppress the retry forever.
+    pub(super) fn request_from(&mut self, peer: u64, items: &[InvItem], effects: &mut Vec<Effect>) {
+        let Some(state) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        for item in items {
+            state.forget_request(&item.id);
+        }
+        if let Some(message) = state.request(items) {
+            effects.push(Effect::Send { peer, message });
+        }
+    }
+
+    /// The chain was re-rooted: nothing held back against the old root can ever
+    /// be announced.
+    pub(super) fn clear_held_back(&mut self) {
+        self.held_back.clear();
     }
 }
