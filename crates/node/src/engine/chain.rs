@@ -7,6 +7,7 @@ use ng_chain::mempool::Mempool;
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_core::node::NgNode;
+use ng_crypto::sha256::Hash256;
 use ng_net::message::WireSnapshot;
 use ng_storage::{ChainStorage, Snapshot, StoreError};
 
@@ -44,6 +45,35 @@ impl Chain {
     /// The incremental ledger view.
     pub(super) fn view(&self) -> &ChainView {
         &self.view
+    }
+
+    /// The one store of pending transactions.
+    pub(super) fn mempool(&self) -> &Mempool {
+        &self.mempool
+    }
+
+    /// Height of the main-chain tip.
+    pub(super) fn height(&self) -> u64 {
+        self.node.chain().store().tip_height()
+    }
+
+    /// True if the block is in the tree.
+    pub(super) fn holds(&self, id: &Hash256) -> bool {
+        self.node.chain().store().contains(id)
+    }
+
+    /// True if this node may relay (and serve) the block: it is in the tree and —
+    /// under full validation — either carries its own proof of work (a key block) or
+    /// was validated by this node's ledger (it sits on the main chain). A node never
+    /// vouches for a microblock it has not validated.
+    pub(super) fn announceable(&self, id: &Hash256) -> bool {
+        match self.node.chain().get(id) {
+            None => false,
+            Some(NgBlock::Key(_)) => true,
+            Some(NgBlock::Micro(_)) => {
+                !self.view.validating() || self.node.chain().store().is_in_main_chain(id)
+            }
+        }
     }
 
     /// The block tree to read and the ledger view to write, together: what the

@@ -37,7 +37,6 @@
 use crate::chainstate::ChainView;
 use ng_chain::amount::Amount;
 use ng_chain::chainstore::InsertOutcome;
-use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::mempool::Mempool;
 use ng_chain::payload::Payload;
 use ng_chain::transaction::Transaction;
@@ -45,11 +44,8 @@ use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_core::node::NgNode;
 use ng_crypto::sha256::Hash256;
-use ng_net::message::{InvItem, InvKind, Message, ProtocolKind};
-use ng_net::overlay::Overlay;
-use ng_net::peer::{Peer, PeerAction};
-use ng_net::relay::{announcement_salt, transactions_at, CompactMicroBlock, CompactRelay, ReconstructOutcome};
-use std::collections::BTreeMap;
+use ng_net::message::Message;
+use ng_net::peer::PeerAction;
 
 mod chain;
 mod fraud;
@@ -60,7 +56,7 @@ mod types;
 use chain::Chain;
 use fraud::Fraud;
 use onboarding::Onboarding;
-use relay::{Relay, MAX_ORPHAN_CARRIERS, MAX_RELAY_TXS};
+use relay::Relay;
 
 pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
 
@@ -97,6 +93,7 @@ impl Engine {
         // otherwise every served batch would look partial and sync would stop early.
         config.header_batch = config.header_batch.clamp(1, 4096);
         let onboarding = Onboarding::new(&config, root_height, bootstrap);
+        let relay = Relay::new(&config);
         Engine {
             config,
             chain: Chain {
@@ -107,13 +104,7 @@ impl Engine {
                 last_snapshot_height: 0,
                 latest_snapshot: None,
             },
-            relay: Relay {
-                peers: BTreeMap::new(),
-                overlay: Overlay::new(),
-                compact: CompactRelay::new(),
-                held_back: BoundedFifoMap::new(MAX_ORPHAN_CARRIERS),
-                relay_memory: BoundedFifoMap::new(MAX_RELAY_TXS),
-            },
+            relay,
             onboarding,
             fraud: Fraud::new(),
             last_timer: None,
@@ -238,7 +229,9 @@ impl Engine {
         let mut effects = Vec::new();
         match input {
             Input::PeerConnected { peer, inbound } => {
-                self.on_connected(peer, inbound, now_ms, &mut effects)
+                let height = self.chain.height();
+                self.relay
+                    .connect(peer, inbound, height, now_ms, &mut effects)
             }
             Input::PeerDisconnected { peer } => self.relay.forget(peer, &mut self.onboarding),
             Input::Message { peer, message } => {
@@ -264,7 +257,7 @@ impl Engine {
         // the bootstrap/backfill state: run one scheduler pass before re-arming.
         self.onboarding
             .drive(now_ms, &self.chain, &mut self.relay, &mut effects);
-        self.drive_overlay(now_ms, &mut effects);
+        self.relay.drive(now_ms, &mut effects);
         self.arm_timer(now_ms, &mut effects);
         effects
     }
@@ -357,18 +350,18 @@ impl Engine {
     /// Connections whose handshake completed, sorted (the expansion set for
     /// [`Effect::Broadcast`]).
     pub fn ready_peers(&self) -> Vec<u64> {
-        ready_keys(&self.relay.peers)
+        self.relay.ready_peers()
     }
 
     /// Number of connections whose handshake completed.
     pub fn ready_peer_count(&self) -> usize {
-        self.relay.peers.values().filter(|state| state.is_ready()).count()
+        self.relay.ready().count()
     }
 
     /// Every registered connection key, sorted (drivers tear these down on
     /// disconnect-all commands).
     pub fn connected_peers(&self) -> Vec<u64> {
-        self.relay.peers.keys().copied().collect()
+        self.relay.connected_peers()
     }
 
     /// Completed sync block downloads per peer, sorted by peer key. The parallel
@@ -417,12 +410,12 @@ impl Engine {
     /// Current eager-set connections of the broadcast overlay, ascending (empty
     /// unless `gossip.overlay` is on).
     pub fn overlay_eager(&self) -> Vec<u64> {
-        self.relay.overlay.eager().collect()
+        self.relay.overlay_eager()
     }
 
     /// Current lazy-set connections of the broadcast overlay, ascending.
     pub fn overlay_lazy(&self) -> Vec<u64> {
-        self.relay.overlay.lazy().collect()
+        self.relay.overlay_lazy()
     }
 
     /// Inserts a transaction straight into the mempool — no gossip, no effects.
@@ -443,39 +436,14 @@ impl Engine {
         }
     }
 
-    // ---- connection lifecycle -------------------------------------------------
-
-    fn on_connected(&mut self, peer: u64, inbound: bool, now_ms: u64, effects: &mut Vec<Effect>) {
-        if self.relay.peers.contains_key(&peer) {
-            return; // already registered (e.g. the driver echoes its own dial)
-        }
-        let state = if inbound {
-            // The remote dialed; it speaks first and we answer with our version.
-            Peer::inbound(self.config.id, ProtocolKind::BitcoinNg)
-        } else {
-            let (state, hello) = Peer::outbound(
-                self.config.id,
-                ProtocolKind::BitcoinNg,
-                self.height(),
-                now_ms,
-            );
-            effects.push(Effect::Send {
-                peer,
-                message: hello,
-            });
-            state
-        };
-        self.relay.peers.insert(peer, state);
-    }
-
     // ---- incoming messages ----------------------------------------------------
 
     fn on_message(&mut self, peer: u64, message: Message, now_ms: u64, effects: &mut Vec<Effect>) {
-        let height = self.height();
-        let Some(state) = self.relay.peers.get_mut(&peer) else {
+        let height = self.chain.height();
+        let Some(actions) = self.relay.receive(peer, message, height, now_ms) else {
             return; // unknown or already-forgotten connection
         };
-        for action in state.on_message(message, height, now_ms) {
+        for action in actions {
             match action {
                 PeerAction::Send(message) => effects.push(Effect::Send { peer, message }),
                 PeerAction::HandshakeComplete {
@@ -486,9 +454,7 @@ impl Engine {
                     // The handshake replies are queued above; now sync.
                     effects.push(Effect::Report(ReportEvent::PeerReady { peer, node_id }));
                     self.fraud.offer_records(peer, effects);
-                    if self.config.gossip.overlay {
-                        self.relay.overlay.peer_ready(peer);
-                    }
+                    self.relay.peer_ready(peer);
                     self.onboarding.peer_ready(peer, best_height);
                 }
                 PeerAction::Disconnect(error) => {
@@ -497,83 +463,18 @@ impl Engine {
                     return;
                 }
                 PeerAction::Announced(item) => {
-                    // An `inv`: fetch the object unless it is already here.
-                    if !self.knows_object(&item) {
-                        let request = self
-                            .relay.peers
-                            .get_mut(&peer)
-                            .and_then(|state| state.request(&[item]));
-                        if let Some(message) = request {
-                            effects.push(Effect::Send { peer, message });
-                        }
-                    }
+                    self.relay
+                        .on_inv(peer, item, &self.chain, &self.onboarding, effects)
                 }
                 PeerAction::Requested(item) => {
-                    // A `getdata`: answer it if the object can be served; an
-                    // unservable request is simply dropped.
-                    if let Some(message) = self.servable(&item) {
-                        self.send_object(peer, item.id, message, effects);
-                    }
+                    self.relay
+                        .on_getdata(peer, item, &self.chain, &self.onboarding, effects)
                 }
                 PeerAction::Deliver(message) => {
                     self.handle_delivered(peer, message, now_ms, effects)
                 }
             }
         }
-    }
-
-    // ---- serving: the wire is answered from the tree and the mempool ------------
-
-    /// The block to answer a `getdata`, `graft` or `getblocktxn` with. The serving
-    /// rule is the announcing rule: a tree block this node may vouch for *now* —
-    /// never an unvalidated side-branch microblock, never an invalidated block (it
-    /// left the tree) — plus the below-root history the backfill fetched.
-    fn served_block(&self, id: &Hash256) -> Option<&NgBlock> {
-        if self.announceable(id) {
-            self.chain.node.chain().get(id)
-        } else {
-            self.onboarding.backfilled_block(id)
-        }
-    }
-
-    /// Builds the message that carries the named object, if this node serves it.
-    /// Transactions come from the mempool, else from the relay memory.
-    fn servable(&self, item: &InvItem) -> Option<Message> {
-        match item.kind {
-            InvKind::Transaction => self
-                .chain.mempool
-                .get(&item.id)
-                .map(|entry| &entry.tx)
-                .or_else(|| self.relay.relay_memory.get(&item.id))
-                .map(|tx| Message::Tx(Box::new(tx.clone()))),
-            InvKind::KeyBlock | InvKind::MicroBlock => self.served_block(&item.id).map(block_message),
-        }
-    }
-
-    /// Sends `peer` the body of object `id` and notes that the remote now has it.
-    fn send_object(&mut self, peer: u64, id: Hash256, message: Message, effects: &mut Vec<Effect>) {
-        if let Some(state) = self.relay.peers.get_mut(&peer) {
-            state.mark_known(id);
-        }
-        effects.push(Effect::Send { peer, message });
-    }
-
-    /// True if an announced object needs no fetching: a pending, recently relayed
-    /// or already confirmed transaction, or a held block.
-    fn knows_object(&self, item: &InvItem) -> bool {
-        match item.kind {
-            InvKind::Transaction => {
-                self.chain.mempool.contains(&item.id)
-                    || self.relay.relay_memory.contains_key(&item.id)
-                    || self.chain.view.is_confirmed(&item.id)
-            }
-            InvKind::KeyBlock | InvKind::MicroBlock => self.holds_block(&item.id),
-        }
-    }
-
-    /// True if the block is held, in the tree or below its root.
-    fn holds_block(&self, id: &Hash256) -> bool {
-        self.chain.node.chain().store().contains(id) || self.onboarding.backfilled_block(id).is_some()
     }
 
     /// A block body arrived: the snapshot backfill takes the ones it asked for,
@@ -626,168 +527,38 @@ impl Engine {
                 );
             }
             Message::CmpctBlock(compact) => {
-                self.handle_compact(from, *compact, now_ms, effects);
-            }
-            Message::GetBlockTxn { block, indexes } => {
-                self.serve_block_txn(from, block, &indexes, effects);
-            }
-            Message::BlockTxn { block, txs } => {
-                self.handle_block_txn(from, block, txs, now_ms, effects);
-            }
-            Message::IHave(items) => {
-                self.handle_ihave(from, items, now_ms);
-            }
-            Message::Graft(item) => {
-                self.relay.overlay.on_graft(from);
-                // Serve the grafted block in full: the graft *is* the pull request.
-                if let Some(message) = self.served_block(&item.id).map(block_message) {
-                    self.send_object(from, item.id, message, effects);
+                let rebuilt = self.relay.on_compact(from, *compact, &self.chain, effects);
+                if let Some(block) = rebuilt {
+                    self.accept_block(Some(from), block, now_ms, effects);
                 }
             }
-            Message::Prune => {
-                self.relay.overlay.on_prune(from);
+            Message::GetBlockTxn { block, indexes } => self.relay.serve_block_txn(
+                from,
+                block,
+                &indexes,
+                &self.chain,
+                &self.onboarding,
+                effects,
+            ),
+            Message::BlockTxn { block, txs } => {
+                if let Some(block) = self.relay.on_block_txn(from, block, txs, effects) {
+                    self.accept_block(Some(from), block, now_ms, effects);
+                }
             }
+            Message::IHave(items) => {
+                self.relay
+                    .on_ihave(from, items, now_ms, &self.chain, &self.onboarding)
+            }
+            Message::Graft(item) => {
+                self.relay
+                    .on_graft(from, item, &self.chain, &self.onboarding, effects)
+            }
+            Message::Prune => self.relay.on_prune(from),
             Message::Poison(poison) => {
                 self.fraud
                     .adopt(&mut self.chain, &self.relay, Some(from), *poison, effects);
             }
             _ => {}
-        }
-    }
-
-    // ---- compact relay + broadcast overlay -------------------------------------
-
-    /// A compact microblock announcement arrived: reconstruct it from the mempool,
-    /// request the missing slots, or fall back to a full fetch.
-    fn handle_compact(
-        &mut self,
-        from: u64,
-        compact: CompactMicroBlock,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        let id = compact.id();
-        if self.chain.node.chain().store().contains(&id) {
-            // A second eager path delivered this block: classic Plumtree prune.
-            effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
-            self.prune_duplicate_link(from, effects);
-            return;
-        }
-        if self.relay.compact.is_pending(&id) {
-            // Already reconstructing from an earlier announcement; a second
-            // concurrent eager push of the same block is a duplicate path too.
-            self.prune_duplicate_link(from, effects);
-            return;
-        }
-        match self.relay.compact.begin(compact, &self.chain.mempool, from) {
-            ReconstructOutcome::Complete(micro) => {
-                effects.push(Effect::Report(ReportEvent::CompactReconstructed {
-                    id,
-                    fetched: 0,
-                }));
-                self.accept_block(Some(from), NgBlock::Micro(*micro), now_ms, effects);
-            }
-            ReconstructOutcome::MissingTxs(indexes) => {
-                effects.push(Effect::Send {
-                    peer: from,
-                    message: Message::GetBlockTxn { block: id, indexes },
-                });
-            }
-            ReconstructOutcome::Failed => self.fetch_full(from, id, effects),
-        }
-    }
-
-    /// Serves a `getblocktxn` request from the block tree.
-    fn serve_block_txn(
-        &mut self,
-        from: u64,
-        block: Hash256,
-        indexes: &[u32],
-        effects: &mut Vec<Effect>,
-    ) {
-        let Some(NgBlock::Micro(micro)) = self.served_block(&block) else {
-            return; // never held or not servable: the requester's fallback covers it
-        };
-        if let Some(txs) = transactions_at(micro, indexes) {
-            effects.push(Effect::Send {
-                peer: from,
-                message: Message::BlockTxn { block, txs },
-            });
-        }
-    }
-
-    /// A `blocktxn` reply arrived: complete the stashed reconstruction or fall back.
-    fn handle_block_txn(
-        &mut self,
-        from: u64,
-        block: Hash256,
-        txs: Vec<Transaction>,
-        now_ms: u64,
-        effects: &mut Vec<Effect>,
-    ) {
-        let fetched = txs.len();
-        match self.relay.compact.resolve(&block, txs) {
-            None => {} // unsolicited or evicted: ignore
-            Some(ReconstructOutcome::Complete(micro)) => {
-                effects.push(Effect::Report(ReportEvent::CompactReconstructed {
-                    id: block,
-                    fetched,
-                }));
-                self.accept_block(Some(from), NgBlock::Micro(*micro), now_ms, effects);
-            }
-            Some(_) => self.fetch_full(from, block, effects),
-        }
-    }
-
-    /// Lazy `ihave` advertisements: remember unseen blocks as pull candidates (the
-    /// timer pass grafts the advertiser if no eager copy lands in time).
-    fn handle_ihave(&mut self, from: u64, items: Vec<InvItem>, now_ms: u64) {
-        if !self.config.gossip.overlay {
-            return;
-        }
-        for item in items {
-            if !matches!(item.kind, InvKind::KeyBlock | InvKind::MicroBlock) {
-                continue;
-            }
-            if self.holds_block(&item.id) || self.relay.compact.is_pending(&item.id) {
-                continue;
-            }
-            // arm_timer (end of this handle pass) picks up the new deadline.
-            self.relay.overlay.on_ihave(from, item, now_ms);
-        }
-    }
-
-    /// Compact reconstruction failed: fetch the announced block in full.
-    fn fetch_full(&mut self, from: u64, id: Hash256, effects: &mut Vec<Effect>) {
-        effects.push(Effect::Report(ReportEvent::CompactFallback { id }));
-        self.relay
-            .request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
-    }
-
-    /// A duplicate eager push arrived over `from`: demote the link to lazy and tell
-    /// the other end to stop pushing to us (Plumtree's tree-repair move).
-    fn prune_duplicate_link(&mut self, from: u64, effects: &mut Vec<Effect>) {
-        if self.config.gossip.overlay && self.relay.overlay.on_duplicate(from) {
-            effects.push(Effect::Report(ReportEvent::OverlayPrune { peer: from }));
-            effects.push(Effect::Send {
-                peer: from,
-                message: Message::Prune,
-            });
-        }
-    }
-
-    /// Fires overdue lazy pulls: each grafts its next advertiser back to eager and
-    /// pulls the missed block over that link (the overlay's self-healing path).
-    fn drive_overlay(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        if self.relay.overlay.pending_pulls() == 0 {
-            return;
-        }
-        for (item, peer) in self.relay.overlay.expire(now_ms) {
-            effects.push(Effect::Report(ReportEvent::OverlayGraft { peer }));
-            effects.push(Effect::Send {
-                peer,
-                message: Message::Graft(item),
-            });
         }
     }
 
@@ -830,9 +601,8 @@ impl Engine {
         if !self.chain.mempool.insert_with_fee(tx.clone(), fee) {
             return false;
         }
-        self.relay.relay_memory.insert(txid, tx);
         effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
-        self.announce(InvItem::new(InvKind::Transaction, txid), from, effects);
+        self.relay.relay_tx(txid, tx, from, effects);
         true
     }
 
@@ -868,10 +638,7 @@ impl Engine {
         // syncing peer, leaving the in-flight entry stuck (and the block
         // re-downloaded) whenever gossip won the race.
         let expected = self.onboarding.note_delivery(&id);
-        // Likewise the overlay's pending lazy pull and any half-done compact
-        // reconstruction of this block: the full copy is here.
-        self.relay.overlay.block_arrived(&id);
-        self.relay.compact.abandon(&id);
+        self.relay.block_arrived(&id);
         let micro_key = match &block {
             NgBlock::Micro(mb) => Some((mb.header.prev, mb.header.leader)),
             NgBlock::Key(_) => None,
@@ -898,12 +665,7 @@ impl Engine {
                         tip_changed,
                         reorg: reorged,
                     }));
-                    if self.announceable(&id) {
-                        self.announce_block(id, from, effects);
-                    } else {
-                        self.relay.held_back.insert(id, ());
-                    }
-                    self.flush_held_back(effects);
+                    self.relay.block_accepted(id, from, &self.chain, effects);
                     self.fraud
                         .block_stored(&mut self.chain, &self.relay, micro_key, id, effects);
                 }
@@ -912,14 +674,14 @@ impl Engine {
                 effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
                 if let Some(from) = from {
                     // A second eager path pushed a full copy: demote that link.
-                    self.prune_duplicate_link(from, effects);
+                    self.relay.prune_duplicate_link(from, effects);
                 }
             }
             Ok(InsertOutcome::Orphaned { .. }) => {
                 effects.push(Effect::Report(ReportEvent::BlockOrphaned { id }));
                 // Remember the id so the block is announced once its ancestors
                 // arrive (the chain layer adopts it without telling us).
-                self.relay.held_back.insert(id, ());
+                self.relay.hold_back(id);
                 // We are missing history; a header walk fills the gap — unless the
                 // scheduler expected this block, in which case its ancestors are
                 // already queued or in flight. The walk nominally targets the
@@ -935,133 +697,6 @@ impl Engine {
             Err(_) => {
                 effects.push(Effect::Report(ReportEvent::BlockRejected { id }));
             }
-        }
-    }
-
-    /// Announces a newly stored object with an `inv` to every ready peer that does
-    /// not know it yet, the source link excluded: a single [`Effect::Broadcast`]
-    /// when every ready peer needs it (a freshly produced local object), per-peer
-    /// [`Effect::Send`]s otherwise. Transactions always take this path, even with
-    /// the broadcast overlay on: mempool convergence is what makes compact
-    /// reconstruction work.
-    fn announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
-        // The peer that delivered the object obviously has it already.
-        if let Some(source) = from.and_then(|source| self.relay.peers.get_mut(&source)) {
-            source.mark_known(item.id);
-        }
-        let targets: Vec<u64> = self
-            .relay.peers
-            .iter_mut()
-            .filter_map(|(peer, state)| state.offer(item.id).then_some(*peer))
-            .collect();
-        let message = Message::Inv(vec![item]);
-        if from.is_none() && !targets.is_empty() && targets.len() == self.ready_peer_count() {
-            effects.push(Effect::Broadcast { message });
-        } else {
-            for peer in targets {
-                effects.push(Effect::Send {
-                    peer,
-                    message: message.clone(),
-                });
-            }
-        }
-    }
-
-    /// Announces a tree block: over the eager/lazy overlay when it is on, with a
-    /// plain `inv` otherwise.
-    fn announce_block(&mut self, id: Hash256, from: Option<u64>, effects: &mut Vec<Effect>) {
-        let Some(block) = self.chain.node.chain().get(&id) else {
-            return;
-        };
-        let kind = if block.is_key() {
-            InvKind::KeyBlock
-        } else {
-            InvKind::MicroBlock
-        };
-        if self.config.gossip.overlay {
-            self.overlay_announce(InvItem::new(kind, id), from, effects);
-        } else {
-            self.announce(InvItem::new(kind, id), from, effects);
-        }
-    }
-
-    /// Announces a block over the structured overlay: the block itself (compacted
-    /// for microblocks when `gossip.compact`) is pushed to the eager set, a
-    /// one-item `ihave` to the lazy set, the source link excluded from both.
-    fn overlay_announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
-        let id = item.id;
-        if let Some(source) = from.and_then(|source| self.relay.peers.get_mut(&source)) {
-            source.mark_known(id);
-        }
-        // Only links that actually receive the body are marked as knowing it.
-        let mut eager = self.relay.overlay.push_targets(from);
-        eager.retain(|peer| self.relay.peers.get_mut(peer).is_some_and(|state| state.offer(id)));
-        if !eager.is_empty() {
-            let Some(block) = self.chain.node.chain().get(&id) else {
-                return;
-            };
-            let compact = match block {
-                NgBlock::Micro(micro) if self.config.gossip.compact => {
-                    let salt = announcement_salt(self.config.id, &id);
-                    CompactMicroBlock::from_micro(micro, salt)
-                }
-                _ => None,
-            };
-            let push = match compact {
-                Some(compact) => Message::CmpctBlock(Box::new(compact)),
-                None => block_message(block),
-            };
-            for peer in eager {
-                effects.push(Effect::Send {
-                    peer,
-                    message: push.clone(),
-                });
-            }
-        }
-        for peer in self.relay.overlay.lazy_targets(from) {
-            // An `ihave` does not transfer the block, so the peer is *not* marked
-            // as knowing it — a later graft must still be served.
-            if self.relay.peers.get(&peer).is_some_and(|state| state.is_ready() && !state.knows(&id)) {
-                effects.push(Effect::Send {
-                    peer,
-                    message: Message::IHave(vec![item]),
-                });
-            }
-        }
-    }
-
-    /// True if this node may relay (and serve) the block: it is in the tree and —
-    /// under full validation — either carries its own proof of work (a key block) or
-    /// was validated by this node's ledger (it sits on the main chain). A node never
-    /// vouches for a microblock it has not validated.
-    fn announceable(&self, id: &Hash256) -> bool {
-        match self.chain.node.chain().get(id) {
-            None => false,
-            Some(NgBlock::Key(_)) => true,
-            Some(NgBlock::Micro(_)) => {
-                !self.chain.view.validating() || self.chain.node.chain().store().is_in_main_chain(id)
-            }
-        }
-    }
-
-    /// Announces held-back blocks that became relayable — adopted orphans, and
-    /// (under full validation) side-branch microblocks whose branch has since won
-    /// and been validated.
-    fn flush_held_back(&mut self, effects: &mut Vec<Effect>) {
-        if self.relay.held_back.is_empty() {
-            return;
-        }
-        let mut adopted: Vec<Hash256> = self
-            .relay.held_back
-            .keys()
-            .filter(|id| self.announceable(id))
-            .copied()
-            .collect();
-        // Sorted so the announcement order does not depend on arrival order.
-        adopted.sort_unstable();
-        for id in adopted {
-            self.relay.held_back.remove(&id);
-            self.announce_block(id, None, effects);
         }
     }
 
@@ -1098,7 +733,7 @@ impl Engine {
                     }));
                     self.persist_invalidated(&error.block, effects);
                     for gone in self.chain.node.chain_mut().invalidate(&error.block) {
-                        self.relay.held_back.remove(&gone);
+                        self.relay.release(&gone);
                     }
                 }
                 Err(crate::chainstate::SyncError::UnwindableBlock { .. }) => {
@@ -1114,7 +749,7 @@ impl Engine {
                     }));
                     self.persist_invalidated(&gone_tip, effects);
                     for gone in self.chain.node.chain_mut().invalidate(&gone_tip) {
-                        self.relay.held_back.remove(&gone);
+                        self.relay.release(&gone);
                     }
                 }
             }
@@ -1347,7 +982,7 @@ impl Engine {
         self.roll_ledger(None, effects);
         let id = kb.id();
         effects.push(Effect::Report(ReportEvent::KeyBlockMined { id }));
-        self.announce_block(id, None, effects);
+        self.relay.announce_block(id, None, &self.chain, effects);
     }
 
     fn produce_microblock(
@@ -1395,7 +1030,7 @@ impl Engine {
         self.roll_ledger(None, effects);
         let id = micro.id();
         effects.push(Effect::Report(ReportEvent::MicroblockProduced { id }));
-        self.announce_block(id, None, effects);
+        self.relay.announce_block(id, None, &self.chain, effects);
         Some(id)
     }
 
@@ -1421,7 +1056,7 @@ impl Engine {
         if let Some(deadline) = self.onboarding.next_deadline(&self.relay) {
             candidates.push(deadline);
         }
-        if let Some(deadline) = self.relay.overlay.next_deadline() {
+        if let Some(deadline) = self.relay.next_deadline() {
             candidates.push(deadline);
         }
         let Some(deadline) = candidates.into_iter().min() else {
@@ -1442,38 +1077,15 @@ impl Engine {
     }
 }
 
-/// Keys of the connections whose handshake completed. BTreeMap iteration is key
-/// order, so `Broadcast` expansion and every relay fan-out stay deterministic
-/// without a collect-and-sort pass. (A free function so callers holding a mutable
-/// borrow of another engine field can still use it.)
-fn ready_keys(peers: &BTreeMap<u64, Peer>) -> Vec<u64> {
-    peers
-        .iter()
-        .filter(|(_, state)| state.is_ready())
-        .map(|(peer, _)| *peer)
-        .collect()
-}
-
-/// The wire message that carries a block, built from the tree's copy at the moment
-/// it is sent.
-fn block_message(block: &NgBlock) -> Message {
-    match block {
-        NgBlock::Key(key) => Message::KeyBlock(Box::new(key.clone())),
-        NgBlock::Micro(micro) => Message::MicroBlock(Box::new(micro.clone())),
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testnet::test_tx;
-    use ng_chain::amount::Amount;
-    use ng_chain::transaction::{OutPoint, TransactionBuilder};
-    use ng_core::params::NgParams;
-    use ng_crypto::keys::KeyPair;
-    use ng_crypto::sha256::sha256;
+mod testkit {
+    //! Fixtures shared by the unit tests of the router and of every component.
 
-    fn params() -> NgParams {
+    use super::*;
+    use ng_core::params::NgParams;
+    use ng_net::message::ProtocolKind;
+
+    pub(in crate::engine) fn params() -> NgParams {
         NgParams {
             min_microblock_interval_ms: 1,
             microblock_interval_ms: 2,
@@ -1484,9 +1096,66 @@ mod tests {
         }
     }
 
-    fn engine(id: u64) -> Engine {
+    pub(in crate::engine) fn engine(id: u64) -> Engine {
         Engine::new(EngineConfig::new(id, params()))
     }
+
+    pub(in crate::engine) fn gossip_engine(id: u64, gossip: GossipConfig) -> Engine {
+        let mut config = EngineConfig::new(id, params());
+        config.gossip = gossip;
+        Engine::new(config)
+    }
+
+    /// Validating parameters with immediately spendable coinbases.
+    pub(in crate::engine) fn validated_params() -> NgParams {
+        NgParams {
+            min_microblock_interval_ms: 1,
+            microblock_interval_ms: 2,
+            coinbase_maturity: 0,
+            ..NgParams::default()
+        }
+    }
+
+    /// Registers a handshaken peer on `engine` under connection key `peer`.
+    pub(in crate::engine) fn register_peer(engine: &mut Engine, peer: u64) {
+        engine.handle(0, Input::PeerConnected { peer, inbound: true });
+        engine.handle(
+            0,
+            Input::Message {
+                peer,
+                message: Message::Version {
+                    node_id: 10_000 + peer,
+                    protocol: ProtocolKind::BitcoinNg,
+                    best_height: 0,
+                    time_ms: 0,
+                },
+            },
+        );
+        engine.handle(0, Input::Message { peer, message: Message::Verack });
+        engine.handle(0, Input::Message { peer, message: Message::Headers(vec![]) });
+    }
+
+    /// The `Send` effects among `effects`, as `(peer, command)` pairs.
+    pub(in crate::engine) fn sends(effects: &[Effect]) -> Vec<(u64, &'static str)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { peer, message } => Some((*peer, message.command())),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+    use crate::testnet::test_tx;
+    use ng_chain::amount::Amount;
+    use ng_chain::transaction::{OutPoint, TransactionBuilder};
+    use ng_crypto::keys::KeyPair;
+    use ng_crypto::sha256::sha256;
 
     /// Runs every message effect between two engines until both queues drain.
     /// `a` talks to `b` over connection key 0 on both sides.
@@ -1545,12 +1214,6 @@ mod tests {
         assert_eq!(b.ready_peer_count(), 1);
     }
 
-    fn gossip_engine(id: u64, gossip: GossipConfig) -> Engine {
-        let mut config = EngineConfig::new(id, params());
-        config.gossip = gossip;
-        Engine::new(config)
-    }
-
     #[test]
     fn compact_announcement_reconstructs_at_the_receiver() {
         let mut a = gossip_engine(1, GossipConfig::scalable());
@@ -1595,41 +1258,6 @@ mod tests {
         pump(1_300, &mut a, &mut b, produced, true);
         assert_eq!(b.height(), 2, "b reconstructed the microblock from its pool");
         assert_eq!(b.mempool_len(), 0);
-    }
-
-    #[test]
-    fn reconstruction_restarts_after_the_awaited_peer_disconnects() {
-        // The leader's chain: a key block, then a microblock of two transactions.
-        let mut leader = ng_core::node::NgNode::new(9, params(), 0);
-        let kb = leader.mine_and_adopt_key_block(1_000);
-        let txs = vec![test_tx(1), test_tx(2)];
-        let micro = leader
-            .produce_microblock(1_100, Payload::Transactions(txs.clone()))
-            .expect("leader is due");
-        let id = micro.id();
-        let announcement = |salt| {
-            let compact = CompactMicroBlock::from_micro(&micro, salt).expect("has transactions");
-            Message::CmpctBlock(Box::new(compact))
-        };
-
-        // b holds the key block and one of the two transactions.
-        let mut b = gossip_engine(2, GossipConfig::scalable());
-        register_peer(&mut b, 1);
-        register_peer(&mut b, 2);
-        b.handle(1_050, Input::Message { peer: 1, message: Message::KeyBlock(Box::new(kb)) });
-        b.handle(1_060, Input::SubmitTx(Box::new(txs[0].clone())));
-        let getblocktxn = |effects: &[Effect]| sends(effects).contains(&(1, "getblocktxn"));
-        let asked = b.handle(1_200, Input::Message { peer: 1, message: announcement(7) });
-        assert!(getblocktxn(&asked), "the missing slot is requested from the announcer");
-
-        // The announcer leaves before answering; the next announcement of the same
-        // block must start a fresh reconstruction, not be dropped as a duplicate.
-        b.handle(1_210, Input::PeerDisconnected { peer: 1 });
-        let asked = b.handle(1_220, Input::Message { peer: 2, message: announcement(8) });
-        assert_eq!(sends(&asked), vec![(2, "getblocktxn")]);
-        let reply = Message::BlockTxn { block: id, txs: vec![txs[1].clone()] };
-        b.handle(1_230, Input::Message { peer: 2, message: reply });
-        assert_eq!(b.tip(), id, "reconstructed from the second announcer");
     }
 
     #[test]
@@ -1869,43 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn misbehaving_peer_is_disconnected_and_forgotten() {
-        let mut a = engine(1);
-        a.handle(
-            1_000,
-            Input::PeerConnected {
-                peer: 9,
-                inbound: true,
-            },
-        );
-        // A ping before the handshake is a protocol violation.
-        let effects = a.handle(
-            1_001,
-            Input::Message {
-                peer: 9,
-                message: Message::Ping(1),
-            },
-        );
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::PeerMisbehaved { .. }))));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Disconnect { peer: 9 })));
-        assert!(a.connected_peers().is_empty());
-        // Later input on the dead connection is ignored.
-        assert!(a
-            .handle(
-                1_002,
-                Input::Message {
-                    peer: 9,
-                    message: Message::Ping(2),
-                },
-            )
-            .is_empty());
-    }
-
-    #[test]
     fn handshake_sync_catches_a_fresh_node_up() {
         let mut a = engine(1);
         let mut b = engine(2);
@@ -1931,122 +1522,6 @@ mod tests {
         // which backfilled the missing epoch and adopted the stashed orphan.
         assert_eq!(a.tip(), b.tip(), "orphan-triggered sync converged the chains");
         assert_eq!(a.height(), 2);
-    }
-
-    /// Validating parameters with immediately spendable coinbases.
-    fn validated_params() -> NgParams {
-        NgParams {
-            min_microblock_interval_ms: 1,
-            microblock_interval_ms: 2,
-            coinbase_maturity: 0,
-            ..NgParams::default()
-        }
-    }
-
-    /// Registers a handshaken peer on `engine` under connection key `peer`.
-    fn register_peer(engine: &mut Engine, peer: u64) {
-        engine.handle(0, Input::PeerConnected { peer, inbound: true });
-        engine.handle(
-            0,
-            Input::Message {
-                peer,
-                message: Message::Version {
-                    node_id: 10_000 + peer,
-                    protocol: ProtocolKind::BitcoinNg,
-                    best_height: 0,
-                    time_ms: 0,
-                },
-            },
-        );
-        engine.handle(0, Input::Message { peer, message: Message::Verack });
-        engine.handle(0, Input::Message { peer, message: Message::Headers(vec![]) });
-    }
-
-    /// The `Send` effects among `effects`, as `(peer, command)` pairs.
-    fn sends(effects: &[Effect]) -> Vec<(u64, &'static str)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send { peer, message } => Some((*peer, message.command())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn inv_for_a_held_object_sends_nothing_and_getdata_serves_it() {
-        let mut a = engine(1);
-        register_peer(&mut a, 4);
-        a.handle(1_000, Input::MineKeyBlock);
-        let tx = test_tx(5);
-        a.handle(1_100, Input::SubmitTx(Box::new(tx.clone())));
-        let held = [
-            InvItem::new(InvKind::KeyBlock, a.tip()),
-            InvItem::new(InvKind::Transaction, tx.txid()),
-        ];
-        // An `inv` for something already here is not a request: nothing goes out.
-        let effects = a.handle(
-            1_200,
-            Input::Message {
-                peer: 4,
-                message: Message::Inv(held.to_vec()),
-            },
-        );
-        assert_eq!(sends(&effects), vec![]);
-        // A `getdata` for the same objects is answered from the tree and the pool.
-        let effects = a.handle(
-            1_201,
-            Input::Message {
-                peer: 4,
-                message: Message::GetData(held.to_vec()),
-            },
-        );
-        assert_eq!(sends(&effects), vec![(4, "keyblock"), (4, "tx")]);
-    }
-
-    #[test]
-    fn getdata_for_an_unknown_id_is_dropped_and_an_unknown_inv_is_requested_once() {
-        let mut a = engine(1);
-        register_peer(&mut a, 4);
-        let unknown = InvItem::new(InvKind::MicroBlock, sha256(b"nobody has this"));
-        // An unservable `getdata` must not bounce a `getdata` back.
-        let effects = a.handle(
-            1_000,
-            Input::Message {
-                peer: 4,
-                message: Message::GetData(vec![unknown]),
-            },
-        );
-        assert_eq!(sends(&effects), vec![]);
-        // An `inv` for it is what triggers the fetch — once per connection.
-        let inv = Input::Message {
-            peer: 4,
-            message: Message::Inv(vec![unknown]),
-        };
-        let effects = a.handle(1_001, inv.clone());
-        assert!(effects.contains(&Effect::Send {
-            peer: 4,
-            message: Message::GetData(vec![unknown]),
-        }));
-        assert_eq!(sends(&a.handle(1_002, inv)), vec![], "already in flight");
-    }
-
-    #[test]
-    fn relayed_block_is_announced_once_per_peer_and_never_to_its_source() {
-        let mut a = engine(1);
-        for peer in 0..4 {
-            register_peer(&mut a, peer);
-        }
-        let mut miner = ng_core::node::NgNode::new(2, params(), 0);
-        let kb = miner.mine_and_adopt_key_block(1_000);
-        let delivery = Input::Message {
-            peer: 2,
-            message: Message::KeyBlock(Box::new(kb)),
-        };
-        let effects = a.handle(1_100, delivery.clone());
-        assert_eq!(sends(&effects), vec![(0, "inv"), (1, "inv"), (3, "inv")]);
-        // A second copy is a duplicate: every peer already knows the block.
-        assert_eq!(sends(&a.handle(1_101, delivery)), vec![]);
     }
 
     #[test]
@@ -2186,70 +1661,6 @@ mod tests {
             "disconnected tx re-admitted despite the mid-roll rejection"
         );
         assert!(!a.chainstate().is_confirmed(&spend.txid()));
-    }
-
-    #[test]
-    fn unvalidated_and_invalidated_blocks_are_not_served() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
-
-        // `a` validates and sits on its own three-epoch chain.
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        a.handle(1_000, Input::MineKeyBlock);
-        let kb1 = a.node().chain().get(&a.tip()).expect("key block").clone();
-        a.handle(1_100, Input::MineKeyBlock);
-        a.handle(1_200, Input::MineKeyBlock);
-        let own_tip = a.tip();
-
-        // A Byzantine rival forks off the first epoch: key block, a microblock
-        // spending a nonexistent output, and two more key blocks on top of it.
-        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
-        rival.on_block(kb1, 1_001).unwrap();
-        let rival_kb1 = rival.mine_and_adopt_key_block(2_000);
-        let payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let header = MicroHeader {
-            prev: rival_kb1.id(),
-            time_ms: 2_010,
-            payload_digest: payload.digest(),
-            leader: 2,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(*rival.keys()).sign(&header.signing_hash()),
-            header,
-            payload,
-        };
-        let bad_id = bad.id();
-        rival.on_block(NgBlock::Micro(bad.clone()), 2_011).unwrap();
-        let rival_kb2 = rival.mine_and_adopt_key_block(2_100);
-        let rival_kb3 = rival.mine_and_adopt_key_block(2_200);
-
-        register_peer(&mut a, 7);
-        let deliver = |a: &mut Engine, now: u64, message: Message| {
-            a.handle(now, Input::Message { peer: 7, message })
-        };
-        deliver(&mut a, 3_000, Message::KeyBlock(Box::new(rival_kb1)));
-        deliver(&mut a, 3_001, Message::MicroBlock(Box::new(bad)));
-        deliver(&mut a, 3_002, Message::KeyBlock(Box::new(rival_kb2.clone())));
-        assert_eq!(a.tip(), own_tip, "the rival branch is not heavier yet");
-
-        let ask = |a: &mut Engine, kind: InvKind, id: Hash256| {
-            let effects = deliver(a, 3_100, Message::GetData(vec![InvItem::new(kind, id)]));
-            sends(&effects)
-        };
-        // A side-branch key block carries its own proof of work and is served; the
-        // microblock under it was never validated by this node and is not.
-        assert_eq!(ask(&mut a, InvKind::KeyBlock, rival_kb2.id()), vec![(7, "keyblock")]);
-        assert_eq!(ask(&mut a, InvKind::MicroBlock, bad_id), vec![]);
-
-        // The third rival key block tips the balance; connecting the branch fails
-        // on the Byzantine microblock and everything above it leaves the tree.
-        deliver(&mut a, 3_200, Message::KeyBlock(Box::new(rival_kb3)));
-        assert!(a.node().chain().is_invalid(&bad_id));
-        assert!(a.node().chain().is_invalid(&rival_kb2.id()));
-        assert_eq!(ask(&mut a, InvKind::KeyBlock, rival_kb2.id()), vec![]);
     }
 
     #[test]
