@@ -37,8 +37,6 @@
 use crate::chainstate::ChainView;
 use ng_chain::amount::Amount;
 use ng_chain::chainstore::InsertOutcome;
-use ng_chain::mempool::Mempool;
-use ng_chain::payload::Payload;
 use ng_chain::transaction::Transaction;
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
@@ -76,37 +74,22 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine over a fresh chain (genesis only).
     pub fn new(config: EngineConfig) -> Self {
-        let node = NgNode::new(config.id, config.params, config.tie_break_seed);
-        let view = ChainView::new(&config.params, node.chain().genesis_id());
-        Self::assemble(config, node, view, true, 0)
+        let chain = Chain::new(&config);
+        Self::assemble(config, chain, 0, true)
     }
 
-    /// An engine around the given chain and ledger view, everything else empty.
-    fn assemble(
-        mut config: EngineConfig,
-        node: NgNode,
-        view: ChainView,
-        bootstrap: bool,
-        root_height: u64,
-    ) -> Self {
+    /// An engine around the given chain, everything else empty. `bootstrap` lets a
+    /// configured snapshot pin take effect.
+    fn assemble(mut config: EngineConfig, chain: Chain, root_height: u64, bootstrap: bool) -> Self {
         // Keep the requested batch inside what `serve_headers` is willing to serve;
         // otherwise every served batch would look partial and sync would stop early.
         config.header_batch = config.header_batch.clamp(1, 4096);
-        let onboarding = Onboarding::new(&config, root_height, bootstrap);
-        let relay = Relay::new(&config);
         Engine {
-            config,
-            chain: Chain {
-                node,
-                mempool: Mempool::new(),
-                view,
-                storage: None,
-                last_snapshot_height: 0,
-                latest_snapshot: None,
-            },
-            relay,
-            onboarding,
+            relay: Relay::new(&config),
+            onboarding: Onboarding::new(&config, root_height, bootstrap),
             fraud: Fraud::new(),
+            chain,
+            config,
             last_timer: None,
         }
     }
@@ -132,71 +115,10 @@ impl Engine {
     ///
     /// [`NgChainState::restore_insert`]: ng_core::chain::NgChainState::restore_insert
     pub fn restore(config: EngineConfig, recovery: ng_storage::Recovery) -> Self {
-        let ng_storage::Recovery {
-            root,
-            snapshots,
-            blocks,
-            undos,
-            invalidated,
-            last_roll: _,
-        } = recovery;
-        let root_height = root.as_ref().map(|snap| snap.height).unwrap_or(0);
-        let node = match root {
-            Some(snap) => {
-                let chain = ng_core::chain::NgChainState::from_root(
-                    config.params,
-                    config.tie_break_seed,
-                    snap.root,
-                    snap.height,
-                    snap.total_work,
-                );
-                NgNode::from_chain(config.id, chain)
-            }
-            None => NgNode::new(config.id, config.params, config.tie_break_seed),
-        };
-        // Placeholder view; replaced below once the replayed store exists. A
-        // restored node already holds its history — a pin never re-bootstraps an
+        let (chain, root_height) = Chain::restore(&config, recovery);
+        // A restored node already holds its history — a pin never re-bootstraps an
         // engine that recovered a chain from disk.
-        let placeholder = ChainView::new(&config.params, Hash256::ZERO);
-        let mut engine = Self::assemble(config, node, placeholder, false, root_height);
-        // 1: replay stored blocks in their original acceptance order. A parent
-        // missing because its branch was rooted away (or WAL-invalidated) just
-        // drops its descendants — they were not on the finalized path.
-        for (_height, id, block) in blocks {
-            if invalidated.contains(&id) {
-                continue;
-            }
-            let _ = engine.chain.node.chain_mut().restore_insert_with_id(block, id);
-        }
-        // 2: restore undo records for every block that survived the replay.
-        for (id, undo) in undos {
-            if engine.chain.node.chain().store().contains(&id) {
-                engine.chain.node.chain_mut().set_undo(id, undo);
-            }
-        }
-        // 3: restore the view from the newest snapshot whose anchor survived, and
-        // sync forward to the re-derived tip.
-        let newest_height = snapshots.first().map(|s| s.height);
-        let usable = snapshots
-            .into_iter()
-            .find(|snap| engine.chain.node.chain().store().contains(&snap.root.id()));
-        match usable {
-            Some(snap) => {
-                let anchor = snap.root.id();
-                let utxo = ng_chain::utxo::UtxoSet::from_parts(
-                    engine.config.params.coinbase_maturity,
-                    snap.entries.into_iter().collect(),
-                    snap.rolling,
-                );
-                let confirmed = snap.confirmed.into_iter().collect();
-                engine.chain.view = ChainView::restore(&engine.config.params, anchor, utxo, confirmed);
-                engine.chain.last_snapshot_height = newest_height.unwrap_or(snap.height);
-            }
-            None => {
-                engine.chain.view =
-                    ChainView::new(&engine.config.params, engine.chain.node.chain().genesis_id());
-            }
-        }
+        let mut engine = Self::assemble(config, chain, root_height, false);
         engine.roll_ledger(None, &mut Vec::new());
         engine
     }
@@ -208,8 +130,7 @@ impl Engine {
     ///
     /// [`NgParams::checkpoint_interval`]: ng_core::params::NgParams
     pub fn set_storage(&mut self, storage: Box<dyn ng_storage::ChainStorage>) {
-        self.chain.node.chain_mut().track_newly_stored(true);
-        self.chain.storage = Some(storage);
+        self.chain.set_storage(storage);
     }
 
     /// Installs a signature [`ng_chain::sigcache::BatchExecutor`] on the ledger
@@ -221,7 +142,7 @@ impl Engine {
         &mut self,
         executor: std::sync::Arc<dyn ng_chain::sigcache::BatchExecutor>,
     ) {
-        self.chain.view.set_batch_executor(executor);
+        self.chain.set_batch_executor(executor);
     }
 
     /// Feeds one input to the engine and returns the effects to execute, in order.
@@ -248,9 +169,7 @@ impl Engine {
             } => {
                 self.produce_microblock(now_ms, require_transactions, &mut effects);
             }
-            Input::SubmitTx(tx) => {
-                self.accept_tx(None, *tx, &mut effects);
-            }
+            Input::SubmitTx(tx) => self.accept_tx(None, *tx, &mut effects),
         }
         self.autostream(now_ms, &mut effects);
         // Any input may have freed download windows, expired deadlines, or changed
@@ -276,17 +195,17 @@ impl Engine {
 
     /// Read access to the underlying protocol node.
     pub fn node(&self) -> &NgNode {
-        &self.chain.node
+        self.chain.node()
     }
 
     /// Current main-chain tip.
     pub fn tip(&self) -> Hash256 {
-        self.chain.node.tip()
+        self.chain.node().tip()
     }
 
     /// Height of the tip.
     pub fn height(&self) -> u64 {
-        self.chain.node.chain().store().tip_height()
+        self.chain.height()
     }
 
     /// Commitment to the UTXO set derived from the main chain — the convergence
@@ -297,37 +216,37 @@ impl Engine {
     /// snapshots or a harness polls convergence — never on the per-block hot path,
     /// which maintains [`ChainView::commitment`] incrementally instead.
     pub fn utxo_commitment(&self) -> Hash256 {
-        self.chain.view.utxo().commitment()
+        self.chain.view().utxo().commitment()
     }
 
     /// The incrementally maintained UTXO ledger view.
     pub fn utxo(&self) -> &UtxoSet {
-        self.chain.view.utxo()
+        self.chain.view().utxo()
     }
 
     /// The incremental chainstate (anchor, confirmed set, signature cache stats).
     pub fn chainstate(&self) -> &ChainView {
-        &self.chain.view
+        self.chain.view()
     }
 
     /// Total blocks known (key + micro, excluding orphans).
     pub fn chain_len(&self) -> usize {
-        self.chain.node.chain().len()
+        self.chain.node().chain().len()
     }
 
     /// Pending transactions in the mempool.
     pub fn mempool_len(&self) -> usize {
-        self.chain.mempool.len()
+        self.chain.mempool().len()
     }
 
     /// True if the transaction id is pending in the mempool.
     pub fn mempool_contains(&self, txid: &Hash256) -> bool {
-        self.chain.mempool.contains(txid)
+        self.chain.mempool().contains(txid)
     }
 
     /// True if this node is the current leader.
     pub fn is_leader(&self) -> bool {
-        self.chain.node.is_leader()
+        self.chain.node().is_leader()
     }
 
     /// The `(accused leader, epoch key block)` keys of every recorded poison —
@@ -344,7 +263,7 @@ impl Engine {
 
     /// The node's view of the current leader.
     pub fn current_leader(&self) -> Option<u64> {
-        self.chain.node.current_leader()
+        self.chain.node().current_leader()
     }
 
     /// Connections whose handshake completed, sorted (the expansion set for
@@ -404,7 +323,7 @@ impl Engine {
 
     /// The newest checkpoint snapshot held in memory, if any.
     pub fn latest_snapshot(&self) -> Option<&ng_storage::Snapshot> {
-        self.chain.latest_snapshot.as_ref()
+        self.chain.latest_snapshot()
     }
 
     /// Current eager-set connections of the broadcast overlay, ascending (empty
@@ -423,17 +342,7 @@ impl Engine {
     /// same transactions deterministically (the precondition compact relay
     /// exploits) without paying for a transaction flood first.
     pub fn preload_tx(&mut self, tx: Transaction) -> bool {
-        let txid = tx.txid();
-        if self.chain.mempool.contains(&txid) || self.chain.view.is_confirmed(&txid) {
-            return false;
-        }
-        if tx.serialized_size() as u64 > self.config.params.max_microblock_payload_bytes() {
-            return false;
-        }
-        match self.chain.view.admission_fee(&tx, self.height() + 1) {
-            Ok(fee) => self.chain.mempool.insert_with_fee(tx, fee),
-            Err(_) => false,
-        }
+        self.chain.preload(tx)
     }
 
     // ---- incoming messages ----------------------------------------------------
@@ -497,9 +406,7 @@ impl Engine {
         match message {
             Message::KeyBlock(kb) => self.on_block(from, NgBlock::Key(*kb), now_ms, effects),
             Message::MicroBlock(mb) => self.on_block(from, NgBlock::Micro(*mb), now_ms, effects),
-            Message::Tx(tx) => {
-                self.accept_tx(Some(from), *tx, effects);
-            }
+            Message::Tx(tx) => self.accept_tx(Some(from), *tx, effects),
             Message::GetHeaders { locator, limit } => {
                 onboarding::serve_headers(&self.chain, from, &locator, limit, effects);
             }
@@ -562,66 +469,14 @@ impl Engine {
         }
     }
 
-    fn accept_tx(&mut self, from: Option<u64>, tx: Transaction, effects: &mut Vec<Effect>) -> bool {
+    /// A transaction arrived (from a peer, or submitted locally): pool it if the
+    /// chain admits it, then remember and announce it.
+    fn accept_tx(&mut self, from: Option<u64>, tx: Transaction, effects: &mut Vec<Effect>) {
         let txid = tx.txid();
-        if self.chain.mempool.contains(&txid) {
-            return false;
+        if self.chain.admit(&txid, &tx) {
+            effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
+            self.relay.relay_tx(txid, tx, from, effects);
         }
-        // Gossip is multi-hop: a transaction can arrive after the microblock that
-        // serialized it. Anything already on the main chain has no business in the
-        // mempool.
-        if self.chain.view.is_confirmed(&txid) {
-            return false;
-        }
-        // A transaction that cannot fit an empty microblock can never be serialized
-        // on this chain; pooling it would head-of-line-block FIFO selection (and, in
-        // auto mode, spin the production timer) forever.
-        if tx.serialized_size() as u64 > self.config.params.max_microblock_payload_bytes() {
-            return false;
-        }
-        // Admission runs the view's validation policy: with full validation on, a
-        // transaction spending nonexistent outputs or inflating value never enters
-        // the pool, and its signature verification is cached for connect time. A
-        // transaction chained on a still-pending mempool parent is validated with
-        // its inputs resolved against the pool (signatures, vouts and value
-        // conservation included); `filter_valid` re-validates the chain as a
-        // sequence at production time.
-        let fee = match self.chain.view.admission_fee(&tx, self.height() + 1) {
-            Ok(fee) => fee,
-            Err(ng_chain::error::TxError::MissingInput(outpoint))
-                if self.chain.mempool.contains(&outpoint.txid) =>
-            {
-                match self.pool_chained_fee(&tx) {
-                    Some(fee) => fee,
-                    None => return false,
-                }
-            }
-            Err(_) => return false,
-        };
-        if !self.chain.mempool.insert_with_fee(tx.clone(), fee) {
-            return false;
-        }
-        effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
-        self.relay.relay_tx(txid, tx, from, effects);
-        true
-    }
-
-    /// Validates a transaction whose inputs may spend outputs of still-pending
-    /// mempool parents, resolving them against the pool (full validation — the
-    /// shared [`ng_chain::utxo`] rules — with the verdict landing in the signature
-    /// cache). In-pool double spends are rejected separately by the mempool's
-    /// spent-outpoint index at insert time.
-    fn pool_chained_fee(&mut self, tx: &Transaction) -> Option<ng_chain::amount::Amount> {
-        let height = self.height() + 1;
-        let mempool = &self.chain.mempool;
-        self.chain.view
-            .chained_admission_fee(tx, height, &|outpoint| {
-                mempool
-                    .get(&outpoint.txid)
-                    .and_then(|parent| parent.tx.outputs.get(outpoint.vout as usize))
-                    .copied()
-            })
-            .ok()
     }
 
     fn accept_block(
@@ -643,7 +498,7 @@ impl Engine {
             NgBlock::Micro(mb) => Some((mb.header.prev, mb.header.leader)),
             NgBlock::Key(_) => None,
         };
-        match self.chain.node.on_block(block, now_ms) {
+        match self.chain.insert(block, now_ms) {
             Ok(InsertOutcome::Accepted {
                 tip_changed, reorg, ..
             }) => {
@@ -659,7 +514,7 @@ impl Engine {
                 // node cannot vouch for, and an honest relay must never take the
                 // punishment for a Byzantine block it merely forwarded. Side-branch
                 // blocks are held back and announced if their branch later wins.
-                if self.chain.node.chain().store().contains(&id) {
+                if self.chain.holds(&id) {
                     effects.push(Effect::Report(ReportEvent::BlockAccepted {
                         id,
                         tip_changed,
@@ -700,289 +555,33 @@ impl Engine {
         }
     }
 
-    /// Rolls the incremental ledger view to the current tip and the mempool with it:
-    /// reorg-disconnected transactions return to the pool (unless reconfirmed on the
-    /// new branch), newly serialized transactions leave it. Per-block cost is
-    /// O(transactions in the rolled blocks) — never O(chain length).
-    ///
-    /// If a connecting microblock's transactions fail full validation, the block
-    /// (and any descendants) is invalidated out of the block tree, the chain
-    /// re-selects its best remaining tip, and the roll retries — so the view always
-    /// lands on a fully valid main chain. When the invalid block is the very
-    /// block the peer just delivered, that peer is disconnected: it either forged
-    /// the microblock (it is the Byzantine leader) or relayed one it failed to
-    /// validate. Rejections of *other* blocks (e.g. a pending descendant adopted in
-    /// the same insert) never punish the deliverer — an honest relay of a valid
-    /// parent must not take the blame for the Byzantine child that rode behind it.
-    ///
-    /// The delta accumulates across retries, so the transactions of blocks
-    /// disconnected before a failed connect are still re-admitted to the mempool.
+    /// Rolls the ledger to the current tip ([`Chain::roll_ledger`]). `from` names
+    /// the peer and the block it just delivered; if that very block turns out to
+    /// carry invalid transactions, the peer is disconnected.
     fn roll_ledger(&mut self, from: Option<(u64, Hash256)>, effects: &mut Vec<Effect>) {
-        let mut delta = crate::chainstate::SyncDelta::default();
-        let mut sender_misbehaved = false;
-        loop {
-            let target = self.chain.node.tip();
-            match self.chain.view.sync_into(self.chain.node.chain_mut(), target, &mut delta) {
-                Ok(()) => break,
-                Err(crate::chainstate::SyncError::Connect(error)) => {
-                    if let Some((_, delivered)) = from {
-                        sender_misbehaved |= error.block == delivered;
-                    }
-                    effects.push(Effect::Report(ReportEvent::BlockRejected {
-                        id: error.block,
-                    }));
-                    self.persist_invalidated(&error.block, effects);
-                    for gone in self.chain.node.chain_mut().invalidate(&error.block) {
-                        self.relay.release(&gone);
-                    }
-                }
-                Err(crate::chainstate::SyncError::UnwindableBlock { .. }) => {
-                    // A connected block on the reorg path lost its undo record — a
-                    // store corruption, never reachable under the finality/pruning
-                    // discipline. Abandon the branch that requires the impossible
-                    // rewind: invalidating the candidate tip re-selects the best
-                    // tip elsewhere, and the loop converges because each pass
-                    // removes at least one block from the tree.
-                    let gone_tip = self.chain.node.tip();
-                    effects.push(Effect::Report(ReportEvent::BlockRejected {
-                        id: gone_tip,
-                    }));
-                    self.persist_invalidated(&gone_tip, effects);
-                    for gone in self.chain.node.chain_mut().invalidate(&gone_tip) {
-                        self.relay.release(&gone);
-                    }
-                }
-            }
+        let delivered = from.map(|(_, id)| id);
+        let delivered_invalid =
+            self.chain
+                .roll_ledger(delivered, &mut self.fraud, &mut self.relay, effects);
+        if let (true, Some((peer, _))) = (delivered_invalid, from) {
+            let reason = "sent a microblock with invalid transactions".to_string();
+            self.relay.punish(peer, reason, &mut self.onboarding, effects);
         }
-        self.fraud.ledger_rolled(&mut self.chain, &self.relay, effects);
-        self.persist_roll(&delta, effects);
-        self.advance_finality();
-        if !delta.is_empty() {
-            // Checkpoint on the cadence even without durable storage when this node
-            // serves snapshots: SimNet bootstrap providers keep theirs in memory.
-            self.maybe_checkpoint(effects);
-            effects.push(Effect::Report(ReportEvent::LedgerRolled {
-                connected: delta.connected_blocks,
-                disconnected: delta.disconnected_blocks,
-            }));
-            // Re-admit disconnected transactions against the post-roll view (their
-            // inputs are unspent again on the new branch), skipping anything the
-            // new branch already serialized. The delta lists them in chain order —
-            // parents before the children that spend them — so a chained child
-            // whose parent was just re-admitted resolves through the pool.
-            for tx in delta.disconnected_txs {
-                let txid = tx.txid();
-                if self.chain.view.is_confirmed(&txid) || self.chain.mempool.contains(&txid) {
-                    continue;
-                }
-                let fee = match self.chain.view.admission_fee(&tx, self.height() + 1) {
-                    Ok(fee) => Some(fee),
-                    Err(ng_chain::error::TxError::MissingInput(outpoint))
-                        if self.chain.mempool.contains(&outpoint.txid) =>
-                    {
-                        self.pool_chained_fee(&tx)
-                    }
-                    // A coinbase spend the reorg pushed back below maturity is only
-                    // temporarily invalid — kept (unpriced) until it re-matures,
-                    // mirroring the production-time stale filter's policy.
-                    Err(ng_chain::error::TxError::ImmatureCoinbase { .. }) => {
-                        Some(ng_chain::amount::Amount::ZERO)
-                    }
-                    Err(_) => None,
-                };
-                if let Some(fee) = fee {
-                    self.chain.mempool.insert_with_fee(tx, fee);
-                }
-            }
-            // A retried roll can have connected a block and then disconnected it
-            // again (the branch lost after an invalidation): only ids that are
-            // *still* confirmed leave the mempool.
-            let confirmed_now: Vec<Hash256> = delta
-                .connected_txids
-                .iter()
-                .filter(|txid| self.chain.view.is_confirmed(txid))
-                .copied()
-                .collect();
-            self.chain.mempool.remove_all(confirmed_now.iter());
-        }
-        if sender_misbehaved {
-            if let Some((peer, _)) = from {
-                let reason = "sent a microblock with invalid transactions".to_string();
-                self.relay.punish(peer, reason, &mut self.onboarding, effects);
-            }
-        }
-    }
-
-    // ---- durable storage ------------------------------------------------------
-
-    fn report_storage_failure(err: ng_storage::StoreError, effects: &mut Vec<Effect>) {
-        effects.push(Effect::Report(ReportEvent::StorageFailed {
-            reason: err.to_string(),
-        }));
-    }
-
-    /// Logs an invalidation to the WAL so recovery never re-adopts the block.
-    fn persist_invalidated(&mut self, id: &Hash256, effects: &mut Vec<Effect>) {
-        let Some(storage) = self.chain.storage.as_mut() else {
-            return;
-        };
-        if let Err(err) = storage.note_invalidated(id) {
-            Self::report_storage_failure(err, effects);
-        }
-    }
-
-    /// Persists everything one completed roll produced, in dependency order:
-    /// newly stored blocks, then the undo records of the connected blocks, then
-    /// the roll commit that references them (the backend flushes data files before
-    /// the commit record — see [`ng_storage::ChainStorage::commit_roll`]). Finally
-    /// writes a snapshot if the checkpoint cadence came due at a key block.
-    fn persist_roll(&mut self, delta: &crate::chainstate::SyncDelta, effects: &mut Vec<Effect>) {
-        // One binding up front: `storage` borrows only the `storage` field, so
-        // the chain accesses below stay legal and no panicking re-unwrap of the
-        // option is ever needed.
-        let Some(storage) = self.chain.storage.as_mut() else {
-            return;
-        };
-        for id in self.chain.node.chain_mut().drain_newly_stored() {
-            let Some(stored) = self.chain.node.chain().store().get(&id) else {
-                // Inserted, then invalidated before this roll completed: the
-                // WAL's invalidation record (already written) covers it.
-                continue;
-            };
-            let (block, height) = (stored.block.clone(), stored.height);
-            if let Err(err) = storage.store_block(&block, height) {
-                Self::report_storage_failure(err, effects);
-            }
-        }
-        if delta.is_empty() {
-            return;
-        }
-        for id in &delta.connected_block_ids {
-            // A retried roll can have disconnected (or invalidated) a block it
-            // connected earlier; only blocks with a live undo are re-persisted.
-            let Some(undo) = self.chain.node.chain().undo_of(id) else {
-                continue;
-            };
-            let undo = undo.clone();
-            let height = self.chain.node.chain().store().height_of(id).unwrap_or(0);
-            if let Err(err) = storage.store_undo(id, height, &undo) {
-                Self::report_storage_failure(err, effects);
-            }
-        }
-        let anchor = self.chain.view.anchor();
-        let anchor_height = self
-            .chain.node
-            .chain()
-            .store()
-            .get(&anchor)
-            .map(|s| s.height)
-            .unwrap_or(0);
-        let roll = ng_storage::RollCommit {
-            anchor,
-            anchor_height,
-            rolling: self.chain.view.commitment(),
-            disconnected: delta.disconnected_block_ids.clone(),
-            connected: delta.connected_block_ids.clone(),
-        };
-        if let Err(err) = storage.commit_roll(&roll) {
-            Self::report_storage_failure(err, effects);
-        }
-    }
-
-    /// Writes a full snapshot / finality checkpoint when the view rests at a key
-    /// block and at least [`NgParams::checkpoint_interval`] heights passed since
-    /// the last one. Anchoring only at key blocks keeps a restored chain's epoch
-    /// context self-contained (the leader entitled to sign above the root is the
-    /// root itself). Runs for durable nodes (the checkpoint is the fast-restart
-    /// root) and for snapshot servers (the checkpoint is what `getsnapshot`
-    /// answers with); a node that is neither skips the O(set size) copy.
-    ///
-    /// [`NgParams::checkpoint_interval`]: ng_core::params::NgParams
-    fn maybe_checkpoint(&mut self, effects: &mut Vec<Effect>) {
-        if self.chain.storage.is_none() && !self.config.serve_snapshots {
-            return;
-        }
-        let anchor = self.chain.view.anchor();
-        let Some(stored) = self.chain.node.chain().store().get(&anchor) else {
-            return;
-        };
-        let height = stored.height;
-        if height < self.chain.last_snapshot_height + self.config.params.checkpoint_interval {
-            return;
-        }
-        let Some(root) = stored.block.as_key().cloned() else {
-            return; // mid-epoch; the next key block will carry the checkpoint
-        };
-        let total_work = stored.total_work;
-        let mut entries: Vec<_> = self
-            .chain.view
-            .utxo()
-            .iter()
-            .map(|(outpoint, entry)| (*outpoint, *entry))
-            .collect();
-        entries.sort_unstable_by_key(|(outpoint, _)| *outpoint);
-        let mut confirmed: Vec<_> = self
-            .chain.view
-            .confirmed_counts()
-            .iter()
-            .map(|(txid, count)| (*txid, *count))
-            .collect();
-        confirmed.sort_unstable();
-        let snapshot = ng_storage::Snapshot {
-            root,
-            height,
-            total_work,
-            rolling: self.chain.view.commitment(),
-            sorted: self.chain.view.utxo().commitment(),
-            entries,
-            confirmed,
-        };
-        if let Some(storage) = self.chain.storage.as_mut() {
-            if let Err(err) = storage.store_snapshot(&snapshot) {
-                // Do not advance the cadence: the next roll retries the write.
-                Self::report_storage_failure(err, effects);
-                return;
-            }
-        }
-        self.chain.last_snapshot_height = height;
-        self.chain.latest_snapshot = Some(snapshot);
-        effects.push(Effect::Report(ReportEvent::CheckpointWritten { height }));
-    }
-
-    /// Advances the finality checkpoint to `tip_height − finality_depth` and
-    /// prunes undo records below it — reorgs that deep are refused at insert time
-    /// ([`ng_chain::error::BlockError::FinalityViolation`]), so their undos can
-    /// never be consumed. Runs for every engine, durable or not: it is what keeps
-    /// a long-lived node's undo map O(finality depth) instead of O(chain length).
-    fn advance_finality(&mut self) {
-        let depth = self.config.params.finality_depth;
-        let tip_height = self.chain.node.chain().store().tip_height();
-        let fin_height = tip_height.saturating_sub(depth);
-        let current = self
-            .chain.node
-            .chain()
-            .finalized()
-            .map(|(height, _)| height)
-            .unwrap_or(0);
-        if fin_height <= current {
-            return;
-        }
-        let tip = self.chain.node.tip();
-        let Some(fin_id) = self.chain.node.chain().store().ancestor_at(&tip, fin_height) else {
-            return;
-        };
-        self.chain.node.chain_mut().set_finalized(&fin_id);
-        self.chain.node.chain_mut().prune_undo(fin_height);
     }
 
     // ---- block production -----------------------------------------------------
 
-    fn mine_key_block(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let kb = self.chain.node.mine_and_adopt_key_block(now_ms);
+    /// This node just mined or produced block `id`: roll the ledger over it,
+    /// report it, announce it.
+    fn adopt_own_block(&mut self, id: Hash256, event: ReportEvent, effects: &mut Vec<Effect>) {
         self.roll_ledger(None, effects);
-        let id = kb.id();
-        effects.push(Effect::Report(ReportEvent::KeyBlockMined { id }));
+        effects.push(Effect::Report(event));
         self.relay.announce_block(id, None, &self.chain, effects);
+    }
+
+    fn mine_key_block(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
+        let id = self.chain.mine_key_block(now_ms);
+        self.adopt_own_block(id, ReportEvent::KeyBlockMined { id }, effects);
     }
 
     fn produce_microblock(
@@ -991,46 +590,8 @@ impl Engine {
         require_transactions: bool,
         effects: &mut Vec<Effect>,
     ) -> Option<Hash256> {
-        if !self.chain.node.microblock_ready(now_ms) {
-            return None;
-        }
-        let budget = self.config.params.max_microblock_payload_bytes() as usize;
-        let selected = self.chain.mempool.select_fifo(budget);
-        // Under full validation the payload must validate as a sequence against the
-        // live view — a pooled transaction can have gone stale (its input spent on
-        // a reorged-in branch). Hopelessly stale ones are dropped from the pool
-        // entirely (they can never be serialized and would otherwise clog FIFO
-        // selection forever) — EXCEPT transactions that are only *temporarily*
-        // invalid: a child whose missing input another pooled transaction still
-        // provides (merely ordered ahead of its parent this round), and a coinbase
-        // spend a reorg pushed back below maturity (valid again in a few blocks).
-        let (txs, rejected) = self.chain.view.filter_valid(selected, self.height() + 1);
-        let stale: Vec<Hash256> = rejected
-            .into_iter()
-            .filter(|(_, error)| match error {
-                ng_chain::error::TxError::MissingInput(outpoint) => {
-                    !self.chain.mempool.contains(&outpoint.txid)
-                }
-                ng_chain::error::TxError::ImmatureCoinbase { .. } => false,
-                _ => true,
-            })
-            .map(|(txid, _)| txid)
-            .collect();
-        if !stale.is_empty() {
-            self.chain.mempool.remove_all(stale.iter());
-        }
-        if require_transactions && txs.is_empty() {
-            return None;
-        }
-        let txids: Vec<Hash256> = txs.iter().map(|t| t.txid()).collect();
-        let micro = self
-            .chain.node
-            .produce_microblock(now_ms, Payload::Transactions(txs))?;
-        self.chain.mempool.remove_all(txids.iter());
-        self.roll_ledger(None, effects);
-        let id = micro.id();
-        effects.push(Effect::Report(ReportEvent::MicroblockProduced { id }));
-        self.relay.announce_block(id, None, &self.chain, effects);
+        let id = self.chain.produce_microblock(now_ms, require_transactions)?;
+        self.adopt_own_block(id, ReportEvent::MicroblockProduced { id }, effects);
         Some(id)
     }
 
@@ -1039,34 +600,36 @@ impl Engine {
         if !self.config.auto_microblocks {
             return;
         }
-        while !self.chain.mempool.is_empty() && self.produce_microblock(now_ms, true, effects).is_some() {}
+        while !self.chain.mempool().is_empty()
+            && self.produce_microblock(now_ms, true, effects).is_some()
+        {}
     }
 
-    /// Arms the driver's wakeup timer with the earliest pending deadline across
-    /// block production, the download scheduler, the snapshot bootstrap, and the
-    /// backfill — if there is one and the driver does not hold it already.
+    /// Arms the driver's wakeup timer with the earliest deadline any component
+    /// waits on — block production, the download scheduler, the snapshot
+    /// bootstrap, the backfill, a lazy pull — if there is one and the driver does
+    /// not hold it already.
     fn arm_timer(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
-        let mut candidates: Vec<u64> = Vec::new();
-        if self.config.auto_microblocks && !self.chain.mempool.is_empty() {
-            // `None` while not leader: only a new key block unblocks production.
-            if let Some(deadline) = self.chain.node.next_microblock_ms() {
-                candidates.push(deadline);
-            }
-        }
-        if let Some(deadline) = self.onboarding.next_deadline(&self.relay) {
-            candidates.push(deadline);
-        }
-        if let Some(deadline) = self.relay.next_deadline() {
-            candidates.push(deadline);
-        }
-        let Some(deadline) = candidates.into_iter().min() else {
+        // `None` while not leader: only a new key block unblocks production.
+        let production = (self.config.auto_microblocks && !self.chain.mempool().is_empty())
+            .then(|| self.chain.node().next_microblock_ms())
+            .flatten();
+        let earliest = [
+            production,
+            self.onboarding.next_deadline(&self.relay),
+            self.relay.next_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let Some(deadline) = earliest else {
             if self.last_timer.take().is_some() {
                 effects.push(Effect::ClearTimer);
             }
             return;
         };
         // Never arm a deadline in the past: anything already actionable ran in
-        // this same `handle` pass (`autostream`, `drive_sync`).
+        // this same `handle` pass (`autostream`, the components' `drive`).
         let deadline = deadline.max(now_ms + 1);
         if self.last_timer != Some(deadline) {
             self.last_timer = Some(deadline);
@@ -1152,10 +715,6 @@ mod tests {
     use super::testkit::*;
     use super::*;
     use crate::testnet::test_tx;
-    use ng_chain::amount::Amount;
-    use ng_chain::transaction::{OutPoint, TransactionBuilder};
-    use ng_crypto::keys::KeyPair;
-    use ng_crypto::sha256::sha256;
 
     /// Runs every message effect between two engines until both queues drain.
     /// `a` talks to `b` over connection key 0 on both sides.
@@ -1367,93 +926,6 @@ mod tests {
         assert_eq!(b.mempool_len(), 0, "confirmed tx rolled out of b's pool too");
     }
 
-    /// A counting [`ng_storage::MemoryStorage`] shared with the test so hook
-    /// invocations stay observable after the engine takes ownership of the box.
-    #[derive(Clone, Debug, Default)]
-    struct SharedMem(std::sync::Arc<std::sync::Mutex<ng_storage::MemoryStorage>>);
-
-    impl ng_storage::ChainStorage for SharedMem {
-        fn store_block(
-            &mut self,
-            block: &ng_core::block::NgBlock,
-            height: u64,
-        ) -> Result<(), ng_storage::StoreError> {
-            self.0.lock().unwrap().store_block(block, height)
-        }
-        fn store_undo(
-            &mut self,
-            id: &Hash256,
-            height: u64,
-            undo: &ng_chain::undo::BlockUndo,
-        ) -> Result<(), ng_storage::StoreError> {
-            self.0.lock().unwrap().store_undo(id, height, undo)
-        }
-        fn commit_roll(&mut self, roll: &ng_storage::RollCommit) -> Result<(), ng_storage::StoreError> {
-            self.0.lock().unwrap().commit_roll(roll)
-        }
-        fn note_invalidated(&mut self, id: &Hash256) -> Result<(), ng_storage::StoreError> {
-            self.0.lock().unwrap().note_invalidated(id)
-        }
-        fn store_snapshot(
-            &mut self,
-            snapshot: &ng_storage::Snapshot,
-        ) -> Result<(), ng_storage::StoreError> {
-            self.0.lock().unwrap().store_snapshot(snapshot)
-        }
-    }
-
-    #[test]
-    fn persistence_hooks_fire_through_the_storage_trait() {
-        let mut a = engine(1);
-        let mem = SharedMem::default();
-        a.set_storage(Box::new(mem.clone()));
-        a.handle(1_000, Input::MineKeyBlock);
-        a.handle(1_100, Input::SubmitTx(Box::new(test_tx(1))));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        let m = mem.0.lock().unwrap();
-        assert_eq!(m.blocks, 2, "key block + microblock persisted");
-        assert_eq!(m.undos, 2, "one undo per connected block");
-        assert_eq!(m.rolls, 2, "one durable commit per completed roll");
-        assert_eq!(m.invalidated, 0);
-        assert_eq!(m.snapshots, 0, "checkpoint cadence (256) not reached at height 2");
-        let roll = m.last_roll.as_ref().expect("microblock roll recorded");
-        assert_eq!(roll.anchor, a.tip());
-        assert_eq!(roll.anchor_height, 2);
-        assert_eq!(roll.connected.len(), 1);
-        assert!(roll.disconnected.is_empty());
-        assert_eq!(roll.rolling, a.chainstate().commitment());
-    }
-
-    #[test]
-    fn duplicate_and_confirmed_transactions_are_ignored() {
-        let mut a = engine(1);
-        a.handle(1_000, Input::MineKeyBlock);
-        let tx = test_tx(7);
-        let accepted = a.handle(1_100, Input::SubmitTx(Box::new(tx.clone())));
-        assert!(accepted
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::TxAccepted { .. }))));
-        // A duplicate produces no report.
-        let dup = a.handle(1_101, Input::SubmitTx(Box::new(tx.clone())));
-        assert!(dup.is_empty());
-        // Serialize it; resubmitting the now-confirmed tx is also ignored.
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert_eq!(a.mempool_len(), 0);
-        let confirmed = a.handle(1_300, Input::SubmitTx(Box::new(tx)));
-        assert!(confirmed.is_empty());
-        assert_eq!(a.mempool_len(), 0);
-    }
-
     #[test]
     fn auto_mode_arms_timer_and_streams_on_tick() {
         let mut config = EngineConfig::new(1, params());
@@ -1524,283 +996,4 @@ mod tests {
         assert_eq!(a.height(), 2);
     }
 
-    #[test]
-    fn chained_unconfirmed_transactions_are_admitted_and_serialized() {
-        use ng_crypto::signer::SchnorrSigner;
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        a.handle(1_000, Input::MineKeyBlock);
-        let kb_id = a.tip();
-        let signer = SchnorrSigner::new(*a.node().keys());
-        let mut parent = TransactionBuilder::new()
-            .input(OutPoint::new(kb_id, 0))
-            .output(Amount::from_coins(25), a.node().keys().address())
-            .build();
-        parent.sign_all_inputs(&signer);
-        // The child spends the parent's output while the parent is still pending in
-        // the mempool: admission cannot price it against the UTXO view yet, but it
-        // must be pooled (not dropped) and serialize right behind its parent.
-        let mut child = TransactionBuilder::new()
-            .input(OutPoint::new(parent.txid(), 0))
-            .output(Amount::from_coins(24), KeyPair::from_id(3).address())
-            .build();
-        child.sign_all_inputs(&signer);
-
-        assert!(!a
-            .handle(1_100, Input::SubmitTx(Box::new(parent.clone())))
-            .is_empty());
-        let effects = a.handle(1_101, Input::SubmitTx(Box::new(child.clone())));
-        assert!(
-            effects
-                .iter()
-                .any(|e| matches!(e, Effect::Report(ReportEvent::TxAccepted { .. }))),
-            "chained child must be admitted while its parent is unconfirmed"
-        );
-        assert_eq!(a.mempool_len(), 2);
-
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert_eq!(a.mempool_len(), 0, "parent and child both serialized");
-        assert!(a.chainstate().is_confirmed(&parent.txid()));
-        assert!(a.chainstate().is_confirmed(&child.txid()));
-        assert_eq!(
-            a.utxo().balance_of(&KeyPair::from_id(3).address()),
-            Amount::from_coins(24)
-        );
-    }
-
-    #[test]
-    fn honest_relay_is_not_punished_for_a_byzantine_descendant() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
-
-        // Engine `a` is leader with one valid tx-bearing microblock on its branch.
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        a.handle(1_000, Input::MineKeyBlock);
-        let kb1_id = a.tip();
-        let signer_a = SchnorrSigner::new(*a.node().keys());
-        let mut spend = TransactionBuilder::new()
-            .input(OutPoint::new(kb1_id, 0))
-            .output(Amount::from_coins(24), KeyPair::from_id(5).address())
-            .build();
-        spend.sign_all_inputs(&signer_a);
-        a.handle(1_100, Input::SubmitTx(Box::new(spend.clone())));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert!(a.chainstate().is_confirmed(&spend.txid()));
-
-        // A rival miner on the same epoch mines a heavier key block, and — being
-        // Byzantine — signs a microblock on it spending a nonexistent output.
-        let kb1 = a.node().chain().get(&kb1_id).expect("key block").clone();
-        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
-        rival.on_block(kb1, 1_001).unwrap();
-        let rival_kb = rival.mine_and_adopt_key_block(2_000);
-        let bad_payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let bad_header = MicroHeader {
-            prev: rival_kb.id(),
-            time_ms: 2_010,
-            payload_digest: bad_payload.digest(),
-            leader: 2,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(*rival.keys()).sign(&bad_header.signing_hash()),
-            header: bad_header,
-            payload: bad_payload,
-        };
-        let bad_id = bad.id();
-
-        // An honest peer relays the Byzantine microblock FIRST (it becomes a
-        // pending child), then the valid rival key block. Adopting the key block
-        // drags the pending child in: the reorg disconnects a's microblock,
-        // connects the rival key block, and fails on the Byzantine child.
-        register_peer(&mut a, 7);
-        a.handle(
-            3_000,
-            Input::Message {
-                peer: 7,
-                message: Message::MicroBlock(Box::new(bad)),
-            },
-        );
-        let effects = a.handle(
-            3_001,
-            Input::Message {
-                peer: 7,
-                message: Message::KeyBlock(Box::new(rival_kb.clone())),
-            },
-        );
-
-        assert_eq!(a.tip(), rival_kb.id(), "heavier valid branch adopted");
-        assert!(a.node().chain().is_invalid(&bad_id));
-        assert!(
-            effects
-                .iter()
-                .any(|e| matches!(e, Effect::Report(ReportEvent::BlockRejected { id }) if *id == bad_id)),
-            "Byzantine child rejected"
-        );
-        // The peer delivered a *valid* carrier (the key block); it must not be
-        // disconnected for the Byzantine child that rode behind it.
-        assert!(
-            !effects.iter().any(|e| matches!(e, Effect::Disconnect { .. })),
-            "honest relay must not be punished"
-        );
-        assert!(a.connected_peers().contains(&7));
-        // The transaction disconnected before the failed connect was not lost: the
-        // accumulated delta re-admitted it to the mempool.
-        assert!(
-            a.mempool_contains(&spend.txid()),
-            "disconnected tx re-admitted despite the mid-roll rejection"
-        );
-        assert!(!a.chainstate().is_confirmed(&spend.txid()));
-    }
-
-    #[test]
-    fn reorg_readmits_chained_transactions_across_blocks() {
-        use ng_crypto::signer::SchnorrSigner;
-        // Parent and child serialized in two separate microblocks; a heavier rival
-        // branch reorgs both out. The child's input only resolves through the
-        // re-admitted parent, so re-admission must process chain order and fall
-        // back to pool-resolved validation.
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        a.handle(1_000, Input::MineKeyBlock);
-        let kb1_id = a.tip();
-        let signer = SchnorrSigner::new(*a.node().keys());
-        let mut parent = TransactionBuilder::new()
-            .input(OutPoint::new(kb1_id, 0))
-            .output(Amount::from_coins(25), a.node().keys().address())
-            .build();
-        parent.sign_all_inputs(&signer);
-        let mut child = TransactionBuilder::new()
-            .input(OutPoint::new(parent.txid(), 0))
-            .output(Amount::from_coins(24), KeyPair::from_id(4).address())
-            .build();
-        child.sign_all_inputs(&signer);
-        a.handle(1_100, Input::SubmitTx(Box::new(parent.clone())));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        a.handle(1_300, Input::SubmitTx(Box::new(child.clone())));
-        a.handle(
-            1_400,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert!(a.chainstate().is_confirmed(&parent.txid()));
-        assert!(a.chainstate().is_confirmed(&child.txid()));
-
-        // Rival branch: two key blocks on the shared epoch outweigh the microblocks.
-        let kb1 = a.node().chain().get(&kb1_id).expect("key block").clone();
-        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
-        rival.on_block(kb1, 1_001).unwrap();
-        let rival_kb1 = rival.mine_and_adopt_key_block(2_000);
-        let rival_kb2 = rival.mine_and_adopt_key_block(2_100);
-        register_peer(&mut a, 5);
-        a.handle(
-            3_000,
-            Input::Message {
-                peer: 5,
-                message: Message::KeyBlock(Box::new(rival_kb1)),
-            },
-        );
-        a.handle(
-            3_001,
-            Input::Message {
-                peer: 5,
-                message: Message::KeyBlock(Box::new(rival_kb2.clone())),
-            },
-        );
-        assert_eq!(a.tip(), rival_kb2.id(), "reorg applied");
-        assert!(
-            a.mempool_contains(&parent.txid()),
-            "disconnected parent re-admitted"
-        );
-        assert!(
-            a.mempool_contains(&child.txid()),
-            "disconnected child re-admitted through its pooled parent"
-        );
-        // The chain serializes again in order on the new branch.
-        a.handle(
-            4_000,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert!(!a.is_leader() || a.mempool_len() == 0);
-    }
-
-    #[test]
-    fn direct_sender_of_invalid_microblock_is_disconnected() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
-
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        register_peer(&mut a, 3);
-        a.handle(1_000, Input::MineKeyBlock);
-        let tip = a.tip();
-        // The Byzantine leader (this engine's own id/keys, so the signature is
-        // valid) sends a phantom-spend microblock directly.
-        let payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let header = MicroHeader {
-            prev: tip,
-            time_ms: 1_500,
-            payload_digest: payload.digest(),
-            leader: 1,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(KeyPair::from_id(1)).sign(&header.signing_hash()),
-            header,
-            payload,
-        };
-        let bad_id = bad.id();
-        let effects = a.handle(
-            2_000,
-            Input::Message {
-                peer: 3,
-                message: Message::MicroBlock(Box::new(bad)),
-            },
-        );
-        assert_eq!(a.tip(), tip, "ledger unchanged");
-        assert!(a.node().chain().is_invalid(&bad_id));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::PeerMisbehaved { peer: 3, .. }))));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Disconnect { peer: 3 })));
-        assert!(!a.connected_peers().contains(&3));
-    }
-
-    #[test]
-    fn oversized_transaction_is_rejected() {
-        let mut p = params();
-        p.max_microblock_bytes = 512;
-        let mut a = Engine::new(EngineConfig::new(1, p));
-        a.handle(1_000, Input::MineKeyBlock);
-        let mut builder = TransactionBuilder::new().input(OutPoint::new(sha256(b"big"), 0));
-        for seq in 0..64u64 {
-            builder = builder.output(Amount::from_sats(1 + seq), KeyPair::from_id(9).address());
-        }
-        let big = builder.build();
-        assert!(big.serialized_size() as u64 > a.config().params.max_microblock_payload_bytes());
-        // Rejected outright: no report, nothing pooled, no production timer to spin.
-        let effects = a.handle(1_100, Input::SubmitTx(Box::new(big)));
-        assert!(effects.is_empty());
-        assert_eq!(a.mempool_len(), 0);
-    }
 }
