@@ -352,8 +352,6 @@ mod tests {
         };
         assert_eq!(missing, vec![1, 4]);
         assert!(relay.is_pending(&id));
-        relay.peer_gone(4);
-        assert!(relay.is_pending(&id), "only the awaited peer's exit drops it");
 
         // Serve the request from the full block, then resolve.
         let served = transactions_at(&micro, &missing).unwrap();
@@ -362,6 +360,27 @@ mod tests {
             other => panic!("expected Complete, got {other:?}"),
         }
         assert!(!relay.is_pending(&id));
+    }
+
+    #[test]
+    fn a_closed_connection_takes_only_its_own_reconstructions_with_it() {
+        let pool = Mempool::new();
+        let mut relay = CompactRelay::new();
+        let mut begin = |seq: u64, from_peer: u64| {
+            let compact = CompactMicroBlock::from_micro(&micro_with(vec![test_tx(seq)]), seq).unwrap();
+            let id = compact.id();
+            assert!(matches!(
+                relay.begin(compact, &pool, from_peer),
+                ReconstructOutcome::MissingTxs(_)
+            ));
+            id
+        };
+        let (from_3, also_from_3, from_5) = (begin(1, 3), begin(2, 3), begin(3, 5));
+        relay.peer_gone(3);
+        assert!(!relay.is_pending(&from_3) && !relay.is_pending(&also_from_3));
+        assert!(relay.is_pending(&from_5));
+        // A late reply for a dropped reconstruction is unsolicited.
+        assert_eq!(relay.resolve(&from_3, vec![test_tx(1)]), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use super::fraud::Fraud;
 use super::relay::Relay;
-use super::{Effect, EngineConfig, ReportEvent, SnapshotPin};
+use super::{report, Effect, EngineConfig, ReportEvent, SnapshotPin};
 use crate::chainstate::{ChainView, SyncDelta, SyncError};
 use ng_chain::amount::Amount;
 use ng_chain::chainstore::InsertOutcome;
@@ -325,18 +325,6 @@ impl Chain {
         }
     }
 
-    /// Inserts a transaction straight into the mempool, validated against the
-    /// ledger view alone (no pending parents).
-    pub(super) fn preload(&mut self, tx: Transaction) -> bool {
-        if !self.poolable(&tx.txid(), &tx) {
-            return false;
-        }
-        match self.view.admission_fee(&tx, self.height() + 1) {
-            Ok(fee) => self.mempool.insert_with_fee(tx, fee),
-            Err(_) => false,
-        }
-    }
-
     // ---- blocks ---------------------------------------------------------------
 
     /// Offers a block to the tree (structure, proof of work, leader signature,
@@ -437,7 +425,7 @@ impl Chain {
                 // removes at least one block from the tree.
                 Err(SyncError::UnwindableBlock { .. }) => self.node.tip(),
             };
-            effects.push(Effect::Report(ReportEvent::BlockRejected { id: rejected }));
+            report(effects, ReportEvent::BlockRejected { id: rejected });
             // Logged to the WAL so recovery never re-adopts the block.
             persist(&mut self.storage, effects, |storage| storage.note_invalidated(&rejected));
             for gone in self.node.chain_mut().invalidate(&rejected) {
@@ -451,10 +439,8 @@ impl Chain {
             // Checkpoint on the cadence even without durable storage when this node
             // serves snapshots: SimNet bootstrap providers keep theirs in memory.
             self.maybe_checkpoint(effects);
-            effects.push(Effect::Report(ReportEvent::LedgerRolled {
-                connected: delta.connected_blocks,
-                disconnected: delta.disconnected_blocks,
-            }));
+            let (connected, disconnected) = (delta.connected_blocks, delta.disconnected_blocks);
+            report(effects, ReportEvent::LedgerRolled { connected, disconnected });
             // Re-admit disconnected transactions against the post-roll view (their
             // inputs are unspent again on the new branch), skipping anything the
             // new branch already serialized. The delta lists them in chain order —
@@ -596,7 +582,7 @@ impl Chain {
         }
         self.last_snapshot_height = height;
         self.latest_snapshot = Some(snapshot);
-        effects.push(Effect::Report(ReportEvent::CheckpointWritten { height }));
+        report(effects, ReportEvent::CheckpointWritten { height });
     }
 
     /// Advances the finality checkpoint to `tip_height − finality_depth` and
@@ -634,9 +620,8 @@ fn persist(
     match write(storage.as_mut()) {
         Ok(()) => true,
         Err(err) => {
-            effects.push(Effect::Report(ReportEvent::StorageFailed {
-                reason: err.to_string(),
-            }));
+            let reason = err.to_string();
+            report(effects, ReportEvent::StorageFailed { reason });
             false
         }
     }
@@ -688,6 +673,108 @@ mod tests {
         }
     }
 
+    /// A backend with a bad disk: every write fails while `full`, and the next
+    /// `bad_snapshots` snapshot writes fail regardless.
+    #[derive(Debug)]
+    struct BadDisk {
+        full: bool,
+        bad_snapshots: u32,
+    }
+
+    impl BadDisk {
+        fn write(&self) -> Result<(), StoreError> {
+            match self.full {
+                true => Err(StoreError::Io(std::io::Error::other("no space left on device"))),
+                false => Ok(()),
+            }
+        }
+    }
+
+    impl ChainStorage for BadDisk {
+        fn store_block(&mut self, _: &NgBlock, _: u64) -> Result<(), StoreError> {
+            self.write()
+        }
+        fn store_undo(
+            &mut self,
+            _: &Hash256,
+            _: u64,
+            _: &ng_chain::undo::BlockUndo,
+        ) -> Result<(), StoreError> {
+            self.write()
+        }
+        fn commit_roll(&mut self, _: &RollCommit) -> Result<(), StoreError> {
+            self.write()
+        }
+        fn note_invalidated(&mut self, _: &Hash256) -> Result<(), StoreError> {
+            self.write()
+        }
+        fn store_snapshot(&mut self, _: &Snapshot) -> Result<(), StoreError> {
+            if self.bad_snapshots > 0 {
+                self.bad_snapshots -= 1;
+                return Err(StoreError::Io(std::io::Error::other("short write")));
+            }
+            self.write()
+        }
+    }
+
+    #[test]
+    fn every_failed_write_is_reported_and_the_node_keeps_running() {
+        let mut a = engine(1);
+        a.set_storage(Box::new(BadDisk { full: true, bad_snapshots: 0 }));
+        let effects = a.handle(1_000, Input::MineKeyBlock);
+        let failures = reports(&effects)
+            .filter(|event| matches!(event, ReportEvent::StorageFailed { .. }))
+            .count();
+        assert_eq!(failures, 3, "the block, its undo record and the roll commit");
+        assert!(reports(&effects).any(|e| matches!(e, ReportEvent::KeyBlockMined { .. })));
+        assert_eq!(a.height(), 1, "consensus goes on in memory");
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_is_retried_at_the_next_key_block() {
+        let mut p = params();
+        p.checkpoint_interval = 2;
+        let mut a = Engine::new(EngineConfig::new(1, p));
+        a.set_storage(Box::new(BadDisk { full: false, bad_snapshots: 1 }));
+        let written = |effects: &[Effect]| {
+            reports(effects).find_map(|event| match event {
+                ReportEvent::CheckpointWritten { height } => Some(*height),
+                _ => None,
+            })
+        };
+        a.handle(1_000, Input::MineKeyBlock);
+        let effects = a.handle(1_100, Input::MineKeyBlock);
+        assert_eq!(written(&effects), None, "height 2 was due, but the write failed");
+        assert!(a.latest_snapshot().is_none());
+        let effects = a.handle(1_200, Input::MineKeyBlock);
+        assert_eq!(written(&effects), Some(3), "the cadence did not advance past the failure");
+        assert_eq!(a.latest_snapshot().map(|snap| snap.height), Some(3));
+    }
+
+    #[test]
+    fn a_preloaded_child_of_a_pooled_parent_is_pooled_too() {
+        use ng_crypto::signer::SchnorrSigner;
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        a.handle(1_000, Input::MineKeyBlock);
+        let signer = SchnorrSigner::new(*a.node().keys());
+        let mut parent = TransactionBuilder::new()
+            .input(OutPoint::new(a.tip(), 0))
+            .output(Amount::from_coins(25), a.node().keys().address())
+            .build();
+        parent.sign_all_inputs(&signer);
+        let mut child = TransactionBuilder::new()
+            .input(OutPoint::new(parent.txid(), 0))
+            .output(Amount::from_coins(24), KeyPair::from_id(3).address())
+            .build();
+        child.sign_all_inputs(&signer);
+        let orphan = child.clone();
+        assert!(!a.preload_tx(orphan), "its input is nowhere yet");
+        assert!(a.preload_tx(parent.clone()));
+        assert!(!a.preload_tx(parent), "already pending");
+        assert!(a.preload_tx(child), "resolved through the pooled parent");
+        assert_eq!(a.mempool_len(), 2);
+    }
+
     #[test]
     fn persistence_hooks_fire_through_the_storage_trait() {
         let mut a = engine(1);
@@ -695,12 +782,7 @@ mod tests {
         a.set_storage(Box::new(mem.clone()));
         a.handle(1_000, Input::MineKeyBlock);
         a.handle(1_100, Input::SubmitTx(Box::new(test_tx(1))));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 1_200);
         let m = mem.0.lock().unwrap();
         assert_eq!(m.blocks, 2, "key block + microblock persisted");
         assert_eq!(m.undos, 2, "one undo per connected block");
@@ -728,12 +810,7 @@ mod tests {
         let dup = a.handle(1_101, Input::SubmitTx(Box::new(tx.clone())));
         assert!(dup.is_empty());
         // Serialize it; resubmitting the now-confirmed tx is also ignored.
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 1_200);
         assert_eq!(a.mempool_len(), 0);
         let confirmed = a.handle(1_300, Input::SubmitTx(Box::new(tx)));
         assert!(confirmed.is_empty());
@@ -773,12 +850,7 @@ mod tests {
         );
         assert_eq!(a.mempool_len(), 2);
 
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 1_200);
         assert_eq!(a.mempool_len(), 0, "parent and child both serialized");
         assert!(a.chainstate().is_confirmed(&parent.txid()));
         assert!(a.chainstate().is_confirmed(&child.txid()));
@@ -786,97 +858,6 @@ mod tests {
             a.utxo().balance_of(&KeyPair::from_id(3).address()),
             Amount::from_coins(24)
         );
-    }
-
-    #[test]
-    fn honest_relay_is_not_punished_for_a_byzantine_descendant() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
-
-        // Engine `a` is leader with one valid tx-bearing microblock on its branch.
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        a.handle(1_000, Input::MineKeyBlock);
-        let kb1_id = a.tip();
-        let signer_a = SchnorrSigner::new(*a.node().keys());
-        let mut spend = TransactionBuilder::new()
-            .input(OutPoint::new(kb1_id, 0))
-            .output(Amount::from_coins(24), KeyPair::from_id(5).address())
-            .build();
-        spend.sign_all_inputs(&signer_a);
-        a.handle(1_100, Input::SubmitTx(Box::new(spend.clone())));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        assert!(a.chainstate().is_confirmed(&spend.txid()));
-
-        // A rival miner on the same epoch mines a heavier key block, and — being
-        // Byzantine — signs a microblock on it spending a nonexistent output.
-        let kb1 = a.node().chain().get(&kb1_id).expect("key block").clone();
-        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
-        rival.on_block(kb1, 1_001).unwrap();
-        let rival_kb = rival.mine_and_adopt_key_block(2_000);
-        let bad_payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let bad_header = MicroHeader {
-            prev: rival_kb.id(),
-            time_ms: 2_010,
-            payload_digest: bad_payload.digest(),
-            leader: 2,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(*rival.keys()).sign(&bad_header.signing_hash()),
-            header: bad_header,
-            payload: bad_payload,
-        };
-        let bad_id = bad.id();
-
-        // An honest peer relays the Byzantine microblock FIRST (it becomes a
-        // pending child), then the valid rival key block. Adopting the key block
-        // drags the pending child in: the reorg disconnects a's microblock,
-        // connects the rival key block, and fails on the Byzantine child.
-        register_peer(&mut a, 7);
-        a.handle(
-            3_000,
-            Input::Message {
-                peer: 7,
-                message: Message::MicroBlock(Box::new(bad)),
-            },
-        );
-        let effects = a.handle(
-            3_001,
-            Input::Message {
-                peer: 7,
-                message: Message::KeyBlock(Box::new(rival_kb.clone())),
-            },
-        );
-
-        assert_eq!(a.tip(), rival_kb.id(), "heavier valid branch adopted");
-        assert!(a.node().chain().is_invalid(&bad_id));
-        assert!(
-            effects
-                .iter()
-                .any(|e| matches!(e, Effect::Report(ReportEvent::BlockRejected { id }) if *id == bad_id)),
-            "Byzantine child rejected"
-        );
-        // The peer delivered a *valid* carrier (the key block); it must not be
-        // disconnected for the Byzantine child that rode behind it.
-        assert!(
-            !effects.iter().any(|e| matches!(e, Effect::Disconnect { .. })),
-            "honest relay must not be punished"
-        );
-        assert!(a.connected_peers().contains(&7));
-        // The transaction disconnected before the failed connect was not lost: the
-        // accumulated delta re-admitted it to the mempool.
-        assert!(
-            a.mempool_contains(&spend.txid()),
-            "disconnected tx re-admitted despite the mid-roll rejection"
-        );
-        assert!(!a.chainstate().is_confirmed(&spend.txid()));
     }
 
     #[test]
@@ -901,19 +882,9 @@ mod tests {
             .build();
         child.sign_all_inputs(&signer);
         a.handle(1_100, Input::SubmitTx(Box::new(parent.clone())));
-        a.handle(
-            1_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 1_200);
         a.handle(1_300, Input::SubmitTx(Box::new(child.clone())));
-        a.handle(
-            1_400,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 1_400);
         assert!(a.chainstate().is_confirmed(&parent.txid()));
         assert!(a.chainstate().is_confirmed(&child.txid()));
 
@@ -924,20 +895,8 @@ mod tests {
         let rival_kb1 = rival.mine_and_adopt_key_block(2_000);
         let rival_kb2 = rival.mine_and_adopt_key_block(2_100);
         register_peer(&mut a, 5);
-        a.handle(
-            3_000,
-            Input::Message {
-                peer: 5,
-                message: Message::KeyBlock(Box::new(rival_kb1)),
-            },
-        );
-        a.handle(
-            3_001,
-            Input::Message {
-                peer: 5,
-                message: Message::KeyBlock(Box::new(rival_kb2.clone())),
-            },
-        );
+        deliver(&mut a, 3_000, 5, Message::KeyBlock(Box::new(rival_kb1)));
+        deliver(&mut a, 3_001, 5, Message::KeyBlock(Box::new(rival_kb2.clone())));
         assert_eq!(a.tip(), rival_kb2.id(), "reorg applied");
         assert!(
             a.mempool_contains(&parent.txid()),
@@ -948,58 +907,8 @@ mod tests {
             "disconnected child re-admitted through its pooled parent"
         );
         // The chain serializes again in order on the new branch.
-        a.handle(
-            4_000,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        produce(&mut a, 4_000);
         assert!(!a.is_leader() || a.mempool_len() == 0);
-    }
-
-    #[test]
-    fn direct_sender_of_invalid_microblock_is_disconnected() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
-
-        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
-        register_peer(&mut a, 3);
-        a.handle(1_000, Input::MineKeyBlock);
-        let tip = a.tip();
-        // The Byzantine leader (this engine's own id/keys, so the signature is
-        // valid) sends a phantom-spend microblock directly.
-        let payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let header = MicroHeader {
-            prev: tip,
-            time_ms: 1_500,
-            payload_digest: payload.digest(),
-            leader: 1,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(KeyPair::from_id(1)).sign(&header.signing_hash()),
-            header,
-            payload,
-        };
-        let bad_id = bad.id();
-        let effects = a.handle(
-            2_000,
-            Input::Message {
-                peer: 3,
-                message: Message::MicroBlock(Box::new(bad)),
-            },
-        );
-        assert_eq!(a.tip(), tip, "ledger unchanged");
-        assert!(a.node().chain().is_invalid(&bad_id));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::PeerMisbehaved { peer: 3, .. }))));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Disconnect { peer: 3 })));
-        assert!(!a.connected_peers().contains(&3));
     }
 
     #[test]

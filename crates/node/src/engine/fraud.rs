@@ -7,11 +7,12 @@
 
 use super::chain::Chain;
 use super::relay::Relay;
-use super::{Effect, ReportEvent};
+use super::{report, send, Effect, ReportEvent};
 use ng_chain::amount::Amount;
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::transaction::OutPoint;
 use ng_core::block::NgBlock;
+use ng_core::node::NgNode;
 use ng_core::poison::{poison_effect, PoisonError, PoisonTransaction};
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::Hash256;
@@ -118,17 +119,14 @@ impl Fraud {
     /// duplicates are dropped without relay on the receiving side.
     pub(super) fn offer_records(&self, peer: u64, effects: &mut Vec<Effect>) {
         for record in self.poisons.values() {
-            effects.push(Effect::Send {
-                peer,
-                message: Message::Poison(Box::new(record.poison.clone())),
-            });
+            send(effects, peer, Message::Poison(Box::new(record.poison.clone())));
         }
     }
 
     /// Block `id` joined the tree. A microblock is checked against the sightings
     /// under its `(parent, leader)` key — a stored sibling is proof of
-    /// equivocation — and proofs parked under `id` as their unknown fork point
-    /// are retried.
+    /// equivocation, and this node constructs the fraud proof — and proofs parked
+    /// under `id` as their unknown fork point are retried.
     pub(super) fn block_stored(
         &mut self,
         chain: &mut Chain,
@@ -137,13 +135,13 @@ impl Fraud {
         id: Hash256,
         effects: &mut Vec<Effect>,
     ) {
-        if let Some(key) = micro_key {
-            self.detect_equivocation(chain, relay, key, id, effects);
+        if let Some(poison) = micro_key.and_then(|key| self.sight(chain.node(), key, id)) {
+            let (accused, txid) = (poison.accused_leader, poison.txid());
+            report(effects, ReportEvent::PoisonDetected { accused, txid });
+            self.adopt(chain, relay, None, poison, effects);
         }
-        if let Some(parked) = self.pending_poisons.remove(&id) {
-            for (_, poison) in parked {
-                self.adopt(chain, relay, None, poison, effects);
-            }
+        for (_, poison) in self.pending_poisons.remove(&id).unwrap_or_default() {
+            self.adopt(chain, relay, None, poison, effects);
         }
     }
 
@@ -160,62 +158,43 @@ impl Fraud {
         effects: &mut Vec<Effect>,
     ) {
         self.assert_on(chain);
-        if !self.pending_poisons.is_empty() {
-            let parked: Vec<PoisonTransaction> = std::mem::take(&mut self.pending_poisons)
-                .into_values()
-                .flatten()
-                .map(|(_, poison)| poison)
-                .collect();
-            for poison in parked {
-                self.adopt(chain, relay, None, poison, effects);
-            }
+        let parked = std::mem::take(&mut self.pending_poisons);
+        for (_, poison) in parked.into_values().flatten() {
+            self.adopt(chain, relay, None, poison, effects);
         }
     }
 
     /// Records a stored microblock's `(parent, leader)` sighting; a second distinct
-    /// microblock under the same key is an equivocation and this node constructs
-    /// the fraud proof from **both** signed siblings. The evidence is therefore
+    /// microblock under the same key is an equivocation, and the fraud proof is
+    /// built from **both** signed siblings. The evidence is therefore
     /// self-contained — two conflicting headers under one parent, both signed by
     /// the leader — and validates network-wide regardless of which sibling any
     /// particular node's main chain carries.
-    fn detect_equivocation(
+    fn sight(
         &mut self,
-        chain: &mut Chain,
-        relay: &Relay,
+        node: &NgNode,
         key: (Hash256, u64),
         id: Hash256,
-        effects: &mut Vec<Effect>,
-    ) {
-        match self.micro_sightings.get(&key).copied() {
+    ) -> Option<PoisonTransaction> {
+        let first = match self.micro_sightings.get(&key) {
+            Some(first) if *first != id => *first,
+            Some(_) => return None,
             None => {
                 self.micro_sightings.insert(key, id);
+                return None;
             }
-            Some(first) if first == id => {}
-            Some(first) => {
-                let node = chain.node();
-                let (Some(a), Some(b)) = (
-                    node.chain().get(&first).and_then(NgBlock::as_micro),
-                    node.chain().get(&id).and_then(NgBlock::as_micro),
-                ) else {
-                    return;
-                };
-                let Some(poison) = node.build_poison(a, b) else {
-                    return;
-                };
-                effects.push(Effect::Report(ReportEvent::PoisonDetected {
-                    accused: poison.accused_leader,
-                    txid: poison.txid(),
-                }));
-                self.adopt(chain, relay, None, poison, effects);
-            }
-        }
+        };
+        let a = node.chain().get(&first).and_then(NgBlock::as_micro)?;
+        let b = node.chain().get(&id).and_then(NgBlock::as_micro)?;
+        node.build_poison(a, b)
     }
 
     /// Validates a poison transaction (locally constructed or delivered by a peer)
     /// and, if it is the canonical one for its `(cheater, epoch)`, records it,
     /// applies the revenue revocation to the ledger view and floods it onward.
     /// `origin` is the delivering link (excluded from the flood); `None` marks a
-    /// locally constructed or re-tried poison.
+    /// locally constructed or re-tried poison. A proof that is not adopted is
+    /// reported with the reason.
     pub(super) fn adopt(
         &mut self,
         chain: &mut Chain,
@@ -224,8 +203,35 @@ impl Fraud {
         poison: PoisonTransaction,
         effects: &mut Vec<Effect>,
     ) {
-        let txid = poison.txid();
-        let (epoch_id, revoked) = match chain.node().validate_poison(&poison) {
+        let (accused, txid) = (poison.accused_leader, poison.txid());
+        let revoked = match self.record(chain, txid, &poison) {
+            Ok(revoked) => revoked,
+            Err(reason) => return report(effects, ReportEvent::PoisonRejected { reason }),
+        };
+        let revoked_sats = revoked.sats();
+        report(effects, ReportEvent::PoisonAccepted { accused, revoked_sats });
+        // Flood to every ready peer except the link the proof arrived on. Poisons
+        // never take the overlay: a fraud proof must reach every honest node even
+        // when eager links are degraded, and its size makes the flood cheap.
+        let message = Message::Poison(Box::new(poison));
+        let before = effects.len();
+        for peer in relay.ready().filter(|peer| Some(*peer) != origin) {
+            send(effects, peer, message.clone());
+        }
+        if effects.len() > before {
+            report(effects, ReportEvent::PoisonRelayed { txid });
+        }
+    }
+
+    /// Judges a poison and, if it is valid and canonical, records it and applies
+    /// its ledger effect; returns the revoked amount, or why the proof was dropped.
+    fn record(
+        &mut self,
+        chain: &mut Chain,
+        txid: Hash256,
+        poison: &PoisonTransaction,
+    ) -> Result<Amount, String> {
+        let (epoch_id, revoked) = match chain.node().validate_poison(poison) {
             Ok(verdict) => verdict,
             Err(err @ PoisonError::UnknownParent) => {
                 // Transient: this node is behind and cannot attribute the epoch
@@ -237,33 +243,19 @@ impl Fraud {
                 // An overflow just drops the proof (the flood is redundant, and
                 // a fresh handshake re-offers every record).
                 if poison.check_conflict().is_ok() {
-                    self.park(txid, poison);
+                    self.park(txid, poison.clone());
                 }
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: format!("{err} (parked)"),
-                }));
-                return;
+                return Err(format!("{err} (parked)"));
             }
-            Err(err) => {
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: err.to_string(),
-                }));
-                return;
-            }
+            Err(err) => return Err(err.to_string()),
         };
         let key = (poison.accused_leader, epoch_id);
         match self.poisons.get(&key) {
-            Some(existing) if existing.txid <= txid => {
-                // A duplicate of the canonical poison, or a losing competitor:
-                // drop without relaying, so the flood terminates.
-                effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                    reason: if existing.txid == txid {
-                        "duplicate poison".to_string()
-                    } else {
-                        "losing competitor of the canonical poison".to_string()
-                    },
-                }));
-                return;
+            // A duplicate of the canonical poison, or a losing competitor: dropped
+            // without relaying, so the flood terminates.
+            Some(existing) if existing.txid == txid => return Err("duplicate poison".into()),
+            Some(existing) if existing.txid < txid => {
+                return Err("losing competitor of the canonical poison".into());
             }
             Some(existing) => {
                 // Smaller txid wins: revert the incumbent's bounty and replace
@@ -274,49 +266,32 @@ impl Fraud {
                 // incumbent it converged on.
                 let old_outpoint = OutPoint::new(existing.txid, 0);
                 if chain.view().bounty_spent(&old_outpoint) {
-                    effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                        reason: "canonical poison bounty already spent; competitor too late"
-                            .to_string(),
-                    }));
-                    return;
+                    return Err("canonical poison bounty already spent; competitor too late".into());
                 }
                 chain.ledger_mut().1.revert_poison_reward(&old_outpoint);
                 self.poisons.remove(&key);
             }
-            None => {
-                if self.poisons.len() >= MAX_POISON_RECORDS {
-                    effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                        reason: "poison record capacity reached".to_string(),
-                    }));
-                    return;
-                }
+            None if self.poisons.len() >= MAX_POISON_RECORDS => {
+                return Err("poison record capacity reached".into());
             }
+            None => {}
         }
-        let Some(epoch_height) = chain.node().chain().store().height_of(&epoch_id) else {
-            effects.push(Effect::Report(ReportEvent::PoisonRejected {
-                reason: "epoch key block height unknown".to_string(),
-            }));
-            return;
+        let tree = chain.node().chain();
+        let Some(epoch_height) = tree.store().height_of(&epoch_id) else {
+            return Err("epoch key block height unknown".into());
         };
-        let params = chain.node().chain().params();
-        let reward = poison_effect(poison.accused_leader, revoked, params).poisoner_reward;
-        self.poisons.insert(
-            key,
-            PoisonRecord {
-                poison: poison.clone(),
-                txid,
-                epoch_id,
-                epoch_height,
-                revoked,
-                reward,
-            },
-        );
+        let reward = poison_effect(poison.accused_leader, revoked, tree.params()).poisoner_reward;
+        let record = PoisonRecord {
+            poison: poison.clone(),
+            txid,
+            epoch_id,
+            epoch_height,
+            revoked,
+            reward,
+        };
+        self.poisons.insert(key, record);
         self.assert_on(chain);
-        effects.push(Effect::Report(ReportEvent::PoisonAccepted {
-            accused: poison.accused_leader,
-            revoked_sats: revoked.sats(),
-        }));
-        flood(relay, origin, poison, txid, effects);
+        Ok(revoked)
     }
 
     /// Parks a shape-valid proof whose epoch cannot be attributed yet under its
@@ -325,35 +300,28 @@ impl Fraud {
     /// [`MAX_PENDING_POISONS`] by shedding the largest parked txid across all
     /// parents — deterministic, and the entry least likely to win adoption.
     fn park(&mut self, txid: Hash256, poison: PoisonTransaction) {
-        let parent = poison.parent();
-        let list = self.pending_poisons.entry(parent).or_default();
+        let list = self.pending_poisons.entry(poison.parent()).or_default();
         if let Err(at) = list.binary_search_by(|(parked, _)| parked.cmp(&txid)) {
             if at < MAX_PENDING_PER_PARENT {
                 list.insert(at, (txid, poison));
                 list.truncate(MAX_PENDING_PER_PARENT);
             }
         }
-        if list.is_empty() {
-            self.pending_poisons.remove(&parent);
+        // At most one entry was added, so at most one has to go.
+        let total: usize = self.pending_poisons.values().map(Vec::len).sum();
+        if total <= MAX_PENDING_POISONS {
             return;
         }
-        loop {
-            let total: usize = self.pending_poisons.values().map(Vec::len).sum();
-            if total <= MAX_PENDING_POISONS {
-                break;
-            }
-            let Some((_, worst_parent)) = self
-                .pending_poisons
-                .iter()
-                .filter_map(|(p, l)| l.last().map(|(t, _)| (*t, *p)))
-                .max()
-            else {
-                break;
-            };
-            if let Some(l) = self.pending_poisons.get_mut(&worst_parent) {
-                l.pop();
-                if l.is_empty() {
-                    self.pending_poisons.remove(&worst_parent);
+        let worst = self
+            .pending_poisons
+            .iter()
+            .filter_map(|(parent, list)| list.last().map(|(txid, _)| (*txid, *parent)))
+            .max();
+        if let Some((_, parent)) = worst {
+            if let Some(list) = self.pending_poisons.get_mut(&parent) {
+                list.pop();
+                if list.is_empty() {
+                    self.pending_poisons.remove(&parent);
                 }
             }
         }
@@ -396,29 +364,194 @@ impl Fraud {
     }
 }
 
-/// Floods a poison transaction to every ready peer except the link it arrived
-/// on. Poisons never take the overlay: a fraud proof must reach every honest
-/// node even when eager links are degraded, and its size makes the flood cheap.
-fn flood(
-    relay: &Relay,
-    origin: Option<u64>,
-    poison: PoisonTransaction,
-    txid: Hash256,
-    effects: &mut Vec<Effect>,
-) {
-    let message = Message::Poison(Box::new(poison));
-    let mut relayed = false;
-    for peer in relay.ready_peers() {
-        if Some(peer) == origin {
-            continue;
-        }
-        effects.push(Effect::Send {
-            peer,
-            message: message.clone(),
-        });
-        relayed = true;
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::EngineConfig;
+    use super::*;
+    use ng_core::block::MicroHeader;
+    use ng_crypto::sha256::sha256;
+    use ng_crypto::signer::{FastSigner, SignatureBytes, Signer as _};
+
+    /// The fraud component with the two siblings it is handed, nothing else.
+    fn component() -> (Fraud, Chain, Relay) {
+        let cfg = EngineConfig::new(1, params());
+        (Fraud::new(), Chain::new(&cfg), Relay::new(&cfg))
     }
-    if relayed {
-        effects.push(Effect::Report(ReportEvent::PoisonRelayed { txid }));
+
+    /// Two headers of `leader` over `parent`, told apart by `salt`; with `sign`,
+    /// carrying signatures that verify under its key (the fast simulation scheme).
+    fn conflict(parent: Hash256, leader: u64, salt: u64, sign: bool) -> PoisonTransaction {
+        let header = |time_ms| MicroHeader {
+            prev: parent,
+            time_ms,
+            payload_digest: sha256(&salt.to_le_bytes()),
+            leader,
+        };
+        let signature = |header: &MicroHeader| {
+            if sign {
+                FastSigner::new(KeyPair::from_id(leader).public).sign(&header.signing_hash())
+            } else {
+                SignatureBytes::Simulated(header.id())
+            }
+        };
+        let (a, b) = (header(1), header(2));
+        let (first, second) = if a.id() <= b.id() { (a, b) } else { (b, a) };
+        PoisonTransaction {
+            signature_a: signature(&first),
+            header_a: first,
+            signature_b: signature(&second),
+            header_b: second,
+            accused_leader: leader,
+            poisoner: 9,
+        }
+    }
+
+    fn parked_txids(fraud: &Fraud, parent: &Hash256) -> Vec<Hash256> {
+        fraud.pending_poisons[parent].iter().map(|(txid, _)| *txid).collect()
+    }
+
+    fn rejections(effects: &[Effect]) -> Vec<&str> {
+        effects
+            .iter()
+            .filter_map(|effect| match effect {
+                Effect::Report(ReportEvent::PoisonRejected { reason }) => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_unknown_fork_point_parks_the_four_smallest_txids() {
+        let (mut fraud, mut chain, relay) = component();
+        let parent = sha256(b"a fork point this node has not seen");
+        let mut txids = Vec::new();
+        let mut effects = Vec::new();
+        for salt in 0..7 {
+            let poison = conflict(parent, 3, salt, false);
+            txids.push(poison.txid());
+            fraud.adopt(&mut chain, &relay, None, poison, &mut effects);
+        }
+        txids.sort_unstable();
+        assert_eq!(parked_txids(&fraud, &parent), txids[..MAX_PENDING_PER_PARENT]);
+        assert_eq!(rejections(&effects).len(), 7, "each is reported, parked or not");
+        assert!(effects.iter().all(|e| matches!(e, Effect::Report(_))), "nothing is relayed");
+    }
+
+    #[test]
+    fn a_proof_that_is_no_conflict_is_never_parked() {
+        let (mut fraud, mut chain, relay) = component();
+        let mut poison = conflict(sha256(b"unknown"), 3, 0, false);
+        poison.header_b = poison.header_a.clone(); // one header twice proves nothing
+        fraud.adopt(&mut chain, &relay, None, poison, &mut Vec::new());
+        assert!(fraud.pending_poisons.is_empty());
+    }
+
+    #[test]
+    fn the_parked_set_sheds_its_globally_largest_txid() {
+        let (mut fraud, mut chain, relay) = component();
+        // The model: per parent the four smallest, then the largest of all goes.
+        let mut model: Vec<(Hash256, Hash256)> = Vec::new(); // (txid, parent)
+        for round in 0..3u64 {
+            for p in 0..24u64 {
+                let parent = sha256(&p.to_le_bytes());
+                let poison = conflict(parent, 3, round, false);
+                model.push((poison.txid(), parent));
+                model.sort_unstable();
+                let of_parent = |m: &[(Hash256, Hash256)]| m.iter().filter(|e| e.1 == parent).count();
+                while of_parent(&model) > MAX_PENDING_PER_PARENT {
+                    let last = model.iter().rposition(|e| e.1 == parent).expect("present");
+                    model.remove(last);
+                }
+                model.truncate(MAX_PENDING_POISONS);
+                fraud.adopt(&mut chain, &relay, None, poison, &mut Vec::new());
+
+                let mut parked: Vec<(Hash256, Hash256)> = fraud
+                    .pending_poisons
+                    .iter()
+                    .flat_map(|(parent, list)| list.iter().map(|(txid, _)| (*txid, *parent)))
+                    .collect();
+                parked.sort_unstable();
+                assert_eq!(parked, model, "round {round}, parent {p}");
+            }
+        }
+        assert_eq!(model.len(), MAX_PENDING_POISONS, "the cap was reached and held");
+    }
+
+    /// A chain on which node 1 led `epochs` epochs; returns their key block ids.
+    fn lead_epochs(chain: &mut Chain, fraud: &mut Fraud, relay: &mut Relay, epochs: u64) -> Vec<Hash256> {
+        (0..epochs)
+            .map(|epoch| {
+                let id = chain.mine_key_block(1_000 + epoch);
+                chain.roll_ledger(None, fraud, relay, &mut Vec::new());
+                id
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_full_record_table_refuses_a_new_leader_epoch_pair() {
+        let (mut fraud, mut chain, mut relay) = component();
+        let epochs = lead_epochs(&mut chain, &mut fraud, &mut relay, 2);
+        let mut effects = Vec::new();
+        fraud.adopt(&mut chain, &relay, None, conflict(epochs[0], 1, 0, true), &mut effects);
+        assert_eq!(rejections(&effects), Vec::<&str>::new());
+        // Fill the rest of the table with records of other leaders' (long
+        // reorganised-away) epochs.
+        for leader in 2..=MAX_POISON_RECORDS as u64 {
+            let epoch_id = sha256(&leader.to_le_bytes());
+            let poison = conflict(epoch_id, leader, 0, false);
+            let record = PoisonRecord {
+                txid: poison.txid(),
+                poison,
+                epoch_id,
+                epoch_height: 0,
+                revoked: Amount::ZERO,
+                reward: Amount::ZERO,
+            };
+            fraud.poisons.insert((leader, epoch_id), record);
+        }
+        assert_eq!(fraud.poisoned().len(), MAX_POISON_RECORDS);
+
+        let one_more = conflict(epochs[1], 1, 0, true);
+        let mut effects = Vec::new();
+        fraud.adopt(&mut chain, &relay, None, one_more, &mut effects);
+        assert_eq!(rejections(&effects), vec!["poison record capacity reached"]);
+        assert_eq!(fraud.poisoned().len(), MAX_POISON_RECORDS);
+        // A better proof for a pair already recorded is not a new pair: it still wins.
+        let recorded = fraud.poisons[&(1, epochs[0])].txid;
+        let rival = (1..)
+            .map(|salt| conflict(epochs[0], 1, salt, true))
+            .find(|rival| rival.txid() < recorded)
+            .expect("some salt sorts lower");
+        let mut effects = Vec::new();
+        fraud.adopt(&mut chain, &relay, None, rival.clone(), &mut effects);
+        assert_eq!(rejections(&effects), Vec::<&str>::new());
+        assert_eq!(fraud.poisons[&(1, epochs[0])].txid, rival.txid());
+    }
+
+    #[test]
+    fn the_smallest_txid_wins_and_everything_else_is_dropped_with_its_reason() {
+        let (mut fraud, mut chain, mut relay) = component();
+        let kb = lead_epochs(&mut chain, &mut fraud, &mut relay, 1)[0];
+        let mut proofs: Vec<PoisonTransaction> = (0..3).map(|salt| conflict(kb, 1, salt, true)).collect();
+        proofs.sort_by_key(PoisonTransaction::txid);
+        let adopt = |fraud: &mut Fraud, chain: &mut Chain, poison: &PoisonTransaction| {
+            let mut effects = Vec::new();
+            fraud.adopt(chain, &relay, None, poison.clone(), &mut effects);
+            rejections(&effects).into_iter().map(str::to_owned).collect::<Vec<_>>()
+        };
+        assert!(adopt(&mut fraud, &mut chain, &proofs[1]).is_empty(), "first proof is adopted");
+        assert_eq!(
+            adopt(&mut fraud, &mut chain, &proofs[2]),
+            vec!["losing competitor of the canonical poison"]
+        );
+        assert!(adopt(&mut fraud, &mut chain, &proofs[0]).is_empty(), "a smaller txid replaces it");
+        assert_eq!(adopt(&mut fraud, &mut chain, &proofs[0]), vec!["duplicate poison"]);
+        assert_eq!(fraud.poisons[&(1, kb)].txid, proofs[0].txid());
+        assert_eq!(fraud.poisoned(), vec![(1, kb)], "one record per leader and epoch");
+        // The wrong leader's signature convinces nobody.
+        let forged = conflict(kb, 2, 0, true);
+        assert_eq!(adopt(&mut fraud, &mut chain, &forged).len(), 1);
     }
 }

@@ -11,22 +11,50 @@
 //! * [`crate::simnet`] — N engines wired through a seeded in-process scheduler with
 //!   configurable latency, loss, and partitions (deterministic scenario testing).
 //!
-//! Everything the daemon used to interleave with its event loop lives here: the
-//! version handshake (via [`ng_net::peer::Peer`]), headers-first multi-peer sync
-//! with windowed parallel block download (via [`ng_net::sync::SyncScheduler`]),
-//! assumeutxo-style snapshot bootstrap against a pinned checkpoint
-//! ([`SnapshotPin`]) with background history backfill, `inv`/`getdata` gossip,
-//! leader microblock streaming from the mempool, fork-choice reorg handling over
-//! the incremental UTXO ledger view, and poison-evidence construction hooks exposed
-//! by the underlying [`NgNode`].
+//! # The router and its four components
 //!
-//! One copy of every object: a block lives in the block tree ([`NgNode::chain`]),
-//! a pending transaction in the mempool, and the wire is served from those two
-//! stores — a `keyblock`/`microblock`/`tx` message is built at the moment it is
-//! sent, and a block is served exactly when it may be announced
-//! ([`Engine::announceable`]). The only other bodies held are a bounded memory of
-//! recently announced transactions and the below-root history a snapshot-rooted
-//! node backfills.
+//! [`Engine`] itself is a thin router: it owns the configuration and the timer it
+//! last armed, turns an [`Input`] into calls on four components, and arms the
+//! driver's timer with the earliest deadline any of them waits on. Each component
+//! owns its state outright — nothing else can name those fields — and is handed
+//! its siblings as explicit `&`/`&mut` parameters, so a method's signature lists
+//! everything it can read or write. All of them push into the one effect list of
+//! the `handle` pass, in call order.
+//!
+//! | component | owns | does |
+//! |---|---|---|
+//! | `chain` | `node` (the block tree), `view` (the incremental ledger), `mempool`, `storage`, `last_snapshot_height`, `latest_snapshot` | admission, block production, the ledger roll and its persistence hooks, checkpoints, finality, restart recovery |
+//! | `relay` | `peers`, `overlay`, `compact`, `held_back`, `relay_memory` | handshakes, `inv`/`getdata`, compact blocks, the eager/lazy overlay, announcing, punishing |
+//! | `onboarding` | `sync`, `bootstrap`, `backfill`, `backfilled`, `root_height` | headers-first download, snapshot bootstrap against a [`SnapshotPin`], backfill of the history below it |
+//! | `fraud` | `micro_sightings`, `poisons`, `pending_poisons` | §4.5: equivocation detection, poison validation, the min-txid rule, parking, re-assertion |
+//!
+//! One copy of every object: a block lives in the block tree, a pending
+//! transaction in the mempool, and the wire is served from those two stores — a
+//! `keyblock`/`microblock`/`tx` message is built at the moment it is sent, and a
+//! block is served exactly when it may be announced. The only other bodies held
+//! are the relay's bounded memory of recently announced transactions and the
+//! below-root history a snapshot-rooted node backfills.
+//!
+//! The order of calls inside `accept_block` — the one path every block takes,
+//! whoever delivered it — is fixed, and the effect trace depends on it:
+//!
+//! 1. `onboarding.note_delivery`, `relay.block_arrived`: whatever was waiting for
+//!    this block (a scheduled download, a lazy pull, a compact reconstruction)
+//!    stops waiting;
+//! 2. `chain.insert`: structure, proof of work, leader signature, fork choice;
+//! 3. if the tip moved, `chain.roll_ledger` — which connects the blocks, drops the
+//!    ones whose transactions do not validate (`relay.release`), lets
+//!    `fraud.ledger_rolled` re-assert its poisons and retry the parked ones,
+//!    persists, checkpoints and rolls the mempool — and then `relay.punish` if the
+//!    block just delivered was one of the dropped;
+//! 4. if the block survived: `BlockAccepted`, `relay.block_accepted` (announce it
+//!    or hold it back, then flush what became announceable),
+//!    `fraud.block_stored` (a second signature under the same parent is an
+//!    equivocation; proofs parked under this block are retried).
+//!
+//! A duplicate goes to `relay.prune_duplicate_link`; an orphan to
+//! `relay.hold_back` and, unless the scheduler expected it,
+//! `onboarding.request_sync`.
 //!
 //! Determinism contract: for a fixed [`EngineConfig`], an identical sequence of
 //! `(now_ms, Input)` pairs produces an identical sequence of effects, byte for byte.
@@ -57,6 +85,16 @@ use onboarding::Onboarding;
 use relay::Relay;
 
 pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
+
+/// Queues `message` for connection `peer`.
+fn send(effects: &mut Vec<Effect>, peer: u64, message: Message) {
+    effects.push(Effect::Send { peer, message });
+}
+
+/// Surfaces a protocol event to the driver.
+fn report(effects: &mut Vec<Effect>, event: ReportEvent) {
+    effects.push(Effect::Report(event));
+}
 
 /// The pure Bitcoin-NG protocol engine. See the module docs for the contract.
 #[derive(Debug)]
@@ -329,12 +367,12 @@ impl Engine {
     /// Current eager-set connections of the broadcast overlay, ascending (empty
     /// unless `gossip.overlay` is on).
     pub fn overlay_eager(&self) -> Vec<u64> {
-        self.relay.overlay_eager()
+        self.relay.overlay().eager().collect()
     }
 
     /// Current lazy-set connections of the broadcast overlay, ascending.
     pub fn overlay_lazy(&self) -> Vec<u64> {
-        self.relay.overlay_lazy()
+        self.relay.overlay().lazy().collect()
     }
 
     /// Inserts a transaction straight into the mempool — no gossip, no effects.
@@ -342,7 +380,7 @@ impl Engine {
     /// same transactions deterministically (the precondition compact relay
     /// exploits) without paying for a transaction flood first.
     pub fn preload_tx(&mut self, tx: Transaction) -> bool {
-        self.chain.preload(tx)
+        self.chain.admit(&tx.txid(), &tx)
     }
 
     // ---- incoming messages ----------------------------------------------------
@@ -354,14 +392,14 @@ impl Engine {
         };
         for action in actions {
             match action {
-                PeerAction::Send(message) => effects.push(Effect::Send { peer, message }),
+                PeerAction::Send(message) => send(effects, peer, message),
                 PeerAction::HandshakeComplete {
                     node_id,
                     best_height,
                     ..
                 } => {
                     // The handshake replies are queued above; now sync.
-                    effects.push(Effect::Report(ReportEvent::PeerReady { peer, node_id }));
+                    report(effects, ReportEvent::PeerReady { peer, node_id });
                     self.fraud.offer_records(peer, effects);
                     self.relay.peer_ready(peer);
                     self.onboarding.peer_ready(peer, best_height);
@@ -474,7 +512,7 @@ impl Engine {
     fn accept_tx(&mut self, from: Option<u64>, tx: Transaction, effects: &mut Vec<Effect>) {
         let txid = tx.txid();
         if self.chain.admit(&txid, &tx) {
-            effects.push(Effect::Report(ReportEvent::TxAccepted { txid }));
+            report(effects, ReportEvent::TxAccepted { txid });
             self.relay.relay_tx(txid, tx, from, effects);
         }
     }
@@ -487,11 +525,6 @@ impl Engine {
         effects: &mut Vec<Effect>,
     ) {
         let id = block.id();
-        // Clear any scheduled download of this block no matter which path delivered
-        // it — the assigned peer's reply, a gossip push from a third peer, a
-        // producer's broadcast. The old per-peer bookkeeping only credited the
-        // syncing peer, leaving the in-flight entry stuck (and the block
-        // re-downloaded) whenever gossip won the race.
         let expected = self.onboarding.note_delivery(&id);
         self.relay.block_arrived(&id);
         let micro_key = match &block {
@@ -502,38 +535,30 @@ impl Engine {
             Ok(InsertOutcome::Accepted {
                 tip_changed, reorg, ..
             }) => {
-                let reorged = reorg.is_some();
                 if tip_changed {
                     self.roll_ledger(from.map(|peer| (peer, id)), effects);
                 }
                 // The roll may have invalidated the block (its transactions failed
-                // validate-on-connect): only a surviving block is announced. Under
-                // full validation a microblock is relayed only once this node's own
-                // ledger validated it (it connected to the main chain) — relaying a
-                // never-validated side-branch block would hand peers a block this
-                // node cannot vouch for, and an honest relay must never take the
-                // punishment for a Byzantine block it merely forwarded. Side-branch
-                // blocks are held back and announced if their branch later wins.
+                // validate-on-connect): only a surviving block is reported,
+                // relayed and looked at for equivocation.
                 if self.chain.holds(&id) {
-                    effects.push(Effect::Report(ReportEvent::BlockAccepted {
-                        id,
-                        tip_changed,
-                        reorg: reorged,
-                    }));
+                    let reorg = reorg.is_some();
+                    let accepted = ReportEvent::BlockAccepted { id, tip_changed, reorg };
+                    report(effects, accepted);
                     self.relay.block_accepted(id, from, &self.chain, effects);
                     self.fraud
                         .block_stored(&mut self.chain, &self.relay, micro_key, id, effects);
                 }
             }
             Ok(InsertOutcome::Duplicate) => {
-                effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
+                report(effects, ReportEvent::BlockDuplicate { id });
                 if let Some(from) = from {
                     // A second eager path pushed a full copy: demote that link.
                     self.relay.prune_duplicate_link(from, effects);
                 }
             }
             Ok(InsertOutcome::Orphaned { .. }) => {
-                effects.push(Effect::Report(ReportEvent::BlockOrphaned { id }));
+                report(effects, ReportEvent::BlockOrphaned { id });
                 // Remember the id so the block is announced once its ancestors
                 // arrive (the chain layer adopts it without telling us).
                 self.relay.hold_back(id);
@@ -549,9 +574,7 @@ impl Engine {
                     }
                 }
             }
-            Err(_) => {
-                effects.push(Effect::Report(ReportEvent::BlockRejected { id }));
-            }
+            Err(_) => report(effects, ReportEvent::BlockRejected { id }),
         }
     }
 
@@ -575,7 +598,7 @@ impl Engine {
     /// report it, announce it.
     fn adopt_own_block(&mut self, id: Hash256, event: ReportEvent, effects: &mut Vec<Effect>) {
         self.roll_ledger(None, effects);
-        effects.push(Effect::Report(event));
+        report(effects, event);
         self.relay.announce_block(id, None, &self.chain, effects);
     }
 
@@ -617,7 +640,7 @@ impl Engine {
         let earliest = [
             production,
             self.onboarding.next_deadline(&self.relay),
-            self.relay.next_deadline(),
+            self.relay.overlay().next_deadline(),
         ]
         .into_iter()
         .flatten()
@@ -633,9 +656,8 @@ impl Engine {
         let deadline = deadline.max(now_ms + 1);
         if self.last_timer != Some(deadline) {
             self.last_timer = Some(deadline);
-            effects.push(Effect::SetTimer {
-                deadline_ms: deadline,
-            });
+            let deadline_ms = deadline;
+            effects.push(Effect::SetTimer { deadline_ms });
         }
     }
 }
@@ -682,20 +704,39 @@ mod testkit {
     /// Registers a handshaken peer on `engine` under connection key `peer`.
     pub(in crate::engine) fn register_peer(engine: &mut Engine, peer: u64) {
         engine.handle(0, Input::PeerConnected { peer, inbound: true });
-        engine.handle(
-            0,
-            Input::Message {
-                peer,
-                message: Message::Version {
-                    node_id: 10_000 + peer,
-                    protocol: ProtocolKind::BitcoinNg,
-                    best_height: 0,
-                    time_ms: 0,
-                },
-            },
-        );
-        engine.handle(0, Input::Message { peer, message: Message::Verack });
-        engine.handle(0, Input::Message { peer, message: Message::Headers(vec![]) });
+        let version = Message::Version {
+            node_id: 10_000 + peer,
+            protocol: ProtocolKind::BitcoinNg,
+            best_height: 0,
+            time_ms: 0,
+        };
+        for message in [version, Message::Verack, Message::Headers(vec![])] {
+            deliver(engine, 0, peer, message);
+        }
+    }
+
+    /// Has `engine` produce a microblock from whatever it has pooled.
+    pub(in crate::engine) fn produce(engine: &mut Engine, now_ms: u64) -> Vec<Effect> {
+        let require_transactions = true;
+        engine.handle(now_ms, Input::ProduceMicroblock { require_transactions })
+    }
+
+    /// Delivers `message` to `engine` over connection `peer`.
+    pub(in crate::engine) fn deliver(
+        engine: &mut Engine,
+        now_ms: u64,
+        peer: u64,
+        message: Message,
+    ) -> Vec<Effect> {
+        engine.handle(now_ms, Input::Message { peer, message })
+    }
+
+    /// The protocol events among `effects`.
+    pub(in crate::engine) fn reports(effects: &[Effect]) -> impl Iterator<Item = &ReportEvent> {
+        effects.iter().filter_map(|effect| match effect {
+            Effect::Report(event) => Some(event),
+            _ => None,
+        })
     }
 
     /// The `Send` effects among `effects`, as `(peer, command)` pairs.
@@ -715,59 +756,43 @@ mod tests {
     use super::testkit::*;
     use super::*;
     use crate::testnet::test_tx;
+    use std::collections::VecDeque;
 
-    /// Runs every message effect between two engines until both queues drain.
-    /// `a` talks to `b` over connection key 0 on both sides.
+    /// Runs every message effect between two engines until both queues drain
+    /// (b's inbox first). `a` talks to `b` over connection key 0 on both sides.
     fn pump(now: u64, a: &mut Engine, b: &mut Engine, first: Vec<Effect>, from_a: bool) {
-        let mut queues: Vec<Vec<Message>> = vec![Vec::new(), Vec::new()]; // to a, to b
-        let absorb = |effects: Vec<Effect>, sender_is_a: bool, queues: &mut Vec<Vec<Message>>| {
+        let mut inboxes = [VecDeque::new(), VecDeque::new()]; // a's, b's
+        let mut emitted = Some((first, from_a));
+        while let Some((effects, sender_is_a)) = emitted.take() {
             for effect in effects {
-                match effect {
-                    Effect::Send { message, .. } | Effect::Broadcast { message } => {
-                        queues[if sender_is_a { 1 } else { 0 }].push(message);
-                    }
-                    _ => {}
+                if let Effect::Send { message, .. } | Effect::Broadcast { message } = effect {
+                    inboxes[usize::from(sender_is_a)].push_back(message);
                 }
             }
-        };
-        absorb(first, from_a, &mut queues);
-        loop {
-            if let Some(message) = queues[1].first().cloned() {
-                queues[1].remove(0);
-                let effects = b.handle(now, Input::Message { peer: 0, message });
-                absorb(effects, false, &mut queues);
-            } else if let Some(message) = queues[0].first().cloned() {
-                queues[0].remove(0);
-                let effects = a.handle(now, Input::Message { peer: 0, message });
-                absorb(effects, true, &mut queues);
-            } else {
-                break;
+            if let Some(message) = inboxes[1].pop_front() {
+                emitted = Some((deliver(b, now, 0, message), false));
+            } else if let Some(message) = inboxes[0].pop_front() {
+                emitted = Some((deliver(a, now, 0, message), true));
             }
         }
     }
 
+    /// The first message among `effects` with the given wire command.
+    fn sent(effects: &[Effect], command: &str) -> Option<Message> {
+        effects.iter().find_map(|effect| match effect {
+            Effect::Send { message, .. } | Effect::Broadcast { message }
+                if message.command() == command =>
+            {
+                Some(message.clone())
+            }
+            _ => None,
+        })
+    }
+
     fn connect(now: u64, a: &mut Engine, b: &mut Engine) {
-        let hello = a.handle(
-            now,
-            Input::PeerConnected {
-                peer: 0,
-                inbound: false,
-            },
-        );
-        assert!(matches!(
-            hello.first(),
-            Some(Effect::Send {
-                message: Message::Version { .. },
-                ..
-            })
-        ));
-        b.handle(
-            now,
-            Input::PeerConnected {
-                peer: 0,
-                inbound: true,
-            },
-        );
+        let hello = a.handle(now, Input::PeerConnected { peer: 0, inbound: false });
+        assert_eq!(sends(&hello), vec![(0, "version")]);
+        b.handle(now, Input::PeerConnected { peer: 0, inbound: true });
         pump(now, a, b, hello, true);
         assert_eq!(a.ready_peer_count(), 1);
         assert_eq!(b.ready_peer_count(), 1);
@@ -786,34 +811,9 @@ mod tests {
         let submitted = a.handle(1_200, Input::SubmitTx(Box::new(test_tx(1))));
         pump(1_200, &mut a, &mut b, submitted, true);
         assert_eq!(b.mempool_len(), 1);
-        let produced = a.handle(
-            1_300,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        let full_micro = |e: &Effect| {
-            matches!(
-                e,
-                Effect::Send {
-                    message: Message::MicroBlock(_),
-                    ..
-                } | Effect::Broadcast {
-                    message: Message::MicroBlock(_)
-                }
-            )
-        };
-        assert!(
-            produced.iter().any(|e| matches!(
-                e,
-                Effect::Send {
-                    message: Message::CmpctBlock(_),
-                    ..
-                }
-            )),
-            "the eager push is compact"
-        );
-        assert!(!produced.iter().any(full_micro), "no full carrier on the wire");
+        let produced = produce(&mut a, 1_300);
+        assert!(sends(&produced).contains(&(0, "cmpct")), "the eager push is compact");
+        assert_eq!(sent(&produced, "microblock"), None, "no full carrier on the wire");
         pump(1_300, &mut a, &mut b, produced, true);
         assert_eq!(b.height(), 2, "b reconstructed the microblock from its pool");
         assert_eq!(b.mempool_len(), 0);
@@ -833,30 +833,12 @@ mod tests {
         a.handle(1_050, Input::Message { peer: 0, message: Message::Prune });
         assert!(a.overlay_lazy().contains(&0), "the prune demoted a's end");
         let mined = a.handle(1_100, Input::MineKeyBlock);
-        let ihave = mined
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    message: m @ Message::IHave(_),
-                    ..
-                } => Some(m.clone()),
-                _ => None,
-            })
-            .expect("lazy link gets an ihave");
+        let ihave = sent(&mined, "ihave").expect("lazy link gets an ihave");
         b.handle(1_105, Input::Message { peer: 0, message: ihave });
         assert_eq!(b.height(), 0, "an ihave transfers nothing");
         // The pull timer expires: b grafts the advertising link and pulls.
         let expired = b.handle(1_105 + ng_net::overlay::PULL_TIMEOUT_MS, Input::Tick);
-        let graft = expired
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    message: m @ Message::Graft(_),
-                    ..
-                } => Some(m.clone()),
-                _ => None,
-            })
-            .expect("timeout grafts the advertiser");
+        let graft = sent(&expired, "graft").expect("timeout grafts the advertiser");
         let served = a.handle(1_300, Input::Message { peer: 0, message: graft });
         pump(1_300, &mut a, &mut b, served, true);
         assert_eq!(b.height(), 1, "the graft pulled the block in full");
@@ -878,15 +860,14 @@ mod tests {
         let mut b = engine(2);
         connect(1_000, &mut a, &mut b);
         let effects = a.handle(2_000, Input::MineKeyBlock);
-        let mined = effects.iter().find_map(|e| match e {
-            Effect::Report(ReportEvent::KeyBlockMined { id }) => Some(*id),
+        let mined = reports(&effects).find_map(|e| match e {
+            ReportEvent::KeyBlockMined { id } => Some(*id),
             _ => None,
         });
         assert!(mined.is_some());
         // Fresh local block: announced as a single broadcast inv.
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Broadcast { message: Message::Inv(_) })));
+        assert!(matches!(sent(&effects, "inv"), Some(Message::Inv(_))));
+        assert_eq!(sends(&effects), vec![], "one broadcast, no per-peer sends");
         // Delivering the inv to b triggers getdata → block → adoption.
         pump(2_000, &mut a, &mut b, effects, true);
         assert_eq!(b.tip(), mined.unwrap());
@@ -903,22 +884,12 @@ mod tests {
 
         // Submit to the non-leader; gossip carries it to the leader.
         let effects = b.handle(2_100, Input::SubmitTx(Box::new(test_tx(1))));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::TxAccepted { .. }))));
+        assert!(reports(&effects).any(|e| matches!(e, ReportEvent::TxAccepted { .. })));
         pump(2_100, &mut a, &mut b, effects, false);
         assert_eq!(a.mempool_len(), 1, "gossip delivered the tx to the leader");
 
-        let effects = a.handle(
-            2_200,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
-        let produced = effects.iter().any(|e| {
-            matches!(e, Effect::Report(ReportEvent::MicroblockProduced { .. }))
-        });
-        assert!(produced);
+        let effects = produce(&mut a, 2_200);
+        assert!(reports(&effects).any(|e| matches!(e, ReportEvent::MicroblockProduced { .. })));
         pump(2_200, &mut a, &mut b, effects, true);
         assert_eq!(a.tip(), b.tip());
         assert_eq!(a.utxo_commitment(), b.utxo_commitment());
@@ -927,44 +898,61 @@ mod tests {
     }
 
     #[test]
+    fn an_answered_request_disarms_the_timer_it_armed() {
+        let mut a = engine(1);
+        a.handle(0, Input::PeerConnected { peer: 4, inbound: true });
+        let version = Message::Version {
+            node_id: 44,
+            protocol: ng_net::message::ProtocolKind::BitcoinNg,
+            best_height: 0,
+            time_ms: 0,
+        };
+        // The handshake completes: a header walk goes out under a deadline.
+        let effects = a.handle(0, Input::Message { peer: 4, message: version });
+        assert!(sends(&effects).contains(&(4, "getheaders")));
+        let timeout = a.config().sync.request_timeout_ms;
+        assert!(effects.contains(&Effect::SetTimer { deadline_ms: timeout }));
+        assert_eq!(a.handle(1, Input::Message { peer: 4, message: Message::Verack }), vec![]);
+        // The reply arrives in time: nothing is pending, so the driver's timer is
+        // cleared rather than left to fire a pointless tick.
+        let reply = Input::Message { peer: 4, message: Message::Headers(vec![]) };
+        assert_eq!(a.handle(5, reply).last(), Some(&Effect::ClearTimer));
+    }
+
+    #[test]
     fn auto_mode_arms_timer_and_streams_on_tick() {
         let mut config = EngineConfig::new(1, params());
         config.auto_microblocks = true;
         let mut a = Engine::new(config);
         a.handle(1_000, Input::MineKeyBlock);
+        let armed = |effects: &[Effect]| {
+            effects.iter().find_map(|e| match e {
+                Effect::SetTimer { deadline_ms } => Some(*deadline_ms),
+                _ => None,
+            })
+        };
+        let streamed = |effects: &[Effect]| {
+            reports(effects).any(|e| matches!(e, ReportEvent::MicroblockProduced { .. }))
+        };
         // An empty mempool arms nothing.
-        assert!(!a
-            .handle(1_000, Input::Tick)
-            .iter()
-            .any(|e| matches!(e, Effect::SetTimer { .. })));
+        assert_eq!(armed(&a.handle(1_000, Input::Tick)), None);
 
         // A submitted tx is streamed immediately (spacing already elapsed) and the
         // timer stays unarmed because the pool drained.
-        let effects = a.handle(1_100, Input::SubmitTx(Box::new(test_tx(1))));
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::MicroblockProduced { .. }))));
+        assert!(streamed(&a.handle(1_100, Input::SubmitTx(Box::new(test_tx(1))))));
         assert_eq!(a.mempool_len(), 0);
 
         // A second tx inside the production interval cannot be streamed yet: the
         // engine arms the exact protocol deadline instead.
         let effects = a.handle(1_101, Input::SubmitTx(Box::new(test_tx(2))));
-        let deadline = effects.iter().find_map(|e| match e {
-            Effect::SetTimer { deadline_ms } => Some(*deadline_ms),
-            _ => None,
-        });
-        assert_eq!(deadline, Some(1_102), "production interval is 2 ms");
+        assert_eq!(armed(&effects), Some(1_102), "production interval is 2 ms");
         assert_eq!(a.mempool_len(), 1);
 
         // Re-arming with the same deadline is suppressed until a tick consumes it.
-        let effects = a.handle(1_101, Input::SubmitTx(Box::new(test_tx(3))));
-        assert!(!effects.iter().any(|e| matches!(e, Effect::SetTimer { .. })));
+        assert_eq!(armed(&a.handle(1_101, Input::SubmitTx(Box::new(test_tx(3))))), None);
 
         // The tick at the deadline streams the pending transactions.
-        let effects = a.handle(1_102, Input::Tick);
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::Report(ReportEvent::MicroblockProduced { .. }))));
+        assert!(streamed(&a.handle(1_102, Input::Tick)));
         assert_eq!(a.mempool_len(), 0);
     }
 
@@ -995,5 +983,4 @@ mod tests {
         assert_eq!(a.tip(), b.tip(), "orphan-triggered sync converged the chains");
         assert_eq!(a.height(), 2);
     }
-
 }

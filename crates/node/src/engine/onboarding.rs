@@ -9,7 +9,7 @@
 
 use super::chain::Chain;
 use super::relay::Relay;
-use super::{Effect, EngineConfig, ReportEvent, SnapshotPin};
+use super::{report, send, Effect, EngineConfig, ReportEvent, SnapshotPin};
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_crypto::sha256::Hash256;
@@ -65,10 +65,8 @@ struct BootstrapState {
 /// sequential header walk from genesis toward the root against one peer at a
 /// time, bodies fetched batch by batch. Fetched blocks are stored and made
 /// servable, never connected — they sit below the root.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BackfillState {
-    /// The snapshot root height; everything strictly below it is fetched.
-    target: u64,
     /// The peer currently serving the walk.
     peer: u64,
     /// Deadline of the outstanding request (headers or bodies); expiry rotates
@@ -219,13 +217,8 @@ impl Onboarding {
                     if let Some(lead) = lead {
                         locator.insert(0, lead);
                     }
-                    effects.push(Effect::Send {
-                        peer,
-                        message: Message::GetHeaders {
-                            locator,
-                            limit: self.header_batch,
-                        },
-                    });
+                    let limit = self.header_batch;
+                    send(effects, peer, Message::GetHeaders { locator, limit });
                 }
                 SyncCommand::RequestBlocks { peer, items } => {
                     // A timed-out request can be re-assigned to the same peer
@@ -233,7 +226,7 @@ impl Onboarding {
                     relay.request_from(peer, &items, effects);
                 }
                 SyncCommand::Evicted { peer } => {
-                    effects.push(Effect::Report(ReportEvent::SyncPeerEvicted { peer }));
+                    report(effects, ReportEvent::SyncPeerEvicted { peer });
                 }
             }
         }
@@ -243,12 +236,7 @@ impl Onboarding {
     /// Advances the snapshot bootstrap: ask one ready peer at a time for the
     /// pinned snapshot, rotate on timeout or an honest miss, and fall back to a
     /// full parallel block download once every connected peer has been tried.
-    fn drive_bootstrap(
-        &mut self,
-        now_ms: u64,
-        relay: &Relay,
-        effects: &mut Vec<Effect>,
-    ) {
+    fn drive_bootstrap(&mut self, now_ms: u64, relay: &Relay, effects: &mut Vec<Effect>) {
         let Some(boot) = self.bootstrap.as_mut() else {
             return;
         };
@@ -263,10 +251,7 @@ impl Onboarding {
             boot.tried.insert(candidate);
             boot.waiting = Some((candidate, now_ms + self.request_timeout_ms));
             let height = boot.pin.height;
-            effects.push(Effect::Send {
-                peer: candidate,
-                message: Message::GetSnapshot { height },
-            });
+            send(effects, candidate, Message::GetSnapshot { height });
             return;
         }
         if ready.is_empty() {
@@ -315,7 +300,7 @@ impl Onboarding {
                 relay.clear_held_back();
                 self.root_height = height;
                 self.bootstrap = None;
-                effects.push(Effect::Report(ReportEvent::SnapshotApplied { height }));
+                report(effects, ReportEvent::SnapshotApplied { height });
                 // Everything scheduled so far targeted the genesis root and can
                 // never connect; start clean walks from the snapshot root instead.
                 self.sync.reset_downloads();
@@ -326,23 +311,15 @@ impl Onboarding {
                 // Background backfill of pre-root history, so this node can serve
                 // full syncs too. Nothing is outstanding yet, so the next drive
                 // (the end of this `handle` pass) issues the first request.
-                if let Some(first) = ready.first() {
-                    self.backfill = Some(BackfillState {
-                        target: height,
-                        peer: *first,
-                        deadline: 0,
-                        awaiting_headers: false,
-                        expected: HashMap::new(),
-                        cursor: None,
-                        exhausted: false,
-                        fetched: 0,
-                    });
-                }
+                self.backfill = ready.first().map(|first| BackfillState {
+                    peer: *first,
+                    ..BackfillState::default()
+                });
             }
             Err(reason) => {
                 // Served bytes that fail the pinned commitment are not a cache
                 // miss but an attempted feed of a forged ledger: cut the cord.
-                effects.push(Effect::Report(ReportEvent::SnapshotRejected { peer: from }));
+                report(effects, ReportEvent::SnapshotRejected { peer: from });
                 relay.punish(from, reason, self, effects);
             }
         }
@@ -351,19 +328,14 @@ impl Onboarding {
     /// Advances the background backfill of pre-root history. The backfill is a
     /// plain sequential walk — one `getheaders` below the root, then the bodies —
     /// because it is off the critical path: the node is already at the tip.
-    fn drive_backfill(
-        &mut self,
-        now_ms: u64,
-        relay: &mut Relay,
-        effects: &mut Vec<Effect>,
-    ) {
+    fn drive_backfill(&mut self, now_ms: u64, relay: &mut Relay, effects: &mut Vec<Effect>) {
         let Some(bf) = self.backfill.as_mut() else {
             return;
         };
         if bf.exhausted && bf.expected.is_empty() && !bf.awaiting_headers {
             let blocks = bf.fetched;
             self.backfill = None;
-            effects.push(Effect::Report(ReportEvent::BackfillCompleted { blocks }));
+            report(effects, ReportEvent::BackfillCompleted { blocks });
             return;
         }
         let outstanding = bf.awaiting_headers || !bf.expected.is_empty();
@@ -387,22 +359,15 @@ impl Onboarding {
         if bf.expected.is_empty() {
             bf.awaiting_headers = true;
             let locator = bf.cursor.map(|id| vec![id]).unwrap_or_default();
-            effects.push(Effect::Send {
-                peer,
-                message: Message::GetHeaders {
-                    locator,
-                    limit: self.header_batch,
-                },
-            });
+            let limit = self.header_batch;
+            send(effects, peer, Message::GetHeaders { locator, limit });
         } else {
-            let mut pending: Vec<(u64, InvItem)> = bf
+            let pending = bf
                 .expected
                 .iter()
                 .map(|(id, (height, kind))| (*height, InvItem::new(*kind, *id)))
                 .collect();
-            pending.sort_unstable_by_key(|(height, item)| (*height, item.id));
-            let items: Vec<InvItem> = pending.into_iter().map(|(_, item)| item).collect();
-            relay.request_from(peer, &items, effects);
+            request_bodies(relay, peer, pending, effects);
         }
     }
 
@@ -424,17 +389,18 @@ impl Onboarding {
         if bf.peer != peer || !bf.awaiting_headers {
             return false;
         }
-        if records.first().is_some_and(|first| first.height > bf.target) {
+        let root_height = self.root_height;
+        if records.first().is_some_and(|first| first.height > root_height) {
             return false; // starts above the root: that is the forward sync's reply
         }
         bf.awaiting_headers = false;
         let wanted: Vec<&HeaderRecord> =
-            records.iter().filter(|r| r.height < bf.target).collect();
+            records.iter().filter(|r| r.height < root_height).collect();
         if let Some(last) = wanted.last() {
             bf.cursor = Some(last.id);
         }
         // The walk ends when the batch reaches the root (records at or above the
-        // target were filtered out), runs dry, or hits the server's tip early.
+        // root were filtered out), runs dry, or hits the server's tip early.
         bf.exhausted |= records.is_empty()
             || wanted.len() < records.len()
             || (records.len() as u32) < self.header_batch;
@@ -445,7 +411,7 @@ impl Onboarding {
             }
             // One block per height below the root is all of history; a server
             // describing more is lying, and `backfilled` must stay bounded.
-            if (self.backfilled.len() + bf.expected.len()) as u64 >= bf.target {
+            if (self.backfilled.len() + bf.expected.len()) as u64 >= root_height {
                 bf.exhausted = true;
                 break;
             }
@@ -459,12 +425,12 @@ impl Onboarding {
             return true;
         }
         bf.deadline = now_ms + self.request_timeout_ms;
-        fresh.sort_unstable_by_key(|(height, item)| (*height, item.id));
-        let items: Vec<InvItem> = fresh.into_iter().map(|(_, item)| item).collect();
-        relay.request_from(peer, &items, effects);
+        request_bodies(relay, peer, fresh, effects);
         true
     }
 
+    /// A `headers` batch arrived: the backfill claims the reply to its own walk,
+    /// anything else feeds the forward sync.
     pub(super) fn handle_headers(
         &mut self,
         peer: u64,
@@ -474,10 +440,8 @@ impl Onboarding {
         relay: &mut Relay,
         effects: &mut Vec<Effect>,
     ) {
-        effects.push(Effect::Report(ReportEvent::SyncBatchReceived {
-            peer,
-            count: records.len(),
-        }));
+        let count = records.len();
+        report(effects, ReportEvent::SyncBatchReceived { peer, count });
         if self.claim_backfill_headers(peer, &records, now_ms, relay, effects) {
             return;
         }
@@ -533,6 +497,19 @@ impl Onboarding {
     }
 }
 
+/// Requests block bodies from `peer`, lowest height first (ids break ties, so the
+/// order never depends on map iteration).
+fn request_bodies(
+    relay: &mut Relay,
+    peer: u64,
+    mut bodies: Vec<(u64, InvItem)>,
+    effects: &mut Vec<Effect>,
+) {
+    bodies.sort_unstable_by_key(|(height, item)| (*height, item.id));
+    let items: Vec<InvItem> = bodies.into_iter().map(|(_, item)| item).collect();
+    relay.request_from(peer, &items, effects);
+}
+
 /// Answers a `getheaders` from the main chain.
 pub(super) fn serve_headers(
     chain: &Chain,
@@ -541,7 +518,7 @@ pub(super) fn serve_headers(
     limit: u32,
     effects: &mut Vec<Effect>,
 ) {
-    effects.push(Effect::Report(ReportEvent::SyncRequestServed { peer }));
+    report(effects, ReportEvent::SyncRequestServed { peer });
     let store = chain.node().chain().store();
     let main_chain = store.main_chain();
     let limit = (limit as usize).clamp(1, 4096);
@@ -561,10 +538,7 @@ pub(super) fn serve_headers(
             })
         })
         .collect();
-    effects.push(Effect::Send {
-        peer,
-        message: Message::Headers(records),
-    });
+    send(effects, peer, Message::Headers(records));
 }
 
 /// Checks a served snapshot against the configured pin. The commitment is
@@ -610,10 +584,170 @@ pub(super) fn serve_snapshot(chain: &mut Chain, peer: u64, height: u64, effects:
         })
     });
     if reply.is_some() {
-        effects.push(Effect::Report(ReportEvent::SnapshotServed { peer }));
+        report(effects, ReportEvent::SnapshotServed { peer });
     }
-    effects.push(Effect::Send {
-        peer,
-        message: Message::Snapshot(reply),
-    });
+    send(effects, peer, Message::Snapshot(reply));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::{Engine, Input};
+    use super::*;
+    use ng_core::node::NgNode;
+    use ng_crypto::sha256::sha256;
+    use ng_net::message::ProtocolKind;
+
+    /// A relay whose connections `peers` completed their handshake.
+    fn ready_relay(cfg: &EngineConfig, peers: &[u64]) -> Relay {
+        let mut relay = Relay::new(cfg);
+        for &peer in peers {
+            relay.connect(peer, true, 0, 0, &mut Vec::new());
+            let version = Message::Version {
+                node_id: 10_000 + peer,
+                protocol: ProtocolKind::BitcoinNg,
+                best_height: 0,
+                time_ms: 0,
+            };
+            relay.receive(peer, version, 0, 0);
+            relay.receive(peer, Message::Verack, 0, 0);
+        }
+        assert_eq!(relay.ready_peers(), peers);
+        relay
+    }
+
+    /// A chain of `n` key blocks mined by somebody else, as header records that
+    /// all claim to sit below a root at `claimed_below`.
+    fn history(n: u64, claimed_below: u64) -> (Vec<NgBlock>, Vec<HeaderRecord>) {
+        let mut miner = NgNode::new(7, params(), 0);
+        let blocks: Vec<NgBlock> = (0..n)
+            .map(|i| NgBlock::Key(miner.mine_and_adopt_key_block(1_000 + i)))
+            .collect();
+        let records = blocks
+            .iter()
+            .zip(0..)
+            .map(|(block, i)| HeaderRecord {
+                id: block.id(),
+                prev: block.prev(),
+                kind: InvKind::KeyBlock,
+                height: 1 + i % (claimed_below - 1),
+            })
+            .collect();
+        (blocks, records)
+    }
+
+    #[test]
+    fn backfill_never_holds_more_blocks_than_there_are_heights_below_the_root() {
+        let cfg = EngineConfig::new(1, params());
+        let root_height = 5;
+        let mut onboarding = Onboarding::new(&cfg, root_height, false);
+        let mut chain = Chain::new(&cfg);
+        let mut relay = ready_relay(&cfg, &[3]);
+        let walk = || BackfillState {
+            peer: 3,
+            awaiting_headers: true,
+            ..BackfillState::default()
+        };
+        let held = |onboarding: &Onboarding| {
+            let expected = onboarding.backfill.as_ref().map_or(0, |bf| bf.expected.len());
+            (onboarding.backfilled.len() + expected) as u64
+        };
+
+        // The server describes twelve blocks "below" a root at height five.
+        let (blocks, records) = history(12, root_height);
+        onboarding.backfill = Some(walk());
+        let mut effects = Vec::new();
+        onboarding.handle_headers(3, records[..8].to_vec(), 100, &chain, &mut relay, &mut effects);
+        assert_eq!(sends(&effects), vec![(3, "getdata")]);
+        assert_eq!(held(&onboarding), root_height, "requests stop at one block per height");
+
+        // Every requested body arrives; the rest of the lie is offered again.
+        for block in blocks {
+            onboarding.claim_block(block, &mut chain, &mut effects);
+        }
+        assert_eq!(onboarding.backfilled.len() as u64, root_height);
+        let state = onboarding.backfill.as_mut().expect("walk still open");
+        state.awaiting_headers = true;
+        let mut effects = Vec::new();
+        onboarding.handle_headers(3, records[8..].to_vec(), 200, &chain, &mut relay, &mut effects);
+        assert_eq!(sends(&effects), vec![], "nothing further is requested");
+        assert_eq!(held(&onboarding), root_height);
+        assert!(onboarding.backfill.as_ref().is_some_and(|bf| bf.exhausted));
+    }
+
+    #[test]
+    fn a_headers_reply_that_starts_above_the_root_is_the_forward_syncs() {
+        let cfg = EngineConfig::new(1, params());
+        let mut onboarding = Onboarding::new(&cfg, 5, false);
+        let chain = Chain::new(&cfg);
+        let mut relay = ready_relay(&cfg, &[3]);
+        onboarding.backfill = Some(BackfillState {
+            peer: 3,
+            awaiting_headers: true,
+            ..BackfillState::default()
+        });
+        let (_, mut records) = history(3, 5);
+        for (record, height) in records.iter_mut().zip(6..) {
+            record.height = height;
+        }
+        onboarding.handle_headers(3, records, 100, &chain, &mut relay, &mut Vec::new());
+        let backfill = onboarding.backfill.as_ref().expect("still walking");
+        assert!(backfill.awaiting_headers && backfill.expected.is_empty(), "reply not claimed");
+    }
+
+    #[test]
+    fn a_backfill_deadline_is_armed_only_while_somebody_can_be_asked() {
+        let cfg = EngineConfig::new(1, params());
+        let mut onboarding = Onboarding::new(&cfg, 5, false);
+        assert_eq!(onboarding.next_deadline(&ready_relay(&cfg, &[3])), None, "nothing pending");
+        onboarding.backfill = Some(BackfillState {
+            peer: 3,
+            deadline: 700,
+            awaiting_headers: true,
+            ..BackfillState::default()
+        });
+        assert_eq!(onboarding.next_deadline(&ready_relay(&cfg, &[])), None);
+        assert_eq!(onboarding.next_deadline(&ready_relay(&cfg, &[3])), Some(700));
+    }
+
+    fn pinned_engine() -> Engine {
+        let mut config = EngineConfig::new(1, params());
+        config.snapshot_pin = Some(SnapshotPin {
+            height: 256,
+            root: sha256(b"a checkpoint nobody here serves"),
+            sorted: sha256(b"its ledger"),
+        });
+        Engine::new(config)
+    }
+
+    fn snapshot_miss(engine: &mut Engine, peer: u64) -> Vec<Effect> {
+        let message = Message::Snapshot(None);
+        engine.handle(10, Input::Message { peer, message })
+    }
+
+    #[test]
+    fn bootstrap_asks_one_peer_at_a_time_and_falls_back_to_a_full_sync() {
+        let mut engine = pinned_engine();
+        register_peer(&mut engine, 1);
+        register_peer(&mut engine, 2);
+        assert!(engine.bootstrapping(), "peer 1 was asked and has not answered");
+        // Peer 1 does not hold the pinned snapshot: peer 2 is asked next.
+        assert_eq!(sends(&snapshot_miss(&mut engine, 1)), vec![(2, "getsnapshot")]);
+        // A reply from a peer that is not being waited on changes nothing.
+        assert_eq!(sends(&snapshot_miss(&mut engine, 1)), vec![]);
+        // Nobody serves the pin: the whole chain is synced the normal way.
+        let fallback = snapshot_miss(&mut engine, 2);
+        assert!(!engine.bootstrapping());
+        assert_eq!(sends(&fallback), vec![(1, "getheaders"), (2, "getheaders")]);
+    }
+
+    #[test]
+    fn a_bootstrap_candidate_that_disconnects_is_replaced_at_once() {
+        let mut engine = pinned_engine();
+        register_peer(&mut engine, 1);
+        register_peer(&mut engine, 2);
+        let effects = engine.handle(10, Input::PeerDisconnected { peer: 1 });
+        assert_eq!(sends(&effects), vec![(2, "getsnapshot")], "no waiting out the timeout");
+        assert!(engine.bootstrapping());
+    }
 }

@@ -10,7 +10,7 @@
 
 use super::chain::Chain;
 use super::onboarding::Onboarding;
-use super::{Effect, EngineConfig, GossipConfig, ReportEvent};
+use super::{report, send, Effect, EngineConfig, GossipConfig, ReportEvent};
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::transaction::Transaction;
 use ng_core::block::NgBlock;
@@ -101,14 +101,9 @@ impl Relay {
         self.peers.keys().copied().collect()
     }
 
-    /// Current eager-set connections of the broadcast overlay, ascending.
-    pub(super) fn overlay_eager(&self) -> Vec<u64> {
-        self.overlay.eager().collect()
-    }
-
-    /// Current lazy-set connections of the broadcast overlay, ascending.
-    pub(super) fn overlay_lazy(&self) -> Vec<u64> {
-        self.overlay.lazy().collect()
+    /// The broadcast overlay: its eager and lazy sets, its next pull deadline.
+    pub(super) fn overlay(&self) -> &Overlay {
+        &self.overlay
     }
 
     /// Registers a new connection. The outbound side speaks first: it sends its
@@ -128,10 +123,7 @@ impl Relay {
             Peer::inbound(self.id, ProtocolKind::BitcoinNg)
         } else {
             let (state, hello) = Peer::outbound(self.id, ProtocolKind::BitcoinNg, height, now_ms);
-            effects.push(Effect::Send {
-                peer,
-                message: hello,
-            });
+            send(effects, peer, hello);
             state
         };
         self.peers.insert(peer, state);
@@ -174,7 +166,7 @@ impl Relay {
         onboarding: &mut Onboarding,
         effects: &mut Vec<Effect>,
     ) {
-        effects.push(Effect::Report(ReportEvent::PeerMisbehaved { peer, reason }));
+        report(effects, ReportEvent::PeerMisbehaved { peer, reason });
         effects.push(Effect::Disconnect { peer });
         self.forget(peer, onboarding);
     }
@@ -204,7 +196,7 @@ impl Relay {
         }
         let request = self.peers.get_mut(&peer).and_then(|state| state.request(&[item]));
         if let Some(message) = request {
-            effects.push(Effect::Send { peer, message });
+            send(effects, peer, message);
         }
     }
 
@@ -270,10 +262,7 @@ impl Relay {
             return; // never held or not servable: the requester's fallback covers it
         };
         if let Some(txs) = transactions_at(micro, indexes) {
-            effects.push(Effect::Send {
-                peer: from,
-                message: Message::BlockTxn { block, txs },
-            });
+            send(effects, from, Message::BlockTxn { block, txs });
         }
     }
 
@@ -282,7 +271,7 @@ impl Relay {
         if let Some(state) = self.peers.get_mut(&peer) {
             state.mark_known(id);
         }
-        effects.push(Effect::Send { peer, message });
+        send(effects, peer, message);
     }
 
     /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
@@ -297,7 +286,7 @@ impl Relay {
             state.forget_request(&item.id);
         }
         if let Some(message) = state.request(items) {
-            effects.push(Effect::Send { peer, message });
+            send(effects, peer, message);
         }
     }
 
@@ -314,31 +303,24 @@ impl Relay {
         effects: &mut Vec<Effect>,
     ) -> Option<NgBlock> {
         let id = compact.id();
-        if chain.holds(&id) {
-            // A second eager path delivered this block: classic Plumtree prune.
-            effects.push(Effect::Report(ReportEvent::BlockDuplicate { id }));
-            self.prune_duplicate_link(from, effects);
-            return None;
+        let held = chain.holds(&id);
+        if held {
+            report(effects, ReportEvent::BlockDuplicate { id });
         }
-        if self.compact.is_pending(&id) {
-            // Already reconstructing from an earlier announcement; a second
-            // concurrent eager push of the same block is a duplicate path too.
+        if held || self.compact.is_pending(&id) {
+            // A second eager path delivered this block, or announced it while the
+            // first announcement is still being reconstructed: classic Plumtree
+            // prune.
             self.prune_duplicate_link(from, effects);
             return None;
         }
         match self.compact.begin(compact, chain.mempool(), from) {
             ReconstructOutcome::Complete(micro) => {
-                effects.push(Effect::Report(ReportEvent::CompactReconstructed {
-                    id,
-                    fetched: 0,
-                }));
+                report(effects, ReportEvent::CompactReconstructed { id, fetched: 0 });
                 return Some(NgBlock::Micro(*micro));
             }
             ReconstructOutcome::MissingTxs(indexes) => {
-                effects.push(Effect::Send {
-                    peer: from,
-                    message: Message::GetBlockTxn { block: id, indexes },
-                });
+                send(effects, from, Message::GetBlockTxn { block: id, indexes });
             }
             ReconstructOutcome::Failed => self.fetch_full(from, id, effects),
         }
@@ -357,10 +339,7 @@ impl Relay {
         let fetched = txs.len();
         match self.compact.resolve(&block, txs)? {
             ReconstructOutcome::Complete(micro) => {
-                effects.push(Effect::Report(ReportEvent::CompactReconstructed {
-                    id: block,
-                    fetched,
-                }));
+                report(effects, ReportEvent::CompactReconstructed { id: block, fetched });
                 Some(NgBlock::Micro(*micro))
             }
             _ => {
@@ -398,7 +377,7 @@ impl Relay {
 
     /// Compact reconstruction failed: fetch the announced block in full.
     fn fetch_full(&mut self, from: u64, id: Hash256, effects: &mut Vec<Effect>) {
-        effects.push(Effect::Report(ReportEvent::CompactFallback { id }));
+        report(effects, ReportEvent::CompactFallback { id });
         self.request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
     }
 
@@ -406,11 +385,8 @@ impl Relay {
     /// the other end to stop pushing to us (Plumtree's tree-repair move).
     pub(super) fn prune_duplicate_link(&mut self, from: u64, effects: &mut Vec<Effect>) {
         if self.gossip.overlay && self.overlay.on_duplicate(from) {
-            effects.push(Effect::Report(ReportEvent::OverlayPrune { peer: from }));
-            effects.push(Effect::Send {
-                peer: from,
-                message: Message::Prune,
-            });
+            report(effects, ReportEvent::OverlayPrune { peer: from });
+            send(effects, from, Message::Prune);
         }
     }
 
@@ -421,17 +397,9 @@ impl Relay {
             return;
         }
         for (item, peer) in self.overlay.expire(now_ms) {
-            effects.push(Effect::Report(ReportEvent::OverlayGraft { peer }));
-            effects.push(Effect::Send {
-                peer,
-                message: Message::Graft(item),
-            });
+            report(effects, ReportEvent::OverlayGraft { peer });
+            send(effects, peer, Message::Graft(item));
         }
-    }
-
-    /// The deadline of the earliest pending lazy pull.
-    pub(super) fn next_deadline(&self) -> Option<u64> {
-        self.overlay.next_deadline()
     }
 
     /// A full copy of block `id` is here, whichever path delivered it: the
@@ -477,10 +445,7 @@ impl Relay {
             effects.push(Effect::Broadcast { message });
         } else {
             for peer in targets {
-                effects.push(Effect::Send {
-                    peer,
-                    message: message.clone(),
-                });
+                send(effects, peer, message.clone());
             }
         }
     }
@@ -579,20 +544,14 @@ impl Relay {
                 None => block_message(block),
             };
             for peer in eager {
-                effects.push(Effect::Send {
-                    peer,
-                    message: push.clone(),
-                });
+                send(effects, peer, push.clone());
             }
         }
         for peer in self.overlay.lazy_targets(from) {
             // An `ihave` does not transfer the block, so the peer is *not* marked
             // as knowing it — a later graft must still be served.
             if self.peers.get(&peer).is_some_and(|state| state.is_ready() && !state.knows(&id)) {
-                effects.push(Effect::Send {
-                    peer,
-                    message: Message::IHave(vec![item]),
-                });
+                send(effects, peer, Message::IHave(vec![item]));
             }
         }
     }
@@ -601,9 +560,6 @@ impl Relay {
     /// (under full validation) side-branch microblocks whose branch has since won
     /// and been validated.
     fn flush_held_back(&mut self, chain: &Chain, effects: &mut Vec<Effect>) {
-        if self.held_back.is_empty() {
-            return;
-        }
         let mut adopted: Vec<Hash256> = self
             .held_back
             .keys()
@@ -697,6 +653,20 @@ mod tests {
     }
 
     #[test]
+    fn an_ihave_schedules_no_pull_while_the_overlay_is_off() {
+        let advert = Message::IHave(vec![InvItem::new(InvKind::KeyBlock, sha256(b"unseen"))]);
+        let pulled = |gossip: GossipConfig| {
+            let mut b = gossip_engine(2, gossip);
+            register_peer(&mut b, 4);
+            b.handle(1_000, Input::Message { peer: 4, message: advert.clone() });
+            let expired = b.handle(1_000 + ng_net::overlay::PULL_TIMEOUT_MS, Input::Tick);
+            sends(&expired).contains(&(4, "graft"))
+        };
+        assert!(pulled(GossipConfig::scalable()), "with the overlay on the advert is pulled");
+        assert!(!pulled(GossipConfig::default()), "the flood has no use for adverts");
+    }
+
+    #[test]
     fn misbehaving_peer_is_disconnected_and_forgotten() {
         let mut a = engine(1);
         a.handle(
@@ -707,13 +677,7 @@ mod tests {
             },
         );
         // A ping before the handshake is a protocol violation.
-        let effects = a.handle(
-            1_001,
-            Input::Message {
-                peer: 9,
-                message: Message::Ping(1),
-            },
-        );
+        let effects = deliver(&mut a, 1_001, 9, Message::Ping(1));
         assert!(effects
             .iter()
             .any(|e| matches!(e, Effect::Report(ReportEvent::PeerMisbehaved { .. }))));
@@ -722,14 +686,7 @@ mod tests {
             .any(|e| matches!(e, Effect::Disconnect { peer: 9 })));
         assert!(a.connected_peers().is_empty());
         // Later input on the dead connection is ignored.
-        assert!(a
-            .handle(
-                1_002,
-                Input::Message {
-                    peer: 9,
-                    message: Message::Ping(2),
-                },
-            )
+        assert!(deliver(&mut a, 1_002, 9, Message::Ping(2))
             .is_empty());
     }
 
@@ -745,22 +702,10 @@ mod tests {
             InvItem::new(InvKind::Transaction, tx.txid()),
         ];
         // An `inv` for something already here is not a request: nothing goes out.
-        let effects = a.handle(
-            1_200,
-            Input::Message {
-                peer: 4,
-                message: Message::Inv(held.to_vec()),
-            },
-        );
+        let effects = deliver(&mut a, 1_200, 4, Message::Inv(held.to_vec()));
         assert_eq!(sends(&effects), vec![]);
         // A `getdata` for the same objects is answered from the tree and the pool.
-        let effects = a.handle(
-            1_201,
-            Input::Message {
-                peer: 4,
-                message: Message::GetData(held.to_vec()),
-            },
-        );
+        let effects = deliver(&mut a, 1_201, 4, Message::GetData(held.to_vec()));
         assert_eq!(sends(&effects), vec![(4, "keyblock"), (4, "tx")]);
     }
 
@@ -770,13 +715,7 @@ mod tests {
         register_peer(&mut a, 4);
         let unknown = InvItem::new(InvKind::MicroBlock, sha256(b"nobody has this"));
         // An unservable `getdata` must not bounce a `getdata` back.
-        let effects = a.handle(
-            1_000,
-            Input::Message {
-                peer: 4,
-                message: Message::GetData(vec![unknown]),
-            },
-        );
+        let effects = deliver(&mut a, 1_000, 4, Message::GetData(vec![unknown]));
         assert_eq!(sends(&effects), vec![]);
         // An `inv` for it is what triggers the fetch — once per connection.
         let inv = Input::Message {
@@ -871,5 +810,118 @@ mod tests {
         assert!(a.node().chain().is_invalid(&bad_id));
         assert!(a.node().chain().is_invalid(&rival_kb2.id()));
         assert_eq!(ask(&mut a, InvKind::KeyBlock, rival_kb2.id()), vec![]);
+    }
+
+    #[test]
+    fn honest_relay_is_not_punished_for_a_byzantine_descendant() {
+        use ng_core::block::{MicroBlock, MicroHeader};
+        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+
+        // Engine `a` is leader with one valid tx-bearing microblock on its branch.
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        a.handle(1_000, Input::MineKeyBlock);
+        let kb1_id = a.tip();
+        let signer_a = SchnorrSigner::new(*a.node().keys());
+        let mut spend = TransactionBuilder::new()
+            .input(OutPoint::new(kb1_id, 0))
+            .output(Amount::from_coins(24), KeyPair::from_id(5).address())
+            .build();
+        spend.sign_all_inputs(&signer_a);
+        a.handle(1_100, Input::SubmitTx(Box::new(spend.clone())));
+        produce(&mut a, 1_200);
+        assert!(a.chainstate().is_confirmed(&spend.txid()));
+
+        // A rival miner on the same epoch mines a heavier key block, and — being
+        // Byzantine — signs a microblock on it spending a nonexistent output.
+        let kb1 = a.node().chain().get(&kb1_id).expect("key block").clone();
+        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
+        rival.on_block(kb1, 1_001).unwrap();
+        let rival_kb = rival.mine_and_adopt_key_block(2_000);
+        let bad_payload = Payload::Transactions(vec![TransactionBuilder::new()
+            .input(OutPoint::new(sha256(b"phantom"), 0))
+            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
+            .build()]);
+        let bad_header = MicroHeader {
+            prev: rival_kb.id(),
+            time_ms: 2_010,
+            payload_digest: bad_payload.digest(),
+            leader: 2,
+        };
+        let bad = MicroBlock {
+            signature: SchnorrSigner::new(*rival.keys()).sign(&bad_header.signing_hash()),
+            header: bad_header,
+            payload: bad_payload,
+        };
+        let bad_id = bad.id();
+
+        // An honest peer relays the Byzantine microblock FIRST (it becomes a
+        // pending child), then the valid rival key block. Adopting the key block
+        // drags the pending child in: the reorg disconnects a's microblock,
+        // connects the rival key block, and fails on the Byzantine child.
+        register_peer(&mut a, 7);
+        deliver(&mut a, 3_000, 7, Message::MicroBlock(Box::new(bad)));
+        let effects = deliver(&mut a, 3_001, 7, Message::KeyBlock(Box::new(rival_kb.clone())));
+
+        assert_eq!(a.tip(), rival_kb.id(), "heavier valid branch adopted");
+        assert!(a.node().chain().is_invalid(&bad_id));
+        assert!(
+            effects
+                .iter()
+                .any(|e| matches!(e, Effect::Report(ReportEvent::BlockRejected { id }) if *id == bad_id)),
+            "Byzantine child rejected"
+        );
+        // The peer delivered a *valid* carrier (the key block); it must not be
+        // disconnected for the Byzantine child that rode behind it.
+        assert!(
+            !effects.iter().any(|e| matches!(e, Effect::Disconnect { .. })),
+            "honest relay must not be punished"
+        );
+        assert!(a.connected_peers().contains(&7));
+        // The transaction disconnected before the failed connect was not lost: the
+        // accumulated delta re-admitted it to the mempool.
+        assert!(
+            a.mempool_contains(&spend.txid()),
+            "disconnected tx re-admitted despite the mid-roll rejection"
+        );
+        assert!(!a.chainstate().is_confirmed(&spend.txid()));
+    }
+
+    #[test]
+    fn direct_sender_of_invalid_microblock_is_disconnected() {
+        use ng_core::block::{MicroBlock, MicroHeader};
+        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        register_peer(&mut a, 3);
+        a.handle(1_000, Input::MineKeyBlock);
+        let tip = a.tip();
+        // The Byzantine leader (this engine's own id/keys, so the signature is
+        // valid) sends a phantom-spend microblock directly.
+        let payload = Payload::Transactions(vec![TransactionBuilder::new()
+            .input(OutPoint::new(sha256(b"phantom"), 0))
+            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
+            .build()]);
+        let header = MicroHeader {
+            prev: tip,
+            time_ms: 1_500,
+            payload_digest: payload.digest(),
+            leader: 1,
+        };
+        let bad = MicroBlock {
+            signature: SchnorrSigner::new(KeyPair::from_id(1)).sign(&header.signing_hash()),
+            header,
+            payload,
+        };
+        let bad_id = bad.id();
+        let effects = deliver(&mut a, 2_000, 3, Message::MicroBlock(Box::new(bad)));
+        assert_eq!(a.tip(), tip, "ledger unchanged");
+        assert!(a.node().chain().is_invalid(&bad_id));
+        assert!(effects
+            .iter()
+            .any(|e| matches!(e, Effect::Report(ReportEvent::PeerMisbehaved { peer: 3, .. }))));
+        assert!(effects
+            .iter()
+            .any(|e| matches!(e, Effect::Disconnect { peer: 3 })));
+        assert!(!a.connected_peers().contains(&3));
     }
 }

@@ -911,6 +911,29 @@ mod tests {
     use crate::testnet::test_tx;
 
     #[test]
+    fn every_node_is_configured_from_the_shared_knobs() {
+        let mut config = SimConfig::new(2, 9);
+        config.auto_microblocks = true;
+        config.header_batch = 17;
+        config.tie_break_seed = 5;
+        config.sync.window = 3;
+        config.serve_snapshots = true;
+        config.gossip = GossipConfig::scalable();
+        let mut net = SimNet::new(config.clone());
+        let late = net.add_node_with(|engine| engine.header_batch = 19);
+        for node in 0..3 {
+            let engine = net.engine(node).config();
+            assert_eq!(engine.id, node as u64);
+            assert_eq!(engine.params, config.params);
+            assert!(engine.auto_microblocks && engine.serve_snapshots);
+            assert_eq!(engine.header_batch, if node == late { 19 } else { 17 });
+            assert_eq!((engine.tie_break_seed, engine.sync.window), (5, 3));
+            assert_eq!(engine.gossip, GossipConfig::scalable());
+            assert_eq!(engine.snapshot_pin, None);
+        }
+    }
+
+    #[test]
     fn three_nodes_converge_on_a_mined_epoch() {
         let mut net = SimNet::new(SimConfig::new(3, 7));
         net.connect_mesh(&[0, 1, 2]);
