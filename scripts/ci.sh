@@ -2,6 +2,7 @@
 # Tier-1 verification for the Bitcoin-NG reproduction workspace.
 #
 # Mirrors .github/workflows/ci.yml so the same gate runs locally and in CI:
+#   0. the size gate: product LOC ratchet and the engine's per-module line limit
 #   1. release build of every crate and target
 #   2. the full test suite (facade integration tests + every crate's unit tests)
 #   3. the live-network suites under explicit timeouts
@@ -18,6 +19,9 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> scripts/loc.sh --check (product LOC at or below the recorded total; every engine module at most 1000 lines)"
+scripts/loc.sh --check
 
 echo "==> cargo build --release"
 cargo build --release
