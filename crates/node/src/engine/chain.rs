@@ -329,7 +329,11 @@ impl Chain {
 
     /// Offers a block to the tree (structure, proof of work, leader signature,
     /// fork choice). Its transactions are judged when the ledger rolls over it.
-    pub(super) fn insert(&mut self, block: NgBlock, now_ms: u64) -> Result<InsertOutcome, BlockError> {
+    pub(super) fn insert(
+        &mut self,
+        block: NgBlock,
+        now_ms: u64,
+    ) -> Result<InsertOutcome, BlockError> {
         self.node.on_block(block, now_ms)
     }
 

@@ -458,8 +458,7 @@ mod tests {
                 let poison = conflict(parent, 3, round, false);
                 model.push((poison.txid(), parent));
                 model.sort_unstable();
-                let of_parent = |m: &[(Hash256, Hash256)]| m.iter().filter(|e| e.1 == parent).count();
-                while of_parent(&model) > MAX_PENDING_PER_PARENT {
+                while model.iter().filter(|e| e.1 == parent).count() > MAX_PENDING_PER_PARENT {
                     let last = model.iter().rposition(|e| e.1 == parent).expect("present");
                     model.remove(last);
                 }
@@ -479,7 +478,12 @@ mod tests {
     }
 
     /// A chain on which node 1 led `epochs` epochs; returns their key block ids.
-    fn lead_epochs(chain: &mut Chain, fraud: &mut Fraud, relay: &mut Relay, epochs: u64) -> Vec<Hash256> {
+    fn lead_epochs(
+        chain: &mut Chain,
+        fraud: &mut Fraud,
+        relay: &mut Relay,
+        epochs: u64,
+    ) -> Vec<Hash256> {
         (0..epochs)
             .map(|epoch| {
                 let id = chain.mine_key_block(1_000 + epoch);
@@ -534,7 +538,7 @@ mod tests {
     fn the_smallest_txid_wins_and_everything_else_is_dropped_with_its_reason() {
         let (mut fraud, mut chain, mut relay) = component();
         let kb = lead_epochs(&mut chain, &mut fraud, &mut relay, 1)[0];
-        let mut proofs: Vec<PoisonTransaction> = (0..3).map(|salt| conflict(kb, 1, salt, true)).collect();
+        let mut proofs: Vec<_> = (0..3).map(|salt| conflict(kb, 1, salt, true)).collect();
         proofs.sort_by_key(PoisonTransaction::txid);
         let adopt = |fraud: &mut Fraud, chain: &mut Chain, poison: &PoisonTransaction| {
             let mut effects = Vec::new();

@@ -70,7 +70,7 @@ use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_core::node::NgNode;
 use ng_crypto::sha256::Hash256;
-use ng_net::message::Message;
+use ng_net::message::{InvKind, Message};
 use ng_net::peer::PeerAction;
 
 mod chain;
@@ -89,6 +89,14 @@ pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, Snapshot
 /// Queues `message` for connection `peer`.
 fn send(effects: &mut Vec<Effect>, peer: u64, message: Message) {
     effects.push(Effect::Send { peer, message });
+}
+
+/// How the wire names a block's kind.
+fn inv_kind(block: &NgBlock) -> InvKind {
+    match block {
+        NgBlock::Key(_) => InvKind::KeyBlock,
+        NgBlock::Micro(_) => InvKind::MicroBlock,
+    }
 }
 
 /// Surfaces a protocol event to the driver.
@@ -112,19 +120,24 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine over a fresh chain (genesis only).
     pub fn new(config: EngineConfig) -> Self {
-        let chain = Chain::new(&config);
-        Self::assemble(config, chain, 0, true)
+        let (chain, pin) = (Chain::new(&config), config.snapshot_pin);
+        Self::assemble(config, chain, 0, pin)
     }
 
-    /// An engine around the given chain, everything else empty. `bootstrap` lets a
-    /// configured snapshot pin take effect.
-    fn assemble(mut config: EngineConfig, chain: Chain, root_height: u64, bootstrap: bool) -> Self {
+    /// An engine around the given chain, everything else empty; with a `pin`, it
+    /// starts by bootstrapping from the pinned snapshot.
+    fn assemble(
+        mut config: EngineConfig,
+        chain: Chain,
+        root_height: u64,
+        pin: Option<SnapshotPin>,
+    ) -> Self {
         // Keep the requested batch inside what `serve_headers` is willing to serve;
         // otherwise every served batch would look partial and sync would stop early.
         config.header_batch = config.header_batch.clamp(1, 4096);
         Engine {
             relay: Relay::new(&config),
-            onboarding: Onboarding::new(&config, root_height, bootstrap),
+            onboarding: Onboarding::new(&config, root_height, pin),
             fraud: Fraud::new(),
             chain,
             config,
@@ -156,7 +169,7 @@ impl Engine {
         let (chain, root_height) = Chain::restore(&config, recovery);
         // A restored node already holds its history — a pin never re-bootstraps an
         // engine that recovered a chain from disk.
-        let mut engine = Self::assemble(config, chain, root_height, false);
+        let mut engine = Self::assemble(config, chain, root_height, None);
         engine.roll_ledger(None, &mut Vec::new());
         engine
     }
@@ -189,8 +202,7 @@ impl Engine {
         match input {
             Input::PeerConnected { peer, inbound } => {
                 let height = self.chain.height();
-                self.relay
-                    .connect(peer, inbound, height, now_ms, &mut effects)
+                self.relay.connect(peer, inbound, height, now_ms, &mut effects)
             }
             Input::PeerDisconnected { peer } => self.relay.forget(peer, &mut self.onboarding),
             Input::Message { peer, message } => {
@@ -212,8 +224,7 @@ impl Engine {
         self.autostream(now_ms, &mut effects);
         // Any input may have freed download windows, expired deadlines, or changed
         // the bootstrap/backfill state: run one scheduler pass before re-arming.
-        self.onboarding
-            .drive(now_ms, &self.chain, &mut self.relay, &mut effects);
+        self.onboarding.drive(now_ms, &self.chain, &mut self.relay, &mut effects);
         self.relay.drive(now_ms, &mut effects);
         self.arm_timer(now_ms, &mut effects);
         effects
@@ -405,17 +416,15 @@ impl Engine {
                     self.onboarding.peer_ready(peer, best_height);
                 }
                 PeerAction::Disconnect(error) => {
-                    self.relay
-                        .punish(peer, error.to_string(), &mut self.onboarding, effects);
+                    let reason = error.to_string();
+                    self.relay.punish(peer, reason, &mut self.onboarding, effects);
                     return;
                 }
                 PeerAction::Announced(item) => {
-                    self.relay
-                        .on_inv(peer, item, &self.chain, &self.onboarding, effects)
+                    self.relay.on_inv(peer, item, &self.chain, &self.onboarding, effects)
                 }
                 PeerAction::Requested(item) => {
-                    self.relay
-                        .on_getdata(peer, item, &self.chain, &self.onboarding, effects)
+                    self.relay.on_getdata(peer, item, &self.chain, &self.onboarding, effects)
                 }
                 PeerAction::Deliver(message) => {
                     self.handle_delivered(peer, message, now_ms, effects)
@@ -491,17 +500,14 @@ impl Engine {
                 }
             }
             Message::IHave(items) => {
-                self.relay
-                    .on_ihave(from, items, now_ms, &self.chain, &self.onboarding)
+                self.relay.on_ihave(from, items, now_ms, &self.chain, &self.onboarding)
             }
             Message::Graft(item) => {
-                self.relay
-                    .on_graft(from, item, &self.chain, &self.onboarding, effects)
+                self.relay.on_graft(from, item, &self.chain, &self.onboarding, effects)
             }
             Message::Prune => self.relay.on_prune(from),
             Message::Poison(poison) => {
-                self.fraud
-                    .adopt(&mut self.chain, &self.relay, Some(from), *poison, effects);
+                self.fraud.adopt(&mut self.chain, &self.relay, Some(from), *poison, effects)
             }
             _ => {}
         }
@@ -543,11 +549,10 @@ impl Engine {
                 // relayed and looked at for equivocation.
                 if self.chain.holds(&id) {
                     let reorg = reorg.is_some();
-                    let accepted = ReportEvent::BlockAccepted { id, tip_changed, reorg };
-                    report(effects, accepted);
+                    report(effects, ReportEvent::BlockAccepted { id, tip_changed, reorg });
                     self.relay.block_accepted(id, from, &self.chain, effects);
-                    self.fraud
-                        .block_stored(&mut self.chain, &self.relay, micro_key, id, effects);
+                    let (chain, relay) = (&mut self.chain, &self.relay);
+                    self.fraud.block_stored(chain, relay, micro_key, id, effects);
                 }
             }
             Ok(InsertOutcome::Duplicate) => {
@@ -583,9 +588,8 @@ impl Engine {
     /// carry invalid transactions, the peer is disconnected.
     fn roll_ledger(&mut self, from: Option<(u64, Hash256)>, effects: &mut Vec<Effect>) {
         let delivered = from.map(|(_, id)| id);
-        let delivered_invalid =
-            self.chain
-                .roll_ledger(delivered, &mut self.fraud, &mut self.relay, effects);
+        let (fraud, relay) = (&mut self.fraud, &mut self.relay);
+        let delivered_invalid = self.chain.roll_ledger(delivered, fraud, relay, effects);
         if let (true, Some((peer, _))) = (delivered_invalid, from) {
             let reason = "sent a microblock with invalid transactions".to_string();
             self.relay.punish(peer, reason, &mut self.onboarding, effects);

@@ -9,7 +9,7 @@
 
 use super::chain::Chain;
 use super::relay::Relay;
-use super::{report, send, Effect, EngineConfig, ReportEvent, SnapshotPin};
+use super::{inv_kind, report, send, Effect, EngineConfig, ReportEvent, SnapshotPin};
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::NgBlock;
 use ng_crypto::sha256::Hash256;
@@ -86,10 +86,9 @@ struct BackfillState {
 }
 
 impl Onboarding {
-    /// Catch-up state for a chain rooted at `root_height`. With `bootstrap` set and
-    /// a pin configured, the engine first tries to fetch the pinned snapshot.
-    pub(super) fn new(cfg: &EngineConfig, root_height: u64, bootstrap: bool) -> Self {
-        let pin = cfg.snapshot_pin.filter(|_| bootstrap);
+    /// Catch-up state for a chain rooted at `root_height`. With a `pin`, the engine
+    /// first tries to fetch the pinned snapshot.
+    pub(super) fn new(cfg: &EngineConfig, root_height: u64, pin: Option<SnapshotPin>) -> Self {
         Onboarding {
             sync: SyncScheduler::new(cfg.sync),
             bootstrap: pin.map(|pin| BootstrapState {
@@ -529,11 +528,7 @@ pub(super) fn serve_headers(
             Some(HeaderRecord {
                 id: *id,
                 prev: stored.block.prev(),
-                kind: if stored.block.is_key() {
-                    InvKind::KeyBlock
-                } else {
-                    InvKind::MicroBlock
-                },
+                kind: inv_kind(&stored.block),
                 height: stored.height,
             })
         })
@@ -640,7 +635,7 @@ mod tests {
     fn backfill_never_holds_more_blocks_than_there_are_heights_below_the_root() {
         let cfg = EngineConfig::new(1, params());
         let root_height = 5;
-        let mut onboarding = Onboarding::new(&cfg, root_height, false);
+        let mut onboarding = Onboarding::new(&cfg, root_height, None);
         let mut chain = Chain::new(&cfg);
         let mut relay = ready_relay(&cfg, &[3]);
         let walk = || BackfillState {
@@ -678,7 +673,7 @@ mod tests {
     #[test]
     fn a_headers_reply_that_starts_above_the_root_is_the_forward_syncs() {
         let cfg = EngineConfig::new(1, params());
-        let mut onboarding = Onboarding::new(&cfg, 5, false);
+        let mut onboarding = Onboarding::new(&cfg, 5, None);
         let chain = Chain::new(&cfg);
         let mut relay = ready_relay(&cfg, &[3]);
         onboarding.backfill = Some(BackfillState {
@@ -698,7 +693,7 @@ mod tests {
     #[test]
     fn a_backfill_deadline_is_armed_only_while_somebody_can_be_asked() {
         let cfg = EngineConfig::new(1, params());
-        let mut onboarding = Onboarding::new(&cfg, 5, false);
+        let mut onboarding = Onboarding::new(&cfg, 5, None);
         assert_eq!(onboarding.next_deadline(&ready_relay(&cfg, &[3])), None, "nothing pending");
         onboarding.backfill = Some(BackfillState {
             peer: 3,

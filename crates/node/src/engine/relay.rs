@@ -10,7 +10,7 @@
 
 use super::chain::Chain;
 use super::onboarding::Onboarding;
-use super::{report, send, Effect, EngineConfig, GossipConfig, ReportEvent};
+use super::{inv_kind, report, send, Effect, EngineConfig, GossipConfig, ReportEvent};
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::transaction::Transaction;
 use ng_core::block::NgBlock;
@@ -503,15 +503,11 @@ impl Relay {
         let Some(block) = chain.node().chain().get(&id) else {
             return;
         };
-        let kind = if block.is_key() {
-            InvKind::KeyBlock
-        } else {
-            InvKind::MicroBlock
-        };
+        let item = InvItem::new(inv_kind(block), id);
         if self.gossip.overlay {
-            self.overlay_announce(InvItem::new(kind, id), block, from, effects);
+            self.overlay_announce(item, block, from, effects);
         } else {
-            self.announce(InvItem::new(kind, id), from, effects);
+            self.announce(item, from, effects);
         }
     }
 
