@@ -36,6 +36,9 @@ pub enum TxError {
         /// Total output value.
         outputs: Amount,
     },
+    /// The block carries a synthetic payload summary instead of transactions;
+    /// nodes that validate transactions accept real ones only.
+    SyntheticPayload,
 }
 
 impl fmt::Display for TxError {
@@ -59,6 +62,7 @@ impl fmt::Display for TxError {
                 f,
                 "outputs ({outputs:?}) exceed inputs ({inputs:?})"
             ),
+            TxError::SyntheticPayload => write!(f, "synthetic payload on a validating node"),
         }
     }
 }

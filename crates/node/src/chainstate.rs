@@ -20,6 +20,8 @@
 //!   view as the block connects — inputs exist and are unspent, coinbase maturity,
 //!   input signatures (through a bounded [`SigCache`], so reorg-reconnected and
 //!   gossip-revalidated transactions skip re-verification), and value conservation.
+//!   A microblock whose payload is a `Payload::Synthetic` summary fails outright:
+//!   its self-declared fees would raise the next coinbase allowance unchecked.
 //!   A failing block makes [`ChainView::sync`] return a [`ConnectError`]; the engine
 //!   invalidates the block out of the tree and disconnects the peer that sent it.
 //!
@@ -443,6 +445,16 @@ impl ChainView {
                 }
             }
             NgBlock::Micro(mb) => {
+                if self.validate && mb.payload.transactions().is_none() {
+                    // A synthetic summary declares its own fees, and the next key
+                    // block's coinbase allowance counts them: a validating view
+                    // cannot check that figure against anything, so it refuses it.
+                    return Err(ConnectError {
+                        block: id,
+                        tx_index: 0,
+                        error: TxError::SyntheticPayload,
+                    });
+                }
                 if let Some(txs) = mb.payload.transactions() {
                     // State checks and application run per transaction (so in-block
                     // chained spends see their parents), while every uncached

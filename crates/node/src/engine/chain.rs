@@ -802,6 +802,39 @@ mod tests {
     }
 
     #[test]
+    fn a_synthetic_payload_cannot_mint_through_the_next_coinbase() {
+        // A synthetic summary declares its own fees, and `closing_epoch` adds them
+        // to the next key block's coinbase allowance: connected, it mints.
+        let params = ng_core::params::NgParams::default();
+        let mut attacker = ng_core::node::NgNode::new(1, params, 0);
+        let k1 = attacker.mine_and_adopt_key_block(1_000);
+        let payload = Payload::Synthetic {
+            bytes: 100,
+            tx_count: 1,
+            total_fees: Amount::from_coins(1_000_000),
+            tag: 1,
+        };
+        let micro = attacker.produce_microblock(20_000, payload).expect("leader");
+        let k2 = attacker.mine_and_adopt_key_block(30_000);
+        let rejected = |effects: &[Effect], block: Hash256| {
+            reports(effects).any(|e| matches!(e, ReportEvent::BlockRejected { id } if *id == block))
+        };
+
+        let mut victim = Engine::new(EngineConfig::new(2, params));
+        register_peer(&mut victim, 7);
+        deliver(&mut victim, 1_001, 7, Message::KeyBlock(Box::new(k1)));
+        let effects = deliver(&mut victim, 20_001, 7, Message::MicroBlock(Box::new(micro.clone())));
+        assert!(rejected(&effects, micro.id()));
+        assert!(reports(&effects).any(|e| matches!(e, ReportEvent::PeerMisbehaved { peer: 7, .. })));
+        assert!(!victim.connected_peers().contains(&7));
+        register_peer(&mut victim, 8);
+        let effects = deliver(&mut victim, 30_001, 8, Message::KeyBlock(Box::new(k2.clone())));
+        assert!(rejected(&effects, k2.id()), "a descendant of an invalid block");
+        assert_eq!(victim.height(), 1);
+        assert_eq!(victim.utxo().total_value(), Amount::from_coins(25));
+    }
+
+    #[test]
     fn duplicate_and_confirmed_transactions_are_ignored() {
         let mut a = engine(1);
         a.handle(1_000, Input::MineKeyBlock);
