@@ -15,7 +15,7 @@ use ng_core::node::NgNode;
 use ng_core::params::NgParams;
 use ng_core::poison::PoisonEffect;
 use ng_crypto::rng::SimRng;
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of an equivocation double-spend attempt.

@@ -16,7 +16,7 @@ use ng_core::params::NgParams;
 use ng_core::poison::PoisonTransaction;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::Hash256;
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use ng_net::message::Message;
 use ng_node::chaos::{Fault, FaultPlan};
 use ng_node::simnet::{SimConfig, SimNet};

@@ -17,7 +17,7 @@ use ng_core::block::{MicroBlock, MicroHeader};
 use ng_core::params::NgParams;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::{sha256, Hash256};
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use ng_net::message::Message;
 use ng_node::simnet::{SimConfig, SimNet};
 

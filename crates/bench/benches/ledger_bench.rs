@@ -17,7 +17,7 @@ use ng_chain::utxo::{UtxoEntry, UtxoSet};
 use ng_core::params::NgParams;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::sha256;
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use ng_node::chainstate::ChainView;
 use ng_node::engine::{Engine, EngineConfig, Input};
 use ng_node::ledger::rebuild_utxo;

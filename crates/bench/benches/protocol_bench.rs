@@ -6,7 +6,7 @@ use ng_baseline::bitcoin_node::{BitcoinNode, BtcConfig};
 use ng_chain::amount::Amount;
 use ng_chain::payload::Payload;
 use ng_core::block::NgBlock;
-use ng_core::node::{NgNode, SignatureMode};
+use ng_core::node::NgNode;
 use ng_core::params::NgParams;
 use std::hint::black_box;
 
@@ -52,10 +52,10 @@ fn bench_ng_microblocks(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("ng_follower_validate_microblock_simulated_sig", |b| {
+    c.bench_function("ng_follower_validate_microblock_check_skipped", |b| {
         let mut params = ng_params();
         params.verify_microblock_signatures = false;
-        let mut leader = NgNode::new(1, params, 7).with_signature_mode(SignatureMode::Simulated);
+        let mut leader = NgNode::new(1, params, 7);
         let kb = leader.mine_and_adopt_key_block(0);
         let mut follower = NgNode::new(2, params, 7);
         follower.on_block(NgBlock::Key(kb), 1).unwrap();

@@ -23,7 +23,7 @@
 
 use ng_crypto::schnorr::{self, BatchEntry, Signature};
 use ng_crypto::sha256::Hash256;
-use ng_crypto::signer::{verify_signature, SignatureBytes};
+use ng_crypto::signer::SignatureBytes;
 use ng_crypto::PublicKey;
 use crate::transaction::OutPoint;
 use crate::fifo::BoundedFifoMap;
@@ -210,26 +210,14 @@ impl BatchVerifier {
         if jobs.is_empty() {
             return Ok(());
         }
-        // Simulated (testbed) signatures verify by a cheap keyed hash; only real
-        // Schnorr signatures enter the algebraic batch.
-        let mut schnorr_jobs: Vec<(usize, BatchEntry)> = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.iter().enumerate() {
-            match &job.signature {
-                SignatureBytes::Schnorr(bytes) => schnorr_jobs.push((
-                    index,
-                    (job.pubkey, job.sighash, Signature::from_bytes(bytes)),
-                )),
-                SignatureBytes::Simulated(_) => {
-                    if verify_signature(&job.pubkey, &job.sighash, &job.signature).is_err() {
-                        return Err(BatchSigFailure {
-                            txid: job.txid,
-                            outpoint: job.outpoint,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(bad) = Self::verify_schnorr(&schnorr_jobs, self.executor.as_deref()) {
+        let entries: Vec<BatchEntry> = jobs
+            .iter()
+            .map(|job| {
+                let SignatureBytes::Schnorr(bytes) = &job.signature;
+                (job.pubkey, job.sighash, Signature::from_bytes(bytes))
+            })
+            .collect();
+        if let Some(bad) = Self::verify_schnorr(&entries, self.executor.as_deref()) {
             let job = &jobs[bad];
             return Err(BatchSigFailure {
                 txid: job.txid,
@@ -242,22 +230,18 @@ impl BatchVerifier {
         Ok(())
     }
 
-    /// Verifies the Schnorr jobs, returning the original index of the first invalid
-    /// one (`None` = all good). With an executor the batch splits into one chunk per
-    /// worker; a failing chunk is bisected inline (failures are the rare path).
+    /// Verifies the batch, returning the index of the first invalid entry (`None` =
+    /// all good). With an executor the batch splits into one chunk per worker; a
+    /// failing chunk is bisected inline (failures are the rare path).
     fn verify_schnorr(
-        jobs: &[(usize, BatchEntry)],
+        entries: &[BatchEntry],
         executor: Option<&dyn BatchExecutor>,
     ) -> Option<usize> {
-        if jobs.is_empty() {
-            return None;
-        }
-        let entries: Vec<BatchEntry> = jobs.iter().map(|(_, e)| *e).collect();
         let workers = executor.map(|e| e.workers()).unwrap_or(1);
-        if workers <= 1 || jobs.len() < 2 * workers {
+        if workers <= 1 || entries.len() < 2 * workers {
             // find_invalid's root step IS the batch verification: the happy path
             // costs exactly one batch pass, a failure goes straight to bisection.
-            return schnorr::find_invalid(&entries).first().map(|&i| jobs[i].0);
+            return schnorr::find_invalid(entries).first().copied();
         }
         let executor = executor.expect("workers > 1 implies an executor");
         let chunk_size = entries.len().div_ceil(workers);
@@ -271,7 +255,7 @@ impl BatchVerifier {
                 let start = chunk_index * chunk_size;
                 let end = (start + chunk_size).min(entries.len());
                 if let Some(&i) = schnorr::find_invalid(&entries[start..end]).first() {
-                    return Some(jobs[start + i].0);
+                    return Some(start + i);
                 }
             }
         }
@@ -313,14 +297,13 @@ mod tests {
 
     fn job(id: u64, tamper: bool) -> SigJob {
         use ng_crypto::keys::KeyPair;
-        use ng_crypto::signer::{SchnorrSigner, Signer};
+        use ng_crypto::signer::SchnorrSigner;
         let kp = KeyPair::from_id(id);
         let sighash = sha256(&id.to_le_bytes());
         let mut signature = SchnorrSigner::new(kp).sign(&sighash);
         if tamper {
-            if let SignatureBytes::Schnorr(bytes) = &mut signature {
-                bytes[64] ^= 1;
-            }
+            let SignatureBytes::Schnorr(bytes) = &mut signature;
+            bytes[64] ^= 1;
         }
         SigJob {
             txid: sha256(&[b"tx".as_slice(), &id.to_le_bytes()].concat()),
@@ -360,32 +343,6 @@ mod tests {
         assert_eq!(failure.txid, job(5, false).txid);
         assert_eq!(failure.outpoint, job(5, false).outpoint);
         assert!(cache.is_empty(), "a failing batch caches no verdicts");
-    }
-
-    #[test]
-    fn batch_verifier_handles_simulated_signatures_inline() {
-        use ng_crypto::keys::KeyPair;
-        use ng_crypto::signer::{FastSigner, Signer};
-        let mut cache = SigCache::new(64);
-        let mut batch = BatchVerifier::new();
-        let kp = KeyPair::from_id(42);
-        let sighash = sha256(b"simulated");
-        let mut sim = job(1, false);
-        sim.pubkey = kp.public;
-        sim.sighash = sighash;
-        sim.signature = FastSigner::from_secret(&kp.secret).sign(&sighash);
-        batch.push(sim.clone());
-        batch.push(job(2, false));
-        batch.flush(&mut cache).expect("mixed batch verifies");
-        assert!(cache.contains(&sim.txid));
-
-        // A tampered simulated signature fails before any Schnorr work happens.
-        let mut bad = sim.clone();
-        bad.signature = FastSigner::from_secret(&kp.secret).sign(&sha256(b"other"));
-        let mut batch = BatchVerifier::new();
-        batch.push(bad.clone());
-        let failure = batch.flush(&mut cache).unwrap_err();
-        assert_eq!(failure.txid, bad.txid);
     }
 
     #[test]

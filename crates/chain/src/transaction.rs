@@ -8,7 +8,7 @@
 use crate::amount::Amount;
 use ng_crypto::keys::{Address, PublicKey};
 use ng_crypto::sha256::{double_sha256, Hash256, Sha256};
-use ng_crypto::signer::{verify_signature, SignatureBytes, Signer};
+use ng_crypto::signer::{verify_signature, SchnorrSigner, SignatureBytes};
 use serde::{Deserialize, Serialize};
 
 /// Reference to a transaction output: the creating transaction's id and the output index.
@@ -104,10 +104,6 @@ impl Transaction {
                     out.push(1);
                     out.extend_from_slice(bytes);
                 }
-                Some(SignatureBytes::Simulated(h)) => {
-                    out.push(2);
-                    out.extend_from_slice(&h.0);
-                }
                 None => out.push(0),
             }
         }
@@ -129,11 +125,9 @@ impl Transaction {
             if input.pubkey.is_some() {
                 size += 33;
             }
-            size += match &input.signature {
-                Some(SignatureBytes::Schnorr(_)) => 65,
-                Some(SignatureBytes::Simulated(_)) => 32,
-                None => 0,
-            };
+            if input.signature.is_some() {
+                size += 65;
+            }
         }
         size += self.outputs.len() * (8 + 32);
         size
@@ -160,7 +154,7 @@ impl Transaction {
     }
 
     /// Signs every input with the provided signer (all inputs must be owned by it).
-    pub fn sign_all_inputs<S: Signer>(&mut self, signer: &S) {
+    pub fn sign_all_inputs(&mut self, signer: &SchnorrSigner) {
         let sighash = self.sighash();
         let pk = signer.public_key();
         let sig = signer.sign(&sighash);

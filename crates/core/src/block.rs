@@ -130,11 +130,7 @@ impl MicroBlock {
 
     /// Serialized size in bytes: header, signature and entries.
     pub fn size_bytes(&self) -> u64 {
-        let sig_size = match &self.signature {
-            SignatureBytes::Schnorr(_) => 65,
-            SignatureBytes::Simulated(_) => 32,
-        };
-        self.header.bytes().len() as u64 + sig_size + self.payload.size_bytes()
+        self.header.bytes().len() as u64 + 65 + self.payload.size_bytes()
     }
 
     /// True if the payload digest in the header matches the payload.
@@ -255,7 +251,7 @@ impl BlockLike for NgBlock {
 mod tests {
     use super::*;
     use ng_crypto::keys::KeyPair;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
 
     fn sample_key_block(miner: u64, prev: Hash256) -> KeyBlock {
         let kp = KeyPair::from_id(miner);

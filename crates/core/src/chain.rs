@@ -83,19 +83,11 @@ pub fn microblock_sig_digest(
     micro: &MicroBlock,
     leader_pubkey: &PublicKey,
 ) -> Hash256 {
-    let mut data = Vec::with_capacity(32 + 33 + 1 + 65);
+    let mut data = Vec::with_capacity(32 + 33 + 65);
     data.extend_from_slice(&micro.header.signing_hash().0);
     data.extend_from_slice(&leader_pubkey.to_compressed());
-    match &micro.signature {
-        SignatureBytes::Schnorr(bytes) => {
-            data.push(1);
-            data.extend_from_slice(bytes);
-        }
-        SignatureBytes::Simulated(h) => {
-            data.push(2);
-            data.extend_from_slice(&h.0);
-        }
-    }
+    let SignatureBytes::Schnorr(bytes) = &micro.signature;
+    data.extend_from_slice(bytes);
     ng_crypto::sha256::tagged_hash("BitcoinNG/microblock-sig", &data)
 }
 
@@ -654,7 +646,7 @@ mod tests {
     use crate::block::MicroHeader;
     use ng_chain::payload::Payload;
     use ng_crypto::keys::KeyPair;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
 
     fn params() -> NgParams {
         NgParams {

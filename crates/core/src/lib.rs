@@ -26,6 +26,6 @@ pub mod poison;
 pub use block::{KeyBlock, MicroBlock, MicroHeader, NgBlock};
 pub use chain::{genesis_key_block, ClosingEpoch, NgChainState};
 pub use fees::{build_coinbase, split_fee, CoinbasePlan, FeeSplit};
-pub use node::{NgNode, SignatureMode};
+pub use node::NgNode;
 pub use params::NgParams;
 pub use poison::{PoisonEffect, PoisonError, PoisonTransaction};

@@ -17,17 +17,7 @@ use ng_chain::error::BlockError;
 use ng_chain::payload::Payload;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::Hash256;
-use ng_crypto::signer::{FastSigner, SchnorrSigner, SignatureBytes, Signer};
-
-/// Which signature scheme the node uses for the microblocks it produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SignatureMode {
-    /// Real Schnorr signatures (library default).
-    Schnorr,
-    /// Fast hash-based stand-in used by the large-scale simulations, matching the
-    /// paper's decision to skip signature checking in the testbed (§7).
-    Simulated,
-}
+use ng_crypto::signer::SchnorrSigner;
 
 /// A Bitcoin-NG full node.
 #[derive(Clone, Debug)]
@@ -35,7 +25,6 @@ pub struct NgNode {
     /// Stable node identity (also the miner id recorded in blocks it produces).
     pub id: u64,
     keys: KeyPair,
-    signature_mode: SignatureMode,
     chain: NgChainState,
     /// Timestamp of the last microblock this node produced as leader.
     last_microblock_ms: u64,
@@ -47,35 +36,18 @@ impl NgNode {
         NgNode {
             id,
             keys: KeyPair::from_id(id),
-            signature_mode: if params.verify_microblock_signatures {
-                SignatureMode::Schnorr
-            } else {
-                SignatureMode::Simulated
-            },
             chain: NgChainState::new(params, tie_break_seed),
             last_microblock_ms: 0,
         }
     }
 
-    /// Overrides the signature mode.
-    pub fn with_signature_mode(mut self, mode: SignatureMode) -> Self {
-        self.signature_mode = mode;
-        self
-    }
-
     /// Wraps a restored chain state (see [`NgChainState::from_root`]) in a node —
-    /// the restart path. Keys and signature mode are re-derived exactly as
-    /// [`Self::new`] does, so a restored node signs identically to its previous
-    /// incarnation.
+    /// the restart path. Keys are re-derived exactly as [`Self::new`] does, so a
+    /// restored node signs identically to its previous incarnation.
     pub fn from_chain(id: u64, chain: NgChainState) -> Self {
         NgNode {
             id,
             keys: KeyPair::from_id(id),
-            signature_mode: if chain.params().verify_microblock_signatures {
-                SignatureMode::Schnorr
-            } else {
-                SignatureMode::Simulated
-            },
             chain,
             last_microblock_ms: 0,
         }
@@ -217,7 +189,7 @@ impl NgNode {
             payload_digest: payload.digest(),
             leader: self.id,
         };
-        let signature = self.sign(&header);
+        let signature = SchnorrSigner::new(self.keys).sign(&header.signing_hash());
         let micro = MicroBlock {
             header,
             payload,
@@ -234,15 +206,6 @@ impl NgNode {
             .ok()?;
         self.last_microblock_ms = now_ms;
         Some(micro)
-    }
-
-    fn sign(&self, header: &MicroHeader) -> SignatureBytes {
-        match self.signature_mode {
-            SignatureMode::Schnorr => SchnorrSigner::new(self.keys).sign(&header.signing_hash()),
-            SignatureMode::Simulated => {
-                FastSigner::from_secret(&self.keys.secret).sign(&header.signing_hash())
-            }
-        }
     }
 
     /// Builds a poison transaction from two conflicting microblocks this node
@@ -567,18 +530,29 @@ mod tests {
     }
 
     #[test]
-    fn simulated_signature_mode_round_trip() {
+    fn skipping_the_signature_check_is_local_and_the_leader_signs_regardless() {
         let mut p = params();
         p.verify_microblock_signatures = false;
         let mut alice = NgNode::new(1, p, 42);
-        let mut bob = NgNode::new(2, p, 42);
+        let mut lax = NgNode::new(2, p, 42);
+        let mut strict = NgNode::new(3, params(), 42);
         let kb = alice.mine_and_adopt_key_block(1_000);
-        bob.on_block(NgBlock::Key(kb), 1_001).unwrap();
-        let micro = alice
+        lax.on_block(NgBlock::Key(kb.clone()), 1_001).unwrap();
+        strict.on_block(NgBlock::Key(kb), 1_001).unwrap();
+        let mut micro = alice
             .produce_microblock(1_200, synthetic_payload(1, 0))
             .unwrap();
-        assert!(matches!(micro.signature, SignatureBytes::Simulated(_)));
-        bob.on_block(NgBlock::Micro(micro.clone()), 1_201).unwrap();
-        assert_eq!(bob.tip(), micro.id());
+        strict.on_block(NgBlock::Micro(micro.clone()), 1_201).unwrap();
+        assert_eq!(strict.tip(), micro.id(), "a verifying peer accepts what alice signed");
+        // A header under somebody else's signature: only the node told to skip
+        // its own check takes it.
+        micro.header.time_ms += 1;
+        micro.signature = SchnorrSigner::new(KeyPair::from_id(9)).sign(&micro.header.signing_hash());
+        lax.on_block(NgBlock::Micro(micro.clone()), 1_202).unwrap();
+        assert_eq!(lax.tip(), micro.id());
+        assert_eq!(
+            strict.on_block(NgBlock::Micro(micro), 1_202),
+            Err(BlockError::BadLeaderSignature)
+        );
     }
 }

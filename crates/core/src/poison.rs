@@ -101,10 +101,8 @@ impl PoisonTransaction {
 }
 
 fn append_signature(preimage: &mut Vec<u8>, signature: &SignatureBytes) {
-    match signature {
-        SignatureBytes::Schnorr(sig) => preimage.extend_from_slice(sig),
-        SignatureBytes::Simulated(hash) => preimage.extend_from_slice(&hash.0),
-    }
+    let SignatureBytes::Schnorr(sig) = signature;
+    preimage.extend_from_slice(sig);
 }
 
 /// Why a poison transaction was rejected.
@@ -194,15 +192,7 @@ pub fn poison_effect(
 
 /// Serialized size of a poison transaction in bytes (used for block-size accounting).
 pub fn poison_size_bytes(poison: &PoisonTransaction) -> u64 {
-    let sig = |signature: &SignatureBytes| match signature {
-        SignatureBytes::Schnorr(_) => 65u64,
-        SignatureBytes::Simulated(_) => 32,
-    };
-    poison.header_a.bytes().len() as u64
-        + sig(&poison.signature_a)
-        + poison.header_b.bytes().len() as u64
-        + sig(&poison.signature_b)
-        + 16
+    poison.header_a.bytes().len() as u64 + poison.header_b.bytes().len() as u64 + 2 * 65 + 16
 }
 
 #[cfg(test)]
@@ -211,7 +201,7 @@ mod tests {
     use ng_chain::payload::Payload;
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
 
     fn signed_micro(leader: u64, parent: &[u8], tag: u64) -> (MicroBlock, PublicKey) {
         let kp = KeyPair::from_id(leader);

@@ -17,9 +17,8 @@
 //! * [`rng`] — a deterministic, seedable PRNG (SplitMix64 / xoshiro256**) used by the
 //!   simulator and by the mining scheduler; the paper replaces real proof-of-work with
 //!   an exponentially distributed scheduler, which requires reproducible randomness.
-//! * [`signer`] — a signer abstraction allowing either real Schnorr signatures or a
-//!   fast hash-based simulation signer for large-scale experiments (the paper's testbed
-//!   likewise omits microblock signature checking, §7).
+//! * [`signer`] — the serialised signature every consensus object carries, the key
+//!   pair that produces it and the function that checks it: Schnorr, and nothing else.
 
 // `deny` rather than `forbid`: everything in this crate is safe Rust except the
 // one runtime-dispatched SHA-NI compression module in `sha256`, which opts back
@@ -47,5 +46,5 @@ pub use pow::{CompactTarget, Target, Work};
 pub use rng::SimRng;
 pub use schnorr::{BatchEntry, SchnorrError, Signature};
 pub use sha256::{double_sha256, sha256, tagged_hash, Hash256, Sha256};
-pub use signer::{FastSigner, SchnorrSigner, Signer, Verifier};
+pub use signer::SchnorrSigner;
 pub use u256::U256;

@@ -1,43 +1,27 @@
-//! Signer abstraction: real Schnorr signatures or a fast simulation signer.
+//! The one signature scheme of the protocol: Schnorr over secp256k1.
 //!
-//! The paper's testbed "did not implement ... the microblock signature check" because it
-//! "adds several milliseconds per microblock" and is irrelevant to the performance
-//! questions under study (§7). This crate keeps both options behind one trait: library
-//! users and the protocol examples use [`SchnorrSigner`]; the 1000-node experiments can
-//! switch to [`FastSigner`], which replaces the signature with a keyed hash that is
-//! *checkable by the simulator* (it knows every key) but carries no cryptographic
-//! soundness. The substitution is recorded in DESIGN.md.
+//! Transaction inputs, the leader signature on a microblock (§4.2) and both halves
+//! of a poison transaction's evidence (§4.5) all carry a [`SignatureBytes`], and
+//! the type can hold nothing but a 65-byte Schnorr signature — what a signature is
+//! worth is never the choice of whoever built the object. The paper's testbed
+//! skipped the microblock signature check because it cost milliseconds (§7); a
+//! node that wants the same shortcut skips *its own* check
+//! (`NgParams::verify_microblock_signatures`), the leader signs regardless.
 
-use crate::keys::{KeyPair, PublicKey, SecretKey};
+use crate::keys::{KeyPair, PublicKey};
 use crate::schnorr::{self, SchnorrError, Signature};
-use crate::sha256::{tagged_hash, Hash256};
+use crate::sha256::Hash256;
 use serde::{Deserialize, Serialize};
 
-/// Something that can sign 32-byte digests.
-pub trait Signer {
-    /// Signs a message digest.
-    fn sign(&self, msg: &Hash256) -> SignatureBytes;
-    /// The public key associated with this signer.
-    fn public_key(&self) -> PublicKey;
-}
-
-/// Something that can verify signatures produced by a [`Signer`].
-pub trait Verifier {
-    /// Verifies `sig` over `msg` under `public`.
-    fn verify(&self, public: &PublicKey, msg: &Hash256, sig: &SignatureBytes) -> bool;
-}
-
-/// A serialised signature: either a real 65-byte Schnorr signature or a 32-byte keyed
-/// hash produced by the fast simulation signer.
+/// A serialised 65-byte Schnorr signature. The single variant keeps the serde
+/// shape (`{"Schnorr": …}`) every stored and relayed object already has.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum SignatureBytes {
-    /// Real Schnorr signature.
+    /// Schnorr signature.
     Schnorr(#[serde(with = "crate::serde_arrays")] [u8; 65]),
-    /// Simulation-only keyed hash.
-    Simulated(Hash256),
 }
 
-/// Production signer using real Schnorr signatures.
+/// A key pair that signs 32-byte digests.
 #[derive(Clone, Copy, Debug)]
 pub struct SchnorrSigner {
     keys: KeyPair,
@@ -53,90 +37,26 @@ impl SchnorrSigner {
     pub fn keys(&self) -> &KeyPair {
         &self.keys
     }
-}
 
-impl Signer for SchnorrSigner {
-    fn sign(&self, msg: &Hash256) -> SignatureBytes {
+    /// Signs a message digest.
+    pub fn sign(&self, msg: &Hash256) -> SignatureBytes {
         SignatureBytes::Schnorr(schnorr::sign(&self.keys.secret, msg).to_bytes())
     }
 
-    fn public_key(&self) -> PublicKey {
+    /// The public key signatures verify under.
+    pub fn public_key(&self) -> PublicKey {
         self.keys.public
     }
 }
 
-impl Verifier for SchnorrSigner {
-    fn verify(&self, public: &PublicKey, msg: &Hash256, sig: &SignatureBytes) -> bool {
-        verify_signature(public, msg, sig).is_ok()
-    }
-}
-
-/// Stateless verification helper accepting either signature representation.
+/// Verifies `sig` over `msg` under `public`.
 pub fn verify_signature(
     public: &PublicKey,
     msg: &Hash256,
     sig: &SignatureBytes,
 ) -> Result<(), SchnorrError> {
-    match sig {
-        SignatureBytes::Schnorr(bytes) => {
-            schnorr::verify(public, msg, &Signature::from_bytes(bytes))
-        }
-        SignatureBytes::Simulated(h) => {
-            // The simulated scheme binds the "signature" to the public key and message
-            // through a hash. It proves nothing cryptographically (anyone can compute
-            // it) but preserves sizes and the structural validation path.
-            let expected = fast_signature(public, msg);
-            if *h == expected {
-                Ok(())
-            } else {
-                Err(SchnorrError::EquationFailed)
-            }
-        }
-    }
-}
-
-fn fast_signature(public: &PublicKey, msg: &Hash256) -> Hash256 {
-    let mut data = Vec::with_capacity(33 + 32);
-    data.extend_from_slice(&public.to_compressed());
-    data.extend_from_slice(&msg.0);
-    tagged_hash("BitcoinNG/simsig", &data)
-}
-
-/// Fast simulation signer: a keyed hash standing in for the real signature, mirroring
-/// the paper's decision to skip signature checking in the large-scale experiments.
-#[derive(Clone, Copy, Debug)]
-pub struct FastSigner {
-    public: PublicKey,
-}
-
-impl FastSigner {
-    /// Creates a fast signer for the given public key (no secret material needed).
-    pub fn new(public: PublicKey) -> Self {
-        FastSigner { public }
-    }
-
-    /// Creates a fast signer from a secret key, for API parity with [`SchnorrSigner`].
-    pub fn from_secret(secret: &SecretKey) -> Self {
-        FastSigner {
-            public: secret.public_key(),
-        }
-    }
-}
-
-impl Signer for FastSigner {
-    fn sign(&self, msg: &Hash256) -> SignatureBytes {
-        SignatureBytes::Simulated(fast_signature(&self.public, msg))
-    }
-
-    fn public_key(&self) -> PublicKey {
-        self.public
-    }
-}
-
-impl Verifier for FastSigner {
-    fn verify(&self, public: &PublicKey, msg: &Hash256, sig: &SignatureBytes) -> bool {
-        verify_signature(public, msg, sig).is_ok()
-    }
+    let SignatureBytes::Schnorr(bytes) = sig;
+    schnorr::verify(public, msg, &Signature::from_bytes(bytes))
 }
 
 #[cfg(test)]
@@ -153,40 +73,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_signer_round_trip() {
-        let kp = KeyPair::from_id(2);
-        let signer = FastSigner::from_secret(&kp.secret);
-        let msg = sha256(b"header");
-        let sig = signer.sign(&msg);
-        assert!(verify_signature(&kp.public, &msg, &sig).is_ok());
-    }
-
-    #[test]
-    fn fast_signature_bound_to_key_and_message() {
-        let kp1 = KeyPair::from_id(3);
-        let kp2 = KeyPair::from_id(4);
-        let signer = FastSigner::from_secret(&kp1.secret);
-        let msg = sha256(b"header");
-        let sig = signer.sign(&msg);
-        assert!(verify_signature(&kp2.public, &msg, &sig).is_err());
-        assert!(verify_signature(&kp1.public, &sha256(b"other"), &sig).is_err());
-    }
-
-    #[test]
     fn schnorr_signature_rejected_under_wrong_key() {
         let signer = SchnorrSigner::new(KeyPair::from_id(5));
         let other = KeyPair::from_id(6);
         let msg = sha256(b"header");
         let sig = signer.sign(&msg);
         assert!(verify_signature(&other.public, &msg, &sig).is_err());
-    }
-
-    #[test]
-    fn signature_kinds_are_distinct() {
-        let kp = KeyPair::from_id(7);
-        let msg = sha256(b"header");
-        let real = SchnorrSigner::new(kp).sign(&msg);
-        let fake = FastSigner::from_secret(&kp.secret).sign(&msg);
-        assert_ne!(real, fake);
     }
 }

@@ -324,7 +324,7 @@ mod tests {
     }
 
     fn signed_micro(payload: Payload) -> ng_core::block::MicroBlock {
-        use ng_crypto::signer::{SchnorrSigner, Signer};
+        use ng_crypto::signer::SchnorrSigner;
         let header = ng_core::block::MicroHeader {
             prev: sha256(b"prev"),
             time_ms: 2_000,

@@ -81,11 +81,7 @@ impl CompactMicroBlock {
 
     /// Wire-size cost model: header, signature, salt, short ids.
     pub fn size_bytes(&self) -> u64 {
-        let sig = match &self.signature {
-            SignatureBytes::Schnorr(_) => 65,
-            SignatureBytes::Simulated(_) => 32,
-        };
-        self.header.bytes().len() as u64 + sig + 8 + SHORT_ID_BYTES * self.short_ids.len() as u64
+        self.header.bytes().len() as u64 + 65 + 8 + SHORT_ID_BYTES * self.short_ids.len() as u64
     }
 }
 
@@ -287,7 +283,7 @@ mod tests {
     use ng_chain::amount::Amount;
     use ng_chain::transaction::{OutPoint, TransactionBuilder};
     use ng_crypto::keys::KeyPair;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
 
     fn test_tx(seq: u64) -> Transaction {
         TransactionBuilder::new()

@@ -13,7 +13,7 @@ use ng_core::poison::PoisonTransaction;
 use ng_core::NgNode;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::sha256;
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use ng_chain::transaction::TxOutput;
 use ng_chain::utxo::UtxoEntry;
 use ng_crypto::pow::Work;
@@ -285,16 +285,57 @@ fn garbage_streams_are_rejected_without_panic() {
     assert_eq!(codec.decode(&mut buf), Err(CodecError::BadChecksum));
 
     // A frame whose body passes the checksum but is not valid JSON for a Message.
-    let body = b"not a message";
-    let checksum = &ng_crypto::sha256::double_sha256(body).0[..4];
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"NGRP");
-    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(checksum);
-    bytes.extend_from_slice(body);
-    let mut buf = BytesMut::from(&bytes[..]);
+    let mut buf = framed(b"not a message");
     assert!(matches!(codec.decode(&mut buf), Err(CodecError::BadBody(_))));
     assert_eq!(buf.len(), 0, "the bad frame was consumed");
+}
+
+/// A well-formed frame (magic, length, matching checksum) around an arbitrary body.
+fn framed(body: &[u8]) -> BytesMut {
+    let mut bytes = BytesMut::new();
+    bytes.put_slice(b"NGRP");
+    bytes.put_u32_le(body.len() as u32);
+    bytes.put_slice(&ng_crypto::sha256::double_sha256(body).0[..4]);
+    bytes.put_slice(body);
+    bytes
+}
+
+/// The wire is where bytes become types, and the signature type holds Schnorr
+/// only: a body naming the keyed-hash variant older builds accepted in every
+/// signature position — anyone could compute it from the *public* key — is not a
+/// message.
+#[test]
+fn a_body_naming_another_signature_scheme_is_not_a_message() {
+    let codec = FrameCodec::default();
+    let variants = every_variant(3);
+    let mut signed = TransactionBuilder::new()
+        .input(OutPoint::new(sha256(b"coin"), 0))
+        .output(Amount::from_sats(1), KeyPair::from_id(2).address())
+        .build();
+    signed.sign_all_inputs(&SchnorrSigner::new(KeyPair::from_id(1)));
+    let carriers = [
+        Message::Tx(Box::new(signed)),
+        variants.iter().find(|m| m.command() == "microblock").unwrap().clone(),
+        variants.iter().find(|m| m.command() == "poison").unwrap().clone(),
+    ];
+    let forged_signature =
+        format!("{{\"Simulated\":{}}}", serde_json::to_string(&sha256(b"forged")).unwrap());
+    for message in carriers {
+        let honest = serde_json::to_string(&message).unwrap();
+        let mut forged = String::new();
+        let mut rest = honest.as_str();
+        while let Some(start) = rest.find("{\"Schnorr\":[") {
+            let end = start + rest[start..].find("]}").expect("the byte array closes") + 2;
+            forged.push_str(&rest[..start]);
+            forged.push_str(&forged_signature);
+            rest = &rest[end..];
+        }
+        forged.push_str(rest);
+        assert_ne!(forged, honest, "{} carries a signature", message.command());
+        assert_eq!(codec.decode(&mut framed(honest.as_bytes())), Ok(Some(message.clone())));
+        let verdict = codec.decode(&mut framed(forged.as_bytes()));
+        assert!(matches!(verdict, Err(CodecError::BadBody(_))), "{}: {verdict:?}", message.command());
+    }
 }
 
 #[test]

@@ -691,7 +691,7 @@ mod tests {
     use ng_core::node::NgNode;
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
 
     fn unchecked_params() -> NgParams {
         NgParams {

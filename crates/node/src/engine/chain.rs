@@ -640,6 +640,7 @@ mod tests {
     use ng_chain::transaction::{OutPoint, TransactionBuilder};
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
+    use ng_crypto::signer::SchnorrSigner;
     use ng_net::message::Message;
 
     /// A counting [`ng_storage::MemoryStorage`] shared with the test so hook
@@ -757,7 +758,6 @@ mod tests {
 
     #[test]
     fn a_preloaded_child_of_a_pooled_parent_is_pooled_too() {
-        use ng_crypto::signer::SchnorrSigner;
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         a.handle(1_000, Input::MineKeyBlock);
         let signer = SchnorrSigner::new(*a.node().keys());
@@ -835,6 +835,34 @@ mod tests {
     }
 
     #[test]
+    fn a_coinbase_spend_signed_by_the_wrong_key_is_refused_at_admission_and_at_connect() {
+        let mut leader = ng_core::node::NgNode::new(1, validated_params(), 0);
+        let k1 = leader.mine_and_adopt_key_block(1_000);
+        // The leader's coinbase under the leader's public key — which anyone knows —
+        // and a signature made with somebody else's secret.
+        let thief = KeyPair::from_id(9);
+        let mut theft = TransactionBuilder::new()
+            .input(OutPoint::new(k1.id(), 0))
+            .output(Amount::from_coins(25), thief.address())
+            .build();
+        theft.sign_all_inputs(&SchnorrSigner::new(thief));
+        theft.inputs[0].pubkey = Some(leader.keys().public);
+
+        let mut victim = Engine::new(EngineConfig::new(2, validated_params()));
+        register_peer(&mut victim, 7);
+        deliver(&mut victim, 1_001, 7, Message::KeyBlock(Box::new(k1)));
+        let effects = victim.handle(1_002, Input::SubmitTx(Box::new(theft.clone())));
+        assert!(!reports(&effects).any(|e| matches!(e, ReportEvent::TxAccepted { .. })));
+        assert_eq!(victim.mempool_len(), 0);
+        let payload = Payload::Transactions(vec![theft]);
+        let micro = leader.produce_microblock(1_010, payload).expect("leader");
+        let effects = deliver(&mut victim, 1_011, 7, Message::MicroBlock(Box::new(micro.clone())));
+        assert!(victim.node().chain().is_invalid(&micro.id()));
+        assert!(reports(&effects).any(|e| matches!(e, ReportEvent::PeerMisbehaved { peer: 7, .. })));
+        assert_eq!(victim.utxo().balance_of(&thief.address()), Amount::ZERO);
+    }
+
+    #[test]
     fn duplicate_and_confirmed_transactions_are_ignored() {
         let mut a = engine(1);
         a.handle(1_000, Input::MineKeyBlock);
@@ -856,7 +884,6 @@ mod tests {
 
     #[test]
     fn chained_unconfirmed_transactions_are_admitted_and_serialized() {
-        use ng_crypto::signer::SchnorrSigner;
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         a.handle(1_000, Input::MineKeyBlock);
         let kb_id = a.tip();
@@ -899,7 +926,6 @@ mod tests {
 
     #[test]
     fn reorg_readmits_chained_transactions_across_blocks() {
-        use ng_crypto::signer::SchnorrSigner;
         // Parent and child serialized in two separate microblocks; a heavier rival
         // branch reorgs both out. The child's input only resolves through the
         // re-admitted parent, so re-admission must process chain order and fall

@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use ng_core::block::MicroHeader;
     use ng_crypto::sha256::sha256;
-    use ng_crypto::signer::{FastSigner, SignatureBytes, Signer as _};
+    use ng_crypto::signer::{SchnorrSigner, SignatureBytes};
 
     /// The fraud component with the two siblings it is handed, nothing else.
     fn component() -> (Fraud, Chain, Relay) {
@@ -380,7 +380,7 @@ mod tests {
     }
 
     /// Two headers of `leader` over `parent`, told apart by `salt`; with `sign`,
-    /// carrying signatures that verify under its key (the fast simulation scheme).
+    /// carrying signatures that verify under its key.
     fn conflict(parent: Hash256, leader: u64, salt: u64, sign: bool) -> PoisonTransaction {
         let header = |time_ms| MicroHeader {
             prev: parent,
@@ -390,9 +390,9 @@ mod tests {
         };
         let signature = |header: &MicroHeader| {
             if sign {
-                FastSigner::new(KeyPair::from_id(leader).public).sign(&header.signing_hash())
+                SchnorrSigner::new(KeyPair::from_id(leader)).sign(&header.signing_hash())
             } else {
-                SignatureBytes::Simulated(header.id())
+                SignatureBytes::Schnorr([0; 65])
             }
         };
         let (a, b) = (header(1), header(2));

@@ -747,7 +747,7 @@ mod tests {
     #[test]
     fn unvalidated_and_invalidated_blocks_are_not_served() {
         use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+        use ng_crypto::signer::SchnorrSigner;
 
         // `a` validates and sits on its own three-epoch chain.
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
@@ -811,7 +811,7 @@ mod tests {
     #[test]
     fn honest_relay_is_not_punished_for_a_byzantine_descendant() {
         use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+        use ng_crypto::signer::SchnorrSigner;
 
         // Engine `a` is leader with one valid tx-bearing microblock on its branch.
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
@@ -885,7 +885,7 @@ mod tests {
     #[test]
     fn direct_sender_of_invalid_microblock_is_disconnected() {
         use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::{SchnorrSigner, Signer as _};
+        use ng_crypto::signer::SchnorrSigner;
 
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         register_peer(&mut a, 3);

@@ -21,7 +21,7 @@ use ng_chain::amount::Amount;
 use ng_chain::forkchoice::ForkChoice;
 use ng_chain::payload::Payload;
 use ng_core::block::NgBlock;
-use ng_core::node::{NgNode, SignatureMode};
+use ng_core::node::NgNode;
 use ng_crypto::rng::SimRng;
 use ng_crypto::sha256::Hash256;
 use ng_metrics::log::{BlockRecord, ExperimentLog};
@@ -116,10 +116,7 @@ impl Simulation {
                 Protocol::BitcoinNg => {
                     let mut params = config.ng;
                     params.verify_microblock_signatures = false;
-                    SimNode::Ng(Box::new(
-                        NgNode::new(id, params, config.seed)
-                            .with_signature_mode(SignatureMode::Simulated),
-                    ))
+                    SimNode::Ng(Box::new(NgNode::new(id, params, config.seed)))
                 }
             })
             .collect();

@@ -241,28 +241,18 @@ fn read_output(r: &mut Reader<'_>) -> Result<TxOutput, CodecError> {
 }
 
 fn put_signature(out: &mut Vec<u8>, sig: &SignatureBytes) {
-    match sig {
-        SignatureBytes::Schnorr(bytes) => {
-            out.push(1);
-            out.extend_from_slice(bytes);
-        }
-        SignatureBytes::Simulated(h) => {
-            out.push(2);
-            put_hash(out, h);
-        }
-    }
+    let SignatureBytes::Schnorr(bytes) = sig;
+    out.push(1);
+    out.extend_from_slice(bytes);
 }
 
 fn read_signature(r: &mut Reader<'_>) -> Result<SignatureBytes, CodecError> {
-    match r.u8()? {
-        1 => {
-            let mut bytes = [0u8; 65];
-            bytes.copy_from_slice(r.take(65)?);
-            Ok(SignatureBytes::Schnorr(bytes))
-        }
-        2 => Ok(SignatureBytes::Simulated(r.hash()?)),
-        _ => Err(CodecError::Malformed("signature tag")),
+    if r.u8()? != 1 {
+        return Err(CodecError::Malformed("signature tag"));
     }
+    let mut bytes = [0u8; 65];
+    bytes.copy_from_slice(r.take(65)?);
+    Ok(SignatureBytes::Schnorr(bytes))
 }
 
 fn put_entry(out: &mut Vec<u8>, entry: &UtxoEntry) {
@@ -633,7 +623,7 @@ mod tests {
     use ng_chain::transaction::TransactionBuilder;
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
-    use ng_crypto::signer::{SchnorrSigner, Signer};
+    use ng_crypto::signer::SchnorrSigner;
     use proptest::prelude::*;
 
     fn sample_tx(seq: u64) -> Transaction {
@@ -699,6 +689,37 @@ mod tests {
             assert_eq!(decoded, block);
             assert_eq!(decoded.id(), block.id());
         }
+    }
+
+    /// `bytes` with the tag-1 Schnorr signature `sig` re-encoded the way older
+    /// datadirs could hold it: tag 2 and a 32-byte keyed hash.
+    fn retagged(bytes: &[u8], sig: &SignatureBytes) -> Vec<u8> {
+        let SignatureBytes::Schnorr(sig) = sig;
+        let at = bytes.windows(65).position(|w| w == sig).expect("signature is encoded");
+        assert_eq!(bytes[at - 1], 1, "the Schnorr tag");
+        [&bytes[..at - 1], &[2u8], &[7u8; 32], &bytes[at + 65..]].concat()
+    }
+
+    #[test]
+    fn a_second_signature_tag_is_a_codec_error() {
+        let tx = sample_tx(3);
+        let mut bytes = Vec::new();
+        put_transaction(&mut bytes, &tx);
+        let forged = retagged(&bytes, tx.inputs[0].signature.as_ref().unwrap());
+        assert_eq!(
+            read_transaction(&mut Reader::new(&forged)),
+            Err(CodecError::Malformed("signature tag"))
+        );
+
+        let block = sample_micro(5, Payload::empty());
+        let NgBlock::Micro(micro) = &block else { unreachable!() };
+        let mut bytes = Vec::new();
+        put_block(&mut bytes, &block);
+        let forged = retagged(&bytes, &micro.signature);
+        assert_eq!(
+            read_block(&mut Reader::new(&forged)),
+            Err(CodecError::Malformed("signature tag"))
+        );
     }
 
     #[test]

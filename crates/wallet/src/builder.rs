@@ -5,7 +5,7 @@ use crate::keystore::Keystore;
 use ng_chain::amount::Amount;
 use ng_chain::transaction::{Transaction, TransactionBuilder};
 use ng_crypto::keys::Address;
-use ng_crypto::signer::{SchnorrSigner, Signer};
+use ng_crypto::signer::SchnorrSigner;
 use std::fmt;
 
 /// How the wallet picks coins to fund a payment.

@@ -17,7 +17,7 @@ use bitcoin_ng::chain::amount::Amount;
 use bitcoin_ng::chain::payload::Payload;
 use bitcoin_ng::core::block::{MicroBlock, MicroHeader};
 use bitcoin_ng::core::{NgBlock, NgNode, NgParams, PoisonError};
-use bitcoin_ng::crypto::signer::{SchnorrSigner, Signer};
+use bitcoin_ng::crypto::signer::SchnorrSigner;
 
 fn payload(tag: u64, fees: u64) -> Payload {
     Payload::Synthetic {

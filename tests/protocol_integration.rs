@@ -6,7 +6,7 @@ use bitcoin_ng::chain::amount::Amount;
 use bitcoin_ng::chain::payload::Payload;
 use bitcoin_ng::core::block::{MicroBlock, MicroHeader};
 use bitcoin_ng::core::{NgBlock, NgNode, NgParams, PoisonError};
-use bitcoin_ng::crypto::signer::{SchnorrSigner, Signer};
+use bitcoin_ng::crypto::signer::SchnorrSigner;
 
 fn fast_params() -> NgParams {
     NgParams {
