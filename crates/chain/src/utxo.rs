@@ -209,21 +209,6 @@ impl UtxoSet {
         self.validate_impl(tx, height, Some(cache), None, None)
     }
 
-    /// Like [`Self::validate_cached`], but inputs missing from the set may resolve
-    /// through `resolve` — mempool admission passes a lookup into the pending pool
-    /// so a chained spend of a not-yet-serialized parent validates fully
-    /// (signatures, vouts, value conservation) without duplicating these rules at
-    /// the call site. Resolved outputs are unconfirmed, so no maturity applies.
-    pub fn validate_chained(
-        &self,
-        tx: &Transaction,
-        height: u64,
-        cache: &mut SigCache,
-        resolve: InputResolver<'_>,
-    ) -> Result<Amount, TxError> {
-        self.validate_impl(tx, height, Some(cache), Some(resolve), None)
-    }
-
     /// Like [`Self::validate_cached`], but *defers* the uncached signature checks
     /// into `batch` instead of verifying them inline: the structural part of each
     /// input (key present, address matches the spent output) still runs here, while
@@ -241,8 +226,11 @@ impl UtxoSet {
         self.validate_impl(tx, height, Some(cache), None, Some(batch))
     }
 
-    /// Like [`Self::validate_deferred`] with mempool-resolved inputs — the
-    /// admission path uses this to batch a multi-input transaction's signatures.
+    /// Like [`Self::validate_deferred`], but inputs missing from the set may resolve
+    /// through `resolve` — mempool admission passes a lookup into the pending pool
+    /// so a chained spend of a not-yet-serialized parent validates fully
+    /// (signatures, vouts, value conservation) without duplicating these rules at
+    /// the call site. Resolved outputs are unconfirmed, so no maturity applies.
     pub fn validate_deferred_chained(
         &self,
         tx: &Transaction,

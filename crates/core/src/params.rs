@@ -36,8 +36,10 @@ pub struct NgParams {
     /// Proof-of-work target for key blocks (simulations use an easy target and replace
     /// mining with a scheduler, as the paper does).
     pub key_block_target: Target,
-    /// Whether microblock signatures are verified. The paper's testbed skips the check
-    /// (§7); the library enables it by default.
+    /// Whether *this node* verifies the leader signature of the microblocks it
+    /// receives. The paper's testbed skips the check (§7) and so does `ng_sim`; the
+    /// library enables it by default. Purely local: leaders sign either way, and
+    /// nothing a peer sends can switch it off.
     pub verify_microblock_signatures: bool,
     /// Whether microblock transactions are fully validated against the live UTXO view
     /// when a block connects to the ledger (inputs exist and are unspent, coinbase
@@ -82,37 +84,13 @@ impl Default for NgParams {
 }
 
 impl NgParams {
-    /// Parameters matching the block-frequency sweep of the evaluation (§8.1): key
-    /// blocks every 100 s, microblocks at the given interval.
-    pub fn evaluation_frequency_sweep(microblock_interval_ms: u64) -> Self {
-        NgParams {
-            microblock_interval_ms,
-            verify_microblock_signatures: false,
-            validate_transactions: false,
-            ..Default::default()
-        }
-    }
-
-    /// Parameters matching the block-size sweep of the evaluation (§8.2): microblocks
-    /// every 10 s, key blocks every 100 s, microblock size as given.
-    pub fn evaluation_size_sweep(max_microblock_bytes: u64) -> Self {
-        NgParams {
-            microblock_interval_ms: 10_000,
-            key_block_interval_ms: 100_000,
-            max_microblock_bytes,
-            verify_microblock_signatures: false,
-            validate_transactions: false,
-            ..Default::default()
-        }
-    }
-
     /// The next-leader share of fees (100 − leader share).
     pub fn next_leader_fee_percent(&self) -> u64 {
         100 - self.leader_fee_percent
     }
 
     /// Serialized overhead of a microblock on top of its payload: the 88-byte header
-    /// plus the worst-case (Schnorr) signature.
+    /// plus the 65-byte Schnorr signature.
     pub const MICROBLOCK_OVERHEAD_BYTES: u64 = 88 + 65;
 
     /// Largest payload that still fits in a valid microblock under
@@ -164,20 +142,6 @@ mod tests {
         assert_eq!(p.finality_depth, 2016, "one difficulty window deep");
         assert_eq!(p.checkpoint_interval, 256);
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn evaluation_presets() {
-        let freq = NgParams::evaluation_frequency_sweep(1_000);
-        assert_eq!(freq.microblock_interval_ms, 1_000);
-        assert_eq!(freq.key_block_interval_ms, 100_000);
-        assert!(!freq.verify_microblock_signatures);
-        assert!(!freq.validate_transactions, "testbed presets skip tx checks (§7)");
-
-        let size = NgParams::evaluation_size_sweep(80_000);
-        assert_eq!(size.max_microblock_bytes, 80_000);
-        assert_eq!(size.microblock_interval_ms, 10_000);
-        assert!(size.validate().is_ok());
     }
 
     #[test]

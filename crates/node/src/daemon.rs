@@ -18,7 +18,6 @@ use ng_chain::transaction::Transaction;
 use ng_core::params::NgParams;
 use ng_crypto::sha256::Hash256;
 use ng_metrics::counters::NodeCounters;
-use ng_net::sync::DEFAULT_HEADER_BATCH;
 use ng_net::tcp::{TcpEndpoint, TcpEvent};
 use ng_storage::{FileStorage, StorageConfig};
 use std::net::SocketAddr;
@@ -51,18 +50,12 @@ pub struct NodeConfig {
     pub id: u64,
     /// Protocol parameters (shared by every node of a network).
     pub params: NgParams,
-    /// Seed of the random equal-work tie-break (§3 fn. 2). Every node of a network
-    /// MUST share this value: nodes seeding it differently resolve the same
-    /// equal-work fork differently and can split permanently.
-    pub tie_break_seed: u64,
     /// Listen address; use port 0 for an ephemeral loopback port.
     pub listen_addr: String,
     /// When true the engine streams microblocks from its mempool on its own while it
     /// is the leader; when false microblocks are produced only on command (the
     /// deterministic mode the test harness uses).
     pub auto_microblocks: bool,
-    /// Maximum header records requested/served per sync batch.
-    pub header_batch: u32,
     /// Directory for durable chain state (blocks, undo data, WAL, snapshots). When
     /// set, the daemon recovers its chain from the directory on startup and
     /// persists every roll; when `None` the node is purely in-memory.
@@ -89,10 +82,8 @@ impl NodeConfig {
         NodeConfig {
             id,
             params,
-            tie_break_seed: 0,
             listen_addr: "127.0.0.1:0".to_string(),
             auto_microblocks: false,
-            header_batch: DEFAULT_HEADER_BATCH,
             datadir: None,
             fsync: false,
             sync: ng_net::sync::SyncConfig::default(),
@@ -107,9 +98,7 @@ impl NodeConfig {
         EngineConfig {
             id: self.id,
             params: self.params,
-            tie_break_seed: self.tie_break_seed,
             auto_microblocks: self.auto_microblocks,
-            header_batch: self.header_batch,
             sync: self.sync,
             snapshot_pin: self.snapshot_pin,
             serve_snapshots: self.serve_snapshots,

@@ -53,21 +53,21 @@ pub(super) struct Chain {
     latest_snapshot: Option<Snapshot>,
 }
 
+/// Seed of the random equal-work tie-break (§3 fn. 2). One value for every engine:
+/// nodes seeding it differently resolve the same equal-work fork differently and
+/// can split permanently.
+const TIE_BREAK_SEED: u64 = 0;
+
 /// The block tree of a chain that starts at `root` — a checkpoint's key block, its
 /// height and the work below it — or at genesis.
 fn tree_rooted_at(cfg: &EngineConfig, root: Option<(KeyBlock, u64, Work)>) -> NgNode {
     match root {
         Some((key, height, total_work)) => {
-            let tree = NgChainState::from_root(
-                cfg.params,
-                cfg.tie_break_seed,
-                key,
-                height,
-                total_work,
-            );
+            let tree =
+                NgChainState::from_root(cfg.params, TIE_BREAK_SEED, key, height, total_work);
             NgNode::from_chain(cfg.id, tree)
         }
-        None => NgNode::new(cfg.id, cfg.params, cfg.tie_break_seed),
+        None => NgNode::new(cfg.id, cfg.params, TIE_BREAK_SEED),
     }
 }
 

@@ -127,14 +127,11 @@ impl Engine {
     /// An engine around the given chain, everything else empty; with a `pin`, it
     /// starts by bootstrapping from the pinned snapshot.
     fn assemble(
-        mut config: EngineConfig,
+        config: EngineConfig,
         chain: Chain,
         root_height: u64,
         pin: Option<SnapshotPin>,
     ) -> Self {
-        // Keep the requested batch inside what `serve_headers` is willing to serve;
-        // otherwise every served batch would look partial and sync would stop early.
-        config.header_batch = config.header_batch.clamp(1, 4096);
         Engine {
             relay: Relay::new(&config),
             onboarding: Onboarding::new(&config, root_height, pin),

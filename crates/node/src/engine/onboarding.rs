@@ -16,6 +16,7 @@ use ng_crypto::sha256::Hash256;
 use ng_net::message::{InvItem, InvKind, Message, WireSnapshot};
 use ng_net::sync::{
     build_locator, ids_after_locator, HeaderRecord, SyncCommand, SyncScheduler,
+    DEFAULT_HEADER_BATCH,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -40,8 +41,6 @@ pub(super) struct Onboarding {
     /// a snapshot bootstrap. Forward sync ignores header records at or below it —
     /// they can never connect; the backfill owns that range.
     root_height: u64,
-    /// Header records requested per `getheaders` ([`EngineConfig::header_batch`]).
-    header_batch: u32,
     /// Deadline of a bootstrap or backfill request, in milliseconds (the download
     /// scheduler's own `request_timeout_ms`).
     request_timeout_ms: u64,
@@ -75,7 +74,7 @@ struct BackfillState {
     /// A `getheaders` is out and its reply pending.
     awaiting_headers: bool,
     /// Requested bodies not yet delivered: id → (height, kind).
-    // ng-lint: bound(header_batch)
+    // ng-lint: bound(DEFAULT_HEADER_BATCH)
     expected: HashMap<Hash256, (u64, InvKind)>,
     /// Id of the last header record fetched (leads the next locator).
     cursor: Option<Hash256>,
@@ -99,7 +98,6 @@ impl Onboarding {
             backfill: None,
             backfilled: HashMap::new(),
             root_height,
-            header_batch: cfg.header_batch,
             request_timeout_ms: cfg.sync.request_timeout_ms,
         }
     }
@@ -216,7 +214,7 @@ impl Onboarding {
                     if let Some(lead) = lead {
                         locator.insert(0, lead);
                     }
-                    let limit = self.header_batch;
+                    let limit = DEFAULT_HEADER_BATCH;
                     send(effects, peer, Message::GetHeaders { locator, limit });
                 }
                 SyncCommand::RequestBlocks { peer, items } => {
@@ -358,7 +356,7 @@ impl Onboarding {
         if bf.expected.is_empty() {
             bf.awaiting_headers = true;
             let locator = bf.cursor.map(|id| vec![id]).unwrap_or_default();
-            let limit = self.header_batch;
+            let limit = DEFAULT_HEADER_BATCH;
             send(effects, peer, Message::GetHeaders { locator, limit });
         } else {
             let pending = bf
@@ -402,7 +400,7 @@ impl Onboarding {
         // root were filtered out), runs dry, or hits the server's tip early.
         bf.exhausted |= records.is_empty()
             || wanted.len() < records.len()
-            || (records.len() as u32) < self.header_batch;
+            || (records.len() as u32) < DEFAULT_HEADER_BATCH;
         let mut fresh: Vec<(u64, InvItem)> = Vec::new();
         for record in wanted {
             if self.backfilled.contains_key(&record.id) || bf.expected.contains_key(&record.id) {
@@ -462,7 +460,7 @@ impl Onboarding {
             // instead of re-requesting the same useless range forever.
             u32::MAX
         } else {
-            self.header_batch.saturating_sub(dropped)
+            DEFAULT_HEADER_BATCH.saturating_sub(dropped)
         };
         let store = chain.node().chain().store();
         self.sync.on_headers(peer, &forward, limit, |id| store.contains(id));

@@ -5,7 +5,7 @@ use ng_chain::transaction::Transaction;
 use ng_core::params::NgParams;
 use ng_crypto::sha256::Hash256;
 use ng_net::message::Message;
-use ng_net::sync::{SyncConfig, DEFAULT_HEADER_BATCH};
+use ng_net::sync::SyncConfig;
 use serde::Serialize;
 
 /// Static configuration of one engine (the protocol-relevant subset of the old
@@ -16,17 +16,11 @@ pub struct EngineConfig {
     pub id: u64,
     /// Protocol parameters (shared by every node of a network).
     pub params: NgParams,
-    /// Seed of the random equal-work tie-break (§3 fn. 2). Every node of a network
-    /// MUST share this value: nodes seeding it differently resolve the same
-    /// equal-work fork differently and can split permanently.
-    pub tie_break_seed: u64,
     /// When true the engine streams microblocks from its mempool on its own while it
     /// is the leader, arming `SetTimer` effects for the next production deadline;
     /// when false microblocks are produced only on [`Input::ProduceMicroblock`] (the
     /// deterministic mode the test harnesses use).
     pub auto_microblocks: bool,
-    /// Maximum header records requested/served per sync batch.
-    pub header_batch: u32,
     /// Download-scheduler knobs: per-peer in-flight windows, request timeouts,
     /// stalling-peer eviction.
     pub sync: SyncConfig,
@@ -75,9 +69,7 @@ impl EngineConfig {
         EngineConfig {
             id,
             params,
-            tie_break_seed: 0,
             auto_microblocks: false,
-            header_batch: DEFAULT_HEADER_BATCH,
             sync: SyncConfig::default(),
             snapshot_pin: None,
             serve_snapshots: false,

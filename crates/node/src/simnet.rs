@@ -22,7 +22,6 @@ use ng_crypto::rng::SimRng;
 use ng_crypto::sha256::Hash256;
 use ng_metrics::counters::{NodeCounters, WireStats};
 use ng_net::message::Message;
-use ng_net::sync::DEFAULT_HEADER_BATCH;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
@@ -47,10 +46,6 @@ pub struct SimConfig {
     /// When true every engine streams microblocks autonomously while leader,
     /// driven by its own `SetTimer` deadlines.
     pub auto_microblocks: bool,
-    /// Maximum header records requested/served per sync batch.
-    pub header_batch: u32,
-    /// Seed of the equal-work tie-break, shared by every node.
-    pub tie_break_seed: u64,
     /// When true every emitted effect is cloned into the in-memory trace that
     /// [`SimNet::trace_bytes`] serializes. Off by default: long scenarios would
     /// otherwise retain every block and transaction carrier for the run's lifetime.
@@ -83,8 +78,6 @@ impl SimConfig {
             max_latency_ms: 20,
             loss: 0.0,
             auto_microblocks: false,
-            header_batch: DEFAULT_HEADER_BATCH,
-            tie_break_seed: 0,
             record_trace: false,
             sync: ng_net::sync::SyncConfig::default(),
             serve_snapshots: false,
@@ -98,9 +91,7 @@ impl SimConfig {
         EngineConfig {
             id,
             params: self.params,
-            tie_break_seed: self.tie_break_seed,
             auto_microblocks: self.auto_microblocks,
-            header_batch: self.header_batch,
             sync: self.sync,
             snapshot_pin: None,
             serve_snapshots: self.serve_snapshots,
@@ -914,20 +905,17 @@ mod tests {
     fn every_node_is_configured_from_the_shared_knobs() {
         let mut config = SimConfig::new(2, 9);
         config.auto_microblocks = true;
-        config.header_batch = 17;
-        config.tie_break_seed = 5;
         config.sync.window = 3;
         config.serve_snapshots = true;
         config.gossip = GossipConfig::scalable();
         let mut net = SimNet::new(config.clone());
-        let late = net.add_node_with(|engine| engine.header_batch = 19);
+        let late = net.add_node_with(|engine| engine.sync.window = 4);
         for node in 0..3 {
             let engine = net.engine(node).config();
             assert_eq!(engine.id, node as u64);
             assert_eq!(engine.params, config.params);
             assert!(engine.auto_microblocks && engine.serve_snapshots);
-            assert_eq!(engine.header_batch, if node == late { 19 } else { 17 });
-            assert_eq!((engine.tie_break_seed, engine.sync.window), (5, 3));
+            assert_eq!(engine.sync.window, if node == late { 4 } else { 3 });
             assert_eq!(engine.gossip, GossipConfig::scalable());
             assert_eq!(engine.snapshot_pin, None);
         }
