@@ -35,206 +35,113 @@ impl Counter {
     }
 }
 
-/// The counters a live node maintains across its event loop.
-#[derive(Debug, Default)]
-pub struct NodeCounters {
+/// Declares the counter list once and emits the live [`NodeCounters`], the
+/// plain-data [`CounterSnapshot`] and the copy between them.
+macro_rules! node_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// The counters a live node maintains across its event loop.
+        #[derive(Debug, Default)]
+        pub struct NodeCounters {
+            $($(#[$doc])* pub $name: Counter,)*
+        }
+
+        /// Point-in-time values of a [`NodeCounters`] set.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NodeCounters {
+            /// Fresh zeroed counters.
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// A plain-data copy of every counter at this instant.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+    };
+}
+
+node_counters! {
     /// Messages received from peers (after decoding).
-    pub messages_in: Counter,
+    messages_in,
     /// Messages sent to peers.
-    pub messages_out: Counter,
+    messages_out,
     /// Connections established (inbound + outbound).
-    pub connections: Counter,
+    connections,
     /// Connections lost or dropped.
-    pub disconnects: Counter,
+    disconnects,
     /// Blocks accepted into the chain (key blocks + microblocks, local or remote).
-    pub blocks_accepted: Counter,
+    blocks_accepted,
     /// Blocks rejected by validation.
-    pub blocks_rejected: Counter,
+    blocks_rejected,
     /// Blocks buffered because their parent was unknown.
-    pub blocks_orphaned: Counter,
+    blocks_orphaned,
     /// Duplicate blocks ignored.
-    pub blocks_duplicate: Counter,
+    blocks_duplicate,
     /// Main-chain reorganisations applied.
-    pub reorgs: Counter,
+    reorgs,
     /// Key blocks mined by this node.
-    pub key_blocks_mined: Counter,
+    key_blocks_mined,
     /// Microblocks produced by this node while leader.
-    pub microblocks_produced: Counter,
+    microblocks_produced,
     /// Transactions accepted into the mempool.
-    pub txs_accepted: Counter,
+    txs_accepted,
     /// `getheaders` requests served to peers.
-    pub sync_requests_served: Counter,
+    sync_requests_served,
     /// `headers` batches received while syncing from peers.
-    pub sync_batches_received: Counter,
+    sync_batches_received,
     /// Timer-driven wakeups (the driver fired a deadline the engine armed via a
     /// `SetTimer` effect).
-    pub timer_wakeups: Counter,
+    timer_wakeups,
     /// Broadcast effects executed (one per effect, not per fan-out destination).
-    pub broadcasts: Counter,
+    broadcasts,
     /// Blocks connected to the incremental ledger view.
-    pub ledger_blocks_connected: Counter,
+    ledger_blocks_connected,
     /// Blocks disconnected from the incremental ledger view (reorg rewinds).
-    pub ledger_blocks_disconnected: Counter,
+    ledger_blocks_disconnected,
     /// Peers disconnected for protocol violations (bad handshakes, microblocks
     /// with invalid transactions).
-    pub peers_misbehaved: Counter,
+    peers_misbehaved,
     /// Durable-storage writes that failed (the node keeps running in memory).
-    pub storage_failures: Counter,
+    storage_failures,
     /// UTXO snapshots / finality checkpoints written to durable storage.
-    pub checkpoints_written: Counter,
+    checkpoints_written,
     /// Checkpoint snapshots served to bootstrapping peers.
-    pub snapshots_served: Counter,
+    snapshots_served,
     /// Checkpoint snapshots verified against the pin and applied (bootstrap).
-    pub snapshots_applied: Counter,
+    snapshots_applied,
     /// Served snapshots that failed the pinned-commitment check and were refused.
-    pub snapshots_rejected: Counter,
+    snapshots_rejected,
     /// Peers evicted from download duty for stalling (timeouts over the cap).
-    pub sync_peers_evicted: Counter,
+    sync_peers_evicted,
     /// Historical blocks fetched by background backfill below a snapshot root.
-    pub backfill_blocks: Counter,
+    backfill_blocks,
     /// Compact microblock announcements reconstructed into full blocks (from the
     /// mempool alone or after a `getblocktxn` round trip).
-    pub compact_reconstructed: Counter,
+    compact_reconstructed,
     /// Transactions fetched via `blocktxn` to complete compact reconstructions.
-    pub compact_txs_fetched: Counter,
+    compact_txs_fetched,
     /// Compact reconstructions that failed and fell back to a full-block fetch.
-    pub compact_fallbacks: Counter,
+    compact_fallbacks,
     /// Lazy `ihave` pulls that timed out and grafted the advertising link back to
     /// eager (the overlay's self-healing move).
-    pub overlay_grafts: Counter,
+    overlay_grafts,
     /// Eager links demoted to lazy after delivering a duplicate push.
-    pub overlay_prunes: Counter,
+    overlay_prunes,
     /// Leader equivocations this node detected itself (fraud proofs constructed).
-    pub poison_detected: Counter,
+    poison_detected,
     /// Poison transactions flooded onward to peers.
-    pub poison_relayed: Counter,
+    poison_relayed,
     /// Poison transactions validated and applied (revenue revoked).
-    pub poison_accepted: Counter,
+    poison_accepted,
     /// Poison transactions dropped (invalid, duplicate, or losing competitor).
-    pub poison_rejected: Counter,
-}
-
-impl NodeCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A plain-data copy of every counter at this instant.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            messages_in: self.messages_in.get(),
-            messages_out: self.messages_out.get(),
-            connections: self.connections.get(),
-            disconnects: self.disconnects.get(),
-            blocks_accepted: self.blocks_accepted.get(),
-            blocks_rejected: self.blocks_rejected.get(),
-            blocks_orphaned: self.blocks_orphaned.get(),
-            blocks_duplicate: self.blocks_duplicate.get(),
-            reorgs: self.reorgs.get(),
-            key_blocks_mined: self.key_blocks_mined.get(),
-            microblocks_produced: self.microblocks_produced.get(),
-            txs_accepted: self.txs_accepted.get(),
-            sync_requests_served: self.sync_requests_served.get(),
-            sync_batches_received: self.sync_batches_received.get(),
-            timer_wakeups: self.timer_wakeups.get(),
-            broadcasts: self.broadcasts.get(),
-            ledger_blocks_connected: self.ledger_blocks_connected.get(),
-            ledger_blocks_disconnected: self.ledger_blocks_disconnected.get(),
-            peers_misbehaved: self.peers_misbehaved.get(),
-            storage_failures: self.storage_failures.get(),
-            checkpoints_written: self.checkpoints_written.get(),
-            snapshots_served: self.snapshots_served.get(),
-            snapshots_applied: self.snapshots_applied.get(),
-            snapshots_rejected: self.snapshots_rejected.get(),
-            sync_peers_evicted: self.sync_peers_evicted.get(),
-            backfill_blocks: self.backfill_blocks.get(),
-            compact_reconstructed: self.compact_reconstructed.get(),
-            compact_txs_fetched: self.compact_txs_fetched.get(),
-            compact_fallbacks: self.compact_fallbacks.get(),
-            overlay_grafts: self.overlay_grafts.get(),
-            overlay_prunes: self.overlay_prunes.get(),
-            poison_detected: self.poison_detected.get(),
-            poison_relayed: self.poison_relayed.get(),
-            poison_accepted: self.poison_accepted.get(),
-            poison_rejected: self.poison_rejected.get(),
-        }
-    }
-}
-
-/// Point-in-time values of a [`NodeCounters`] set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Messages received from peers.
-    pub messages_in: u64,
-    /// Messages sent to peers.
-    pub messages_out: u64,
-    /// Connections established.
-    pub connections: u64,
-    /// Connections lost or dropped.
-    pub disconnects: u64,
-    /// Blocks accepted into the chain.
-    pub blocks_accepted: u64,
-    /// Blocks rejected by validation.
-    pub blocks_rejected: u64,
-    /// Blocks buffered for a missing parent.
-    pub blocks_orphaned: u64,
-    /// Duplicate blocks ignored.
-    pub blocks_duplicate: u64,
-    /// Main-chain reorganisations applied.
-    pub reorgs: u64,
-    /// Key blocks mined locally.
-    pub key_blocks_mined: u64,
-    /// Microblocks produced locally.
-    pub microblocks_produced: u64,
-    /// Transactions accepted into the mempool.
-    pub txs_accepted: u64,
-    /// `getheaders` requests served.
-    pub sync_requests_served: u64,
-    /// `headers` batches received.
-    pub sync_batches_received: u64,
-    /// Timer-driven wakeups.
-    pub timer_wakeups: u64,
-    /// Broadcast effects executed.
-    pub broadcasts: u64,
-    /// Blocks connected to the incremental ledger view.
-    pub ledger_blocks_connected: u64,
-    /// Blocks disconnected from the incremental ledger view.
-    pub ledger_blocks_disconnected: u64,
-    /// Peers disconnected for protocol violations.
-    pub peers_misbehaved: u64,
-    /// Durable-storage writes that failed.
-    pub storage_failures: u64,
-    /// UTXO snapshots / finality checkpoints written.
-    pub checkpoints_written: u64,
-    /// Checkpoint snapshots served to bootstrapping peers.
-    pub snapshots_served: u64,
-    /// Checkpoint snapshots verified and applied (bootstrap).
-    pub snapshots_applied: u64,
-    /// Served snapshots refused by the pinned-commitment check.
-    pub snapshots_rejected: u64,
-    /// Peers evicted from download duty for stalling.
-    pub sync_peers_evicted: u64,
-    /// Historical blocks fetched by background backfill.
-    pub backfill_blocks: u64,
-    /// Compact microblock announcements reconstructed into full blocks.
-    pub compact_reconstructed: u64,
-    /// Transactions fetched via `blocktxn` to complete reconstructions.
-    pub compact_txs_fetched: u64,
-    /// Compact reconstructions that fell back to a full-block fetch.
-    pub compact_fallbacks: u64,
-    /// Lazy pulls that timed out and grafted their advertiser back to eager.
-    pub overlay_grafts: u64,
-    /// Eager links demoted to lazy after a duplicate push.
-    pub overlay_prunes: u64,
-    /// Leader equivocations detected locally (fraud proofs constructed).
-    pub poison_detected: u64,
-    /// Poison transactions flooded onward to peers.
-    pub poison_relayed: u64,
-    /// Poison transactions validated and applied.
-    pub poison_accepted: u64,
-    /// Poison transactions dropped.
-    pub poison_rejected: u64,
+    poison_rejected,
 }
 
 /// Per-command wire-traffic accounting: how many messages and bytes of each
