@@ -19,6 +19,7 @@ use ng_crypto::sha256::Hash256;
 use ng_crypto::signer::SchnorrSigner;
 use ng_net::message::Message;
 use ng_node::chaos::{Fault, FaultPlan};
+use ng_node::ledger::assert_supply_bounded;
 use ng_node::simnet::{SimConfig, SimNet};
 use ng_node::testnet::test_tx;
 
@@ -110,6 +111,7 @@ fn assert_poisoned_everywhere(net: &SimNet, kb: Hash256, nodes: usize) {
         );
     }
     assert!(net.converged(), "{}", net.report());
+    assert_supply_bounded(net.live_engines());
 }
 
 #[test]

@@ -19,6 +19,7 @@ use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::{sha256, Hash256};
 use ng_crypto::signer::SchnorrSigner;
 use ng_net::message::Message;
+use ng_node::ledger::assert_supply_bounded;
 use ng_node::simnet::{SimConfig, SimNet};
 
 /// Validating parameters with fast microblock spacing and immediately spendable
@@ -105,6 +106,7 @@ fn phantom_spend_microblock_is_rejected_and_leader_disconnected() {
     let snaps = net.snapshots();
     assert!(snaps[1].counters.blocks_rejected >= 1);
     assert!(snaps[1].counters.peers_misbehaved >= 1);
+    assert_supply_bounded(net.live_engines());
 }
 
 #[test]
@@ -149,6 +151,7 @@ fn value_minting_microblock_is_rejected_by_every_honest_node() {
         net.engine(2).utxo_commitment(),
         net.engine(3).utxo_commitment()
     );
+    assert_supply_bounded(net.live_engines());
 }
 
 #[test]
@@ -183,4 +186,5 @@ fn valid_spend_microblock_passes_validate_on_connect() {
         net.engine(1).utxo_commitment(),
         net.engine(2).utxo_commitment()
     );
+    assert_supply_bounded(net.live_engines());
 }

@@ -832,6 +832,7 @@ mod tests {
         assert!(rejected(&effects, k2.id()), "a descendant of an invalid block");
         assert_eq!(victim.height(), 1);
         assert_eq!(victim.utxo().total_value(), Amount::from_coins(25));
+        crate::ledger::assert_supply_bounded([&victim]);
     }
 
     #[test]

@@ -9,11 +9,34 @@
 //! equivalence suite drives arbitrary fork/extend/reorg schedules and asserts the
 //! incremental view matches a fresh replay (both the sorted-hash
 //! [`UtxoSet::commitment`] and the rolling commitment) at every step.
+//!
+//! [`assert_supply_bounded`] is the second oracle here, and the first of the
+//! per-node invariants the scenario suites check on validating networks.
 
+use crate::engine::Engine;
 use ng_chain::transaction::OutPoint;
 use ng_chain::utxo::{UtxoEntry, UtxoSet};
 use ng_core::block::NgBlock;
 use ng_core::chain::NgChainState;
+
+/// Panics unless every engine's UTXO supply is at most one key-block reward per
+/// key block of its main chain. Nothing else may add value: fees move it, a poison
+/// bounty is a share of what the poison revokes. Below a snapshot root the tree
+/// holds no blocks, so every height at or below the root counts as a key block.
+pub fn assert_supply_bounded<'a>(engines: impl IntoIterator<Item = &'a Engine>) {
+    for engine in engines {
+        let chain = engine.node().chain();
+        let above_root = chain.key_blocks_on_main_chain().len() as u64 - 1;
+        let key_blocks = engine.root_height() + above_root;
+        let cap = chain.params().key_block_reward.mul_ratio(key_blocks, 1);
+        let supply = engine.utxo().total_value();
+        assert!(
+            supply <= cap,
+            "node {}: supply {supply} exceeds {cap}, the reward of {key_blocks} key blocks",
+            engine.id()
+        );
+    }
+}
 
 /// Replays the main chain into a fresh UTXO set.
 ///

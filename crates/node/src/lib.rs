@@ -49,7 +49,7 @@ pub mod testnet;
 pub use chainstate::{ChainView, ConnectError, SyncDelta, SyncError};
 pub use daemon::{now_ms, spawn, NodeConfig, NodeHandle};
 pub use engine::{Effect, Engine, EngineConfig, GossipConfig, Input, ReportEvent};
-pub use ledger::rebuild_utxo;
+pub use ledger::{assert_supply_bounded, rebuild_utxo};
 pub use parallel::WorkerPool;
 pub use report::NodeSnapshot;
 pub use simnet::{SimConfig, SimNet};

@@ -857,16 +857,16 @@ impl SimNet {
             .collect()
     }
 
+    /// The engines of the nodes that are up, in id order.
+    pub fn live_engines(&self) -> impl Iterator<Item = &Engine> {
+        let up = self.engines.iter().zip(&self.down).filter(|(_, down)| !**down);
+        up.map(|(engine, _)| engine)
+    }
+
     /// True when every live node agrees on tip and UTXO commitment. Crashed
     /// nodes don't count: a dark process has no view to disagree with.
     pub fn converged(&self) -> bool {
-        let up: Vec<&Engine> = self
-            .engines
-            .iter()
-            .enumerate()
-            .filter(|&(node, _)| !self.down[node])
-            .map(|(_, engine)| engine)
-            .collect();
+        let up: Vec<&Engine> = self.live_engines().collect();
         up.windows(2).all(|w| {
             w[0].tip() == w[1].tip() && w[0].utxo_commitment() == w[1].utxo_commitment()
         })
