@@ -1,9 +1,9 @@
 //! Experiment drivers for every data figure in the paper.
 //!
 //! Each function returns plain data rows; the `src/bin/*` binaries print them as tables
-//! and optionally dump JSON, and EXPERIMENTS.md records the paper-vs-measured
-//! comparison. Scale knobs (node count, block count) default to laptop-friendly values;
-//! pass `--full` to a binary to run at the paper's 1000-node scale.
+//! and optionally dump JSON. Scale knobs (node count, block count) default to
+//! laptop-friendly values; pass `--full` to a binary to run at the paper's 1000-node
+//! scale.
 
 use ng_core::params::NgParams;
 use ng_crypto::rng::SimRng;

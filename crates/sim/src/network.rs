@@ -9,7 +9,7 @@
 //! The original latency measurement is not public; [`LatencyModel::bitcoin_2015`]
 //! encodes a histogram with the same character (tens-of-milliseconds body, heavy tail
 //! of intercontinental links) and can be replaced with real measurements without
-//! touching the rest of the simulator. DESIGN.md records the substitution.
+//! touching the rest of the simulator.
 
 use ng_crypto::rng::SimRng;
 use serde::{Deserialize, Serialize};

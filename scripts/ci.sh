@@ -6,7 +6,11 @@
 #   1. release build of every crate and target
 #   2. the full test suite (facade integration tests + every crate's unit tests)
 #   3. the live-network suites under explicit timeouts
-#   4. the stand-alone pipeline benchmark (bench/) builds and passes its smoke run
+#   4. the stand-alone pipeline benchmark (bench/) builds and passes its smoke run;
+#      bench/Cargo.lock is put back afterwards — bench/ builds without --locked,
+#      so cargo rewrites that file in place whenever the workspace's dependency
+#      graph differs from the one recorded there, and nothing under bench/ may
+#      change outside a [benchmark] PR. A local run leaves `git status` clean.
 #   5. clippy with warnings denied
 #
 # The workspace has no registry dependencies (everything external is vendored
@@ -81,6 +85,9 @@ echo "==> bench snapshot smoke (ledger_snapshot emits valid JSON and --assert-fa
 timeout 300 ./scripts/bench_snapshot.sh --smoke
 
 echo "==> pipeline benchmark builds and smokes against this tree (bench/ is its own package; a PR that breaks the surface it compiles against fails here, not in the benchmark run)"
+bench_lock=$(mktemp)
+cp bench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" bench/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo build --release --offline --manifest-path bench/Cargo.toml
 timeout 600 bench/run.sh --smoke
 
