@@ -859,8 +859,8 @@ impl SimNet {
 
     /// The engines of the nodes that are up, in id order.
     pub fn live_engines(&self) -> impl Iterator<Item = &Engine> {
-        let up = self.engines.iter().zip(&self.down).filter(|(_, down)| !**down);
-        up.map(|(engine, _)| engine)
+        let nodes = self.engines.iter().zip(&self.down);
+        nodes.filter_map(|(engine, down)| (!down).then_some(engine))
     }
 
     /// True when every live node agrees on tip and UTXO commitment. Crashed
