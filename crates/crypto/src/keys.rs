@@ -18,6 +18,13 @@ use std::fmt;
 pub struct SecretKey(pub(crate) Scalar);
 
 /// A public key: a non-infinity curve point, stored in compressed form.
+///
+/// A key built here ([`SecretKey::public_key`], [`Self::from_compressed`]) is on
+/// the curve. One that arrived as bytes (`Deserialize`: a wire frame, a datadir)
+/// is 33 unchecked bytes until [`Self::point`] decodes it — decoding costs a
+/// field square root, which the verifier pays anyway and the frame decoder
+/// should not — so verification under it fails closed
+/// ([`crate::schnorr::SchnorrError::InvalidPublicKey`]) rather than trusting it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PublicKey {
     #[serde(with = "crate::serde_arrays")]
@@ -111,9 +118,10 @@ impl PublicKey {
         self.compressed
     }
 
-    /// Decodes the underlying curve point.
-    pub fn point(&self) -> Point {
-        Point::from_compressed(&self.compressed).expect("stored public key is valid")
+    /// Decodes the underlying curve point; `None` for deserialized bytes that
+    /// are not a point on the curve.
+    pub fn point(&self) -> Option<Point> {
+        Point::from_compressed(&self.compressed)
     }
 
     /// The address (hash) of this public key.
@@ -239,6 +247,25 @@ mod tests {
         let mut bytes = [0u8; 33];
         bytes[0] = 0x09;
         assert!(PublicKey::from_compressed(bytes).is_none());
+    }
+
+    #[test]
+    fn verification_under_a_deserialized_off_curve_key_fails_closed() {
+        use crate::schnorr::{self, SchnorrError};
+        // What `Deserialize` yields for 33 bytes off the wire: no curve check.
+        // x = 5: 5³ + 7 = 132 has no square root mod p.
+        let mut compressed = [0u8; 33];
+        (compressed[0], compressed[32]) = (2, 5);
+        assert!(PublicKey::from_compressed(compressed).is_none());
+        let forged = PublicKey { compressed };
+        assert!(forged.point().is_none());
+        let honest = KeyPair::from_id(1);
+        let msg = sha256(b"anything");
+        let sig = schnorr::sign(&honest.secret, &msg);
+        assert_eq!(schnorr::verify(&forged, &msg, &sig), Err(SchnorrError::InvalidPublicKey));
+        let batch = [(honest.public, msg, sig), (forged, msg, sig)];
+        assert_eq!(schnorr::verify_batch(&batch), Err(SchnorrError::InvalidPublicKey));
+        assert_eq!(schnorr::find_invalid(&batch), vec![1]);
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub enum SchnorrError {
     InvalidNoncePoint,
     /// The response scalar is zero (degenerate signature).
     DegenerateScalar,
+    /// The public key's bytes are not a point on the curve (it came off the wire
+    /// unchecked; see [`PublicKey`]).
+    InvalidPublicKey,
     /// The verification equation `s·G = R + e·P` does not hold.
     EquationFailed,
 }
@@ -46,6 +49,7 @@ impl fmt::Display for SchnorrError {
         match self {
             SchnorrError::InvalidNoncePoint => write!(f, "invalid nonce point in signature"),
             SchnorrError::DegenerateScalar => write!(f, "degenerate signature scalar"),
+            SchnorrError::InvalidPublicKey => write!(f, "public key is not on the curve"),
             SchnorrError::EquationFailed => write!(f, "signature equation failed"),
         }
     }
@@ -123,9 +127,10 @@ pub fn verify(public: &PublicKey, msg: &Hash256, sig: &Signature) -> Result<(), 
     if s.is_zero() {
         return Err(SchnorrError::DegenerateScalar);
     }
+    let p = public.point().ok_or(SchnorrError::InvalidPublicKey)?;
     let e = challenge(&sig.r, public, msg);
     // s·G − e·P == R
-    let lhs = Point::mul_double_generator(&s, &e.neg(), &public.point());
+    let lhs = Point::mul_double_generator(&s, &e.neg(), &p);
     if lhs == r_point {
         Ok(())
     } else {
@@ -199,10 +204,11 @@ pub fn verify_batch(batch: &[BatchEntry]) -> Result<(), SchnorrError> {
         if s.is_zero() {
             return Err(SchnorrError::DegenerateScalar);
         }
+        let p = pk.point().ok_or(SchnorrError::InvalidPublicKey)?;
         let e = challenge(&sig.r, pk, msg);
         s_combined = s_combined.add(&a.mul(&s));
         pairs.push((*a, r_point));
-        pairs.push((a.mul(&e), pk.point()));
+        pairs.push((a.mul(&e), p));
     }
     let lhs = Point::mul_generator(&s_combined);
     let rhs = Point::multi_mul(&pairs);

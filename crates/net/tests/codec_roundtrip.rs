@@ -338,6 +338,46 @@ fn a_body_naming_another_signature_scheme_is_not_a_message() {
     }
 }
 
+/// A public key crosses the wire as 33 unchecked bytes (decoding must not pay a
+/// square root per key), so a frame may carry one that is no curve point. It
+/// decodes; every check made under it fails closed instead of panicking.
+#[test]
+fn a_frame_carrying_an_off_curve_key_decodes_and_never_verifies() {
+    let codec = FrameCodec::default();
+    // x = 5: 5³ + 7 = 132 has no square root mod p.
+    let mut off_curve = [0u8; 33];
+    (off_curve[0], off_curve[32]) = (2, 5);
+    assert!(ng_crypto::keys::PublicKey::from_compressed(off_curve).is_none());
+    let signer = SchnorrSigner::new(KeyPair::from_id(1));
+    let mut spend = TransactionBuilder::new()
+        .input(OutPoint::new(sha256(b"coin"), 0))
+        .output(Amount::from_sats(1), KeyPair::from_id(2).address())
+        .build();
+    spend.sign_all_inputs(&signer);
+    let key_block = every_variant(3).into_iter().find(|m| m.command() == "keyblock").unwrap();
+    let forge = |honest: &Message| {
+        let json = serde_json::to_string(honest).unwrap();
+        let start = json.find("{\"compressed\":[").expect("carries a public key");
+        let end = start + json[start..].find("]}").expect("the byte array closes") + 2;
+        let forged = format!("{}{{\"compressed\":{off_curve:?}}}{}", &json[..start], &json[end..]);
+        codec.decode(&mut framed(forged.as_bytes())).expect("a well-formed body").expect("one frame")
+    };
+    let Message::Tx(forged) = forge(&Message::Tx(Box::new(spend))) else {
+        panic!("a tx frame decodes to a tx");
+    };
+    let key = forged.inputs[0].pubkey.expect("signed");
+    assert!(key.point().is_none());
+    let paid_to_its_hash = TxOutput { amount: Amount::from_sats(2), address: key.address() };
+    assert!(!forged.verify_input(0, &paid_to_its_hash));
+    let Message::KeyBlock(forged) = forge(&key_block) else {
+        panic!("a keyblock frame decodes to a key block");
+    };
+    assert!(forged.leader_pubkey.point().is_none());
+    let digest = sha256(b"a microblock header");
+    let verdict = ng_crypto::signer::verify_signature(&forged.leader_pubkey, &digest, &signer.sign(&digest));
+    assert_eq!(verdict, Err(ng_crypto::SchnorrError::InvalidPublicKey));
+}
+
 #[test]
 fn header_shorter_than_minimum_waits() {
     let codec = FrameCodec::default();

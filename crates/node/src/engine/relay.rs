@@ -920,4 +920,64 @@ mod tests {
             .any(|e| matches!(e, Effect::Disconnect { peer: 3 })));
         assert!(!a.connected_peers().contains(&3));
     }
+    #[test]
+    fn an_off_curve_public_key_from_the_wire_is_refused_and_the_engine_carries_on() {
+        use ng_core::block::{MicroBlock, MicroHeader};
+        use ng_crypto::signer::SchnorrSigner;
+
+        // 33 bytes that are no curve point, as a frame delivers them: the decoder
+        // takes no square root, so they arrive as a `PublicKey`.
+        // x = 5: 5³ + 7 = 132 has no square root mod p.
+        let mut bytes = [0u8; 33];
+        (bytes[0], bytes[32]) = (2, 5);
+        assert!(ng_crypto::keys::PublicKey::from_compressed(bytes).is_none());
+        let forged: ng_crypto::keys::PublicKey =
+            serde_json::from_str(&format!("{{\"compressed\":{bytes:?}}}")).expect("decodes");
+
+        // `a` confirms an output paid to the hash of those bytes. A spend naming
+        // them passes the address check and reaches the signature check.
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        register_peer(&mut a, 7);
+        a.handle(1_000, Input::MineKeyBlock);
+        let signer = SchnorrSigner::new(*a.node().keys());
+        let spend_to = |from: Hash256, coins: u64, to| {
+            let mut tx = TransactionBuilder::new()
+                .input(OutPoint::new(from, 0))
+                .output(Amount::from_coins(coins), to)
+                .build();
+            tx.sign_all_inputs(&signer);
+            tx
+        };
+        let bait = spend_to(a.tip(), 25, forged.address());
+        a.handle(1_100, Input::SubmitTx(Box::new(bait.clone())));
+        produce(&mut a, 1_200);
+        let mut spend = spend_to(bait.txid(), 24, KeyPair::from_id(9).address());
+        spend.inputs[0].pubkey = Some(forged);
+        let effects = deliver(&mut a, 1_300, 7, Message::Tx(Box::new(spend)));
+        assert!(!reports(&effects).any(|e| matches!(e, ReportEvent::TxAccepted { .. })));
+        assert_eq!(a.mempool_len(), 0);
+
+        // A key block may name them as its leader key — proof of work is all it
+        // needs — but no microblock verifies under it.
+        let mut key_block = a.node().clone().mine_key_block(2_000);
+        (key_block.miner, key_block.leader_pubkey, key_block.nonce) = (2, forged, 0);
+        while !key_block.meets_target() {
+            key_block.nonce += 1;
+        }
+        let payload = Payload::Transactions(vec![]);
+        let header = MicroHeader {
+            prev: key_block.id(),
+            time_ms: 2_100,
+            payload_digest: payload.digest(),
+            leader: 2,
+        };
+        let micro = MicroBlock { signature: signer.sign(&header.signing_hash()), header, payload };
+        deliver(&mut a, 2_001, 7, Message::KeyBlock(Box::new(key_block.clone())));
+        assert_eq!(a.tip(), key_block.id());
+        let effects = deliver(&mut a, 2_101, 7, Message::MicroBlock(Box::new(micro.clone())));
+        let rejected = ReportEvent::BlockRejected { id: micro.id() };
+        assert!(reports(&effects).any(|event| *event == rejected));
+        a.handle(3_000, Input::MineKeyBlock);
+        assert_eq!(a.height(), 4, "still handling inputs");
+    }
 }
