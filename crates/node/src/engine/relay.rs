@@ -610,8 +610,21 @@ mod tests {
     use ng_chain::amount::Amount;
     use ng_chain::payload::Payload;
     use ng_chain::transaction::{OutPoint, TransactionBuilder};
+    use ng_core::block::{MicroBlock, MicroHeader};
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
+    use ng_crypto::signer::SchnorrSigner;
+
+    /// A microblock on `prev`, signed for `leader` with `keys`, whose one
+    /// transaction spends an output that does not exist.
+    fn phantom_spend(prev: Hash256, time_ms: u64, leader: u64, keys: KeyPair) -> MicroBlock {
+        let payload = Payload::Transactions(vec![TransactionBuilder::new()
+            .input(OutPoint::new(sha256(b"phantom"), 0))
+            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
+            .build()]);
+        let header = MicroHeader { prev, time_ms, payload_digest: payload.digest(), leader };
+        MicroBlock { signature: SchnorrSigner::new(keys).sign(&header.signing_hash()), header, payload }
+    }
 
     #[test]
     fn reconstruction_restarts_after_the_awaited_peer_disconnects() {
@@ -746,9 +759,6 @@ mod tests {
 
     #[test]
     fn unvalidated_and_invalidated_blocks_are_not_served() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::SchnorrSigner;
-
         // `a` validates and sits on its own three-epoch chain.
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         a.handle(1_000, Input::MineKeyBlock);
@@ -762,21 +772,7 @@ mod tests {
         let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
         rival.on_block(kb1, 1_001).unwrap();
         let rival_kb1 = rival.mine_and_adopt_key_block(2_000);
-        let payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let header = MicroHeader {
-            prev: rival_kb1.id(),
-            time_ms: 2_010,
-            payload_digest: payload.digest(),
-            leader: 2,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(*rival.keys()).sign(&header.signing_hash()),
-            header,
-            payload,
-        };
+        let bad = phantom_spend(rival_kb1.id(), 2_010, 2, *rival.keys());
         let bad_id = bad.id();
         rival.on_block(NgBlock::Micro(bad.clone()), 2_011).unwrap();
         let rival_kb2 = rival.mine_and_adopt_key_block(2_100);
@@ -810,9 +806,6 @@ mod tests {
 
     #[test]
     fn honest_relay_is_not_punished_for_a_byzantine_descendant() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::SchnorrSigner;
-
         // Engine `a` is leader with one valid tx-bearing microblock on its branch.
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         a.handle(1_000, Input::MineKeyBlock);
@@ -833,21 +826,7 @@ mod tests {
         let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
         rival.on_block(kb1, 1_001).unwrap();
         let rival_kb = rival.mine_and_adopt_key_block(2_000);
-        let bad_payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let bad_header = MicroHeader {
-            prev: rival_kb.id(),
-            time_ms: 2_010,
-            payload_digest: bad_payload.digest(),
-            leader: 2,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(*rival.keys()).sign(&bad_header.signing_hash()),
-            header: bad_header,
-            payload: bad_payload,
-        };
+        let bad = phantom_spend(rival_kb.id(), 2_010, 2, *rival.keys());
         let bad_id = bad.id();
 
         // An honest peer relays the Byzantine microblock FIRST (it becomes a
@@ -884,30 +863,13 @@ mod tests {
 
     #[test]
     fn direct_sender_of_invalid_microblock_is_disconnected() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::SchnorrSigner;
-
         let mut a = Engine::new(EngineConfig::new(1, validated_params()));
         register_peer(&mut a, 3);
         a.handle(1_000, Input::MineKeyBlock);
         let tip = a.tip();
         // The Byzantine leader (this engine's own id/keys, so the signature is
         // valid) sends a phantom-spend microblock directly.
-        let payload = Payload::Transactions(vec![TransactionBuilder::new()
-            .input(OutPoint::new(sha256(b"phantom"), 0))
-            .output(Amount::from_sats(1), KeyPair::from_id(9).address())
-            .build()]);
-        let header = MicroHeader {
-            prev: tip,
-            time_ms: 1_500,
-            payload_digest: payload.digest(),
-            leader: 1,
-        };
-        let bad = MicroBlock {
-            signature: SchnorrSigner::new(KeyPair::from_id(1)).sign(&header.signing_hash()),
-            header,
-            payload,
-        };
+        let bad = phantom_spend(tip, 1_500, 1, KeyPair::from_id(1));
         let bad_id = bad.id();
         let effects = deliver(&mut a, 2_000, 3, Message::MicroBlock(Box::new(bad)));
         assert_eq!(a.tip(), tip, "ledger unchanged");
@@ -922,9 +884,6 @@ mod tests {
     }
     #[test]
     fn an_off_curve_public_key_from_the_wire_is_refused_and_the_engine_carries_on() {
-        use ng_core::block::{MicroBlock, MicroHeader};
-        use ng_crypto::signer::SchnorrSigner;
-
         // 33 bytes that are no curve point, as a frame delivers them: the decoder
         // takes no square root, so they arrive as a `PublicKey`.
         // x = 5: 5³ + 7 = 132 has no square root mod p.
@@ -964,14 +923,7 @@ mod tests {
         while !key_block.meets_target() {
             key_block.nonce += 1;
         }
-        let payload = Payload::Transactions(vec![]);
-        let header = MicroHeader {
-            prev: key_block.id(),
-            time_ms: 2_100,
-            payload_digest: payload.digest(),
-            leader: 2,
-        };
-        let micro = MicroBlock { signature: signer.sign(&header.signing_hash()), header, payload };
+        let micro = phantom_spend(key_block.id(), 2_100, 2, *a.node().keys());
         deliver(&mut a, 2_001, 7, Message::KeyBlock(Box::new(key_block.clone())));
         assert_eq!(a.tip(), key_block.id());
         let effects = deliver(&mut a, 2_101, 7, Message::MicroBlock(Box::new(micro.clone())));
