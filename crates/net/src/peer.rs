@@ -109,7 +109,10 @@ pub struct Peer {
     /// Whether we have already sent our own `version` (true for outbound connections,
     /// set for inbound ones once we respond).
     version_sent: bool,
-    /// Objects the remote is known to have (announced by it, sent by us, or delivered).
+    /// Objects the remote holds or is about to: it announced or delivered them, or
+    /// we put the body (a first-hop `tx` push, a served `getdata`) or an `inv` of
+    /// them on this FIFO link. After a push no `inv`/`getdata` follows, so this
+    /// entry is the only record that the body went out.
     known: BoundedFifoMap<Hash256, ()>,
     /// Objects we have asked the remote for and not yet received.
     in_flight: BoundedFifoMap<Hash256, ()>,
@@ -172,9 +175,10 @@ impl Peer {
         self.known.insert(id, ());
     }
 
-    /// Decides whether to hand the remote an object (or its announcement): true if
-    /// the handshake completed and the remote is not known to have it — in which
-    /// case it is recorded as having it from now on.
+    /// Decides whether to hand the remote an object (its body or its announcement):
+    /// true if the handshake completed and the remote is not known to have it — in
+    /// which case it is recorded as having it from now on, so neither form is
+    /// offered over this connection again.
     pub fn offer(&mut self, id: Hash256) -> bool {
         let fresh = self.is_ready() && !self.knows(&id);
         if fresh {

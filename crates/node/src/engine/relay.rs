@@ -1,6 +1,11 @@
 //! The relay component: the peer table and everything that decides what goes to
 //! which connection — `inv`/`getdata`, compact blocks, the eager/lazy overlay.
 //!
+//! A transaction's first hop is its body, every later hop an `inv` the receiver
+//! answers with `getdata` only if the body has not reached it yet
+//! ([`Relay::relay_tx`]). Links are FIFO, so a leader's own transactions reach
+//! each peer ahead of the compact block that names them.
+//!
 //! It owns the connections, the overlay's eager/lazy split, the half-done compact
 //! reconstructions, the ids of blocks held back from relay and the memory of
 //! recently announced transactions. It stores no block and no pending
@@ -27,13 +32,15 @@ use std::collections::BTreeMap;
 /// the set without bound by sending parentless blocks).
 const MAX_ORPHAN_CARRIERS: usize = 1024;
 
-/// Cap on the relay memory of recently announced transactions (the role Bitcoin's
+/// Cap on the relay memory of recently relayed transactions (the role Bitcoin's
 /// `mapRelay` played): a `getdata` that arrives after the leader serialized the
 /// transaction out of the mempool is still answered, so the requester's compact
 /// reconstruction hits instead of paying a `getblocktxn` round trip. Sized from
-/// rate × round trip: the densest workload announces 20 tx/ms over links of at
-/// most 20 ms each way, so ≈ 800 transactions are between `inv` and `getdata` at
-/// any moment; 8192 leaves a 10× margin.
+/// rate × round trip: the densest workload relays 20 tx/ms over links of at most
+/// 20 ms each way, so ≈ 800 transactions are younger than one `inv` → `getdata`
+/// round trip. Only second-hop announcements are ever requested (the first hop
+/// is the body), under a tenth of them in a mesh; 8192 leaves a 10× margin even
+/// if every one were.
 const MAX_RELAY_TXS: usize = 8192;
 
 /// The connections and what has been said over them.
@@ -412,7 +419,11 @@ impl Relay {
 
     // ---- announcing -----------------------------------------------------------
 
-    /// Remembers an admitted transaction ([`MAX_RELAY_TXS`]) and announces it.
+    /// Remembers an admitted transaction ([`MAX_RELAY_TXS`]) and relays it. One
+    /// submitted here (`from` is `None`) is held by no peer, so an `inv` could
+    /// never save its body and would only put the `getdata` round trip in front
+    /// of it: its first hop is the `tx` itself. One a peer delivered may already
+    /// have reached the others, so every later hop is announced and fetched.
     pub(super) fn relay_tx(
         &mut self,
         txid: Hash256,
@@ -420,27 +431,37 @@ impl Relay {
         from: Option<u64>,
         effects: &mut Vec<Effect>,
     ) {
+        let message = match from {
+            None => Message::Tx(Box::new(tx.clone())),
+            Some(_) => Message::Inv(vec![InvItem::new(InvKind::Transaction, txid)]),
+        };
         self.relay_memory.insert(txid, tx);
-        self.announce(InvItem::new(InvKind::Transaction, txid), from, effects);
+        self.announce(txid, message, from, effects);
     }
 
-    /// Announces a newly stored object with an `inv` to every ready peer that does
-    /// not know it yet, the source link excluded: a single [`Effect::Broadcast`]
+    /// Hands `message` — the `inv` of a newly stored object `id`, or its body — to
+    /// every ready peer that does not know the object yet, the source link
+    /// excluded, and notes that they know it now: a single [`Effect::Broadcast`]
     /// when every ready peer needs it (a freshly produced local object), per-peer
     /// [`Effect::Send`]s otherwise. Transactions always take this path, even with
     /// the broadcast overlay on: mempool convergence is what makes compact
     /// reconstruction work.
-    fn announce(&mut self, item: InvItem, from: Option<u64>, effects: &mut Vec<Effect>) {
+    fn announce(
+        &mut self,
+        id: Hash256,
+        message: Message,
+        from: Option<u64>,
+        effects: &mut Vec<Effect>,
+    ) {
         // The peer that delivered the object obviously has it already.
         if let Some(source) = from.and_then(|source| self.peers.get_mut(&source)) {
-            source.mark_known(item.id);
+            source.mark_known(id);
         }
         let targets: Vec<u64> = self
             .peers
             .iter_mut()
-            .filter_map(|(peer, state)| state.offer(item.id).then_some(*peer))
+            .filter_map(|(peer, state)| state.offer(id).then_some(*peer))
             .collect();
-        let message = Message::Inv(vec![item]);
         if from.is_none() && !targets.is_empty() && targets.len() == self.ready().count() {
             effects.push(Effect::Broadcast { message });
         } else {
@@ -507,7 +528,7 @@ impl Relay {
         if self.gossip.overlay {
             self.overlay_announce(item, block, from, effects);
         } else {
-            self.announce(item, from, effects);
+            self.announce(id, Message::Inv(vec![item]), from, effects);
         }
     }
 
@@ -697,6 +718,44 @@ mod tests {
         // Later input on the dead connection is ignored.
         assert!(deliver(&mut a, 1_002, 9, Message::Ping(2))
             .is_empty());
+    }
+
+    #[test]
+    fn a_submitted_transaction_is_pushed_to_every_ready_peer_once() {
+        // Ready peers 0, 1, 2; connection 3 is still in its handshake.
+        let mut a = engine(1);
+        (0..3).for_each(|peer| register_peer(&mut a, peer));
+        a.handle(0, Input::PeerConnected { peer: 3, inbound: true });
+        let tx = test_tx(1);
+        let body = Message::Tx(Box::new(tx.clone()));
+        let effects = a.handle(1_000, Input::SubmitTx(Box::new(tx.clone())));
+        // Every ready peer needs it: one broadcast of the body (drivers expand it
+        // over the ready peers only), no `inv` for anybody to answer.
+        assert!(effects.contains(&Effect::Broadcast { message: body }));
+        assert_eq!(sends(&effects), vec![]);
+        let knows = |a: &Engine, peer: u64| a.relay.peers[&peer].knows(&tx.txid());
+        assert!((0..3).all(|peer| knows(&a, peer)), "every ready peer holds it now");
+        assert!(!knows(&a, 3), "nothing went to the handshake");
+        // So the id is never offered to them again, in either form.
+        let mut again = Vec::new();
+        a.relay.relay_tx(tx.txid(), tx.clone(), None, &mut again);
+        a.relay.relay_tx(tx.txid(), tx.clone(), Some(2), &mut again);
+        assert_eq!(again, vec![]);
+
+        // A peer that announced the id first holds it: the others get one body each.
+        let tx = test_tx(2);
+        let item = InvItem::new(InvKind::Transaction, tx.txid());
+        deliver(&mut a, 1_001, 1, Message::Inv(vec![item]));
+        let effects = a.handle(1_002, Input::SubmitTx(Box::new(tx)));
+        assert_eq!(sends(&effects), vec![(0, "tx"), (2, "tx")]);
+    }
+
+    #[test]
+    fn a_forwarded_transaction_is_announced_to_everyone_but_its_source() {
+        let mut a = engine(1);
+        (0..3).for_each(|peer| register_peer(&mut a, peer));
+        let effects = deliver(&mut a, 1_000, 1, Message::Tx(Box::new(test_tx(1))));
+        assert_eq!(sends(&effects), vec![(0, "inv"), (2, "inv")], "no body anywhere");
     }
 
     #[test]

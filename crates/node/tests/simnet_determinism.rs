@@ -187,9 +187,9 @@ fn golden_traces_are_pinned() {
 }
 
 const GOLDEN_FLOOD: &str =
-    "ebcd47346d0effce0a4272cd298f1d1bd10f06e9b4c82c0dfbff8b84293cd9c6";
+    "4ec41995668498b2fcc77dc0c23d36cba34ab39c48e29e72203e2c2a1fa36f46";
 const GOLDEN_SCALABLE: &str =
-    "50430970279f324c8011d8be071cb3709a1c45a4432ab2ce9ec27cc855be47ec";
+    "43581308dd134115eeffeda54e589378d9e38ca96a9d1be96b8740698f67da97";
 const GOLDEN_BOOTSTRAP: &str =
     "d2369895a01be050f1d7c9c4cc1db321724b15a60cb5cfaf1d05b38c6d728c25";
 const GOLDEN_POISON: &str =

@@ -47,20 +47,27 @@ fn five_nodes_with_rotating_leaders_converge() {
     }
 }
 
-/// Transaction relay is `inv` → `getdata` → `tx`: each body crosses each link at
-/// most once, so a 4-node mesh needs 3 bodies per transaction. (An `inv` used to
-/// be answered like a `getdata` — any node that already held the transaction
-/// pushed the whole body back at the announcer, 8.85 bodies per transaction.)
+/// Transaction bodies sent (`tx`) and requested (`getdata`) across all nodes.
+fn tx_bodies_and_requests(net: &SimNet) -> (u64, u64) {
+    let sent = |command| (0..net.len()).map(|node| net.wire_stats(node).command(command).msgs_out).sum();
+    (sent("tx"), sent("getdata"))
+}
+
+/// A transaction's first hop is its body, every later hop `inv` → `getdata` →
+/// `tx`: each body crosses each link at most once, so a 4-node mesh needs 3
+/// bodies per transaction — and, every peer being a first hop, next to no
+/// `getdata`. (An `inv` used to be answered like a `getdata` — any node that
+/// already held the transaction pushed the whole body back at the announcer,
+/// 8.85 bodies per transaction; then every hop was announced first, 3 requests
+/// per transaction.)
 #[test]
 fn each_transaction_body_crosses_the_mesh_about_three_times() {
-    let mut config = SimConfig::new(4, 5);
-    config.min_latency_ms = 2;
-    config.max_latency_ms = 20;
-    let mut net = SimNet::new(config);
+    let mut net = SimNet::new(SimConfig::new(4, 5));
     net.connect_mesh(&[0, 1, 2, 3]);
     assert!(net.run(2_000), "handshakes settle");
     net.mine_key_block(0);
     net.run(500);
+    let (_, block_requests) = tx_bodies_and_requests(&net);
     let txs = 200u64;
     for seq in 0..txs {
         assert!(net.submit_tx((seq % 4) as usize, test_tx(seq)));
@@ -70,13 +77,98 @@ fn each_transaction_body_crosses_the_mesh_about_three_times() {
     for node in 0..4 {
         assert_eq!(net.engine(node).mempool_len(), txs as usize, "node {node}");
     }
-    let bodies: u64 = (0..4).map(|node| net.wire_stats(node).command("tx").msgs_out).sum();
-    let requests: u64 = (0..4).map(|node| net.wire_stats(node).command("getdata").msgs_out).sum();
+    let (bodies, requests) = tx_bodies_and_requests(&net);
+    let requests = requests - block_requests;
     assert!(
         bodies as f64 <= 3.5 * txs as f64,
         "{bodies} tx bodies for {txs} transactions ({requests} getdata)"
     );
     assert!(bodies >= 3 * txs, "every node still received every transaction");
+    assert!(requests as f64 <= 0.1 * txs as f64, "{requests} getdata for {txs} transactions");
+}
+
+/// The first hop carries the body, so one link delay after a submit the
+/// transaction is in every mempool of a mesh (`inv` → `getdata` → `tx` took
+/// three).
+#[test]
+fn a_submitted_transaction_is_everywhere_within_one_link_delay() {
+    let config = SimConfig::new(4, 9);
+    let max_link_delay = config.max_latency_ms;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2, 3]);
+    assert!(net.run(2_000), "handshakes settle");
+    for seq in 0..40u64 {
+        let tx = test_tx(seq);
+        let txid = tx.txid();
+        assert!(net.submit_tx((seq % 4) as usize, tx));
+        net.run(max_link_delay);
+        for node in 0..4 {
+            assert!(net.engine(node).mempool_contains(&txid), "transaction {seq}, node {node}");
+        }
+    }
+}
+
+/// Links are FIFO, so a leader's own transactions reach each peer ahead of the
+/// compact block that names them, and everybody else's went to all peers at
+/// once: under a steady load (5 transactions per ms over the four nodes, a
+/// microblock every 10 ms) no reconstruction fetches anything with
+/// `getblocktxn`. (Announced first, the leader's own — a quarter of every
+/// block — were still two link delays from its peers.)
+#[test]
+fn steady_state_compact_blocks_reconstruct_without_a_fetch() {
+    let mut config = SimConfig::new(4, 9);
+    config.gossip = ng_node::engine::GossipConfig::scalable();
+    config.auto_microblocks = true;
+    config.params.microblock_interval_ms = 10;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2, 3]);
+    assert!(net.run(2_000), "handshakes settle");
+    net.mine_key_block(0);
+    net.run(500);
+    for seq in 0..1_000u64 {
+        assert!(net.submit_tx((seq % 4) as usize, test_tx(seq)));
+        if seq % 5 == 4 {
+            net.run(1);
+        }
+    }
+    assert!(net.run(5_000) && net.converged(), "blocks settle");
+    let snapshots = net.snapshots();
+    let produced = snapshots[0].counters.microblocks_produced;
+    assert!(produced >= 20, "{produced} microblocks");
+    for snapshot in &snapshots[1..] {
+        assert_eq!(snapshot.mempool_len, 0, "node {}: every transaction confirmed", snapshot.id);
+        assert_eq!(snapshot.counters.compact_reconstructed, produced, "node {}", snapshot.id);
+        assert_eq!(snapshot.counters.compact_txs_fetched, 0, "node {}", snapshot.id);
+    }
+}
+
+/// Beyond a mesh most peers are second hops: a 100-node degree-8 topology, and a
+/// lossy mesh where a pushed body can vanish (a neighbour's `inv` then fetches
+/// it), still put every transaction in every pool, for no more bodies than
+/// announcing every hop cost (269.76 and 6.92 per transaction on these seeds).
+#[test]
+fn pushed_transactions_reach_every_pool_on_sparse_and_lossy_networks() {
+    let mut sparse = SimNet::new(SimConfig::new(100, 11));
+    sparse.connect_degree(8);
+    let mut lossy_config = SimConfig::new(6, 12);
+    lossy_config.loss = 0.05;
+    let mut lossy = SimNet::new(lossy_config);
+    lossy.connect_mesh(&[0, 1, 2, 3, 4, 5]);
+    for (net, txs, bodies_when_announced) in [(&mut sparse, 50u64, 269.76), (&mut lossy, 200, 6.92)] {
+        net.run(5_000);
+        let nodes = net.len();
+        for seq in 0..txs {
+            assert!(net.submit_tx(seq as usize * 7 % nodes, test_tx(seq)));
+            net.run(1);
+        }
+        net.run(10_000);
+        for node in 0..nodes {
+            assert_eq!(net.engine(node).mempool_len(), txs as usize, "node {node} of {nodes}");
+        }
+        let (bodies, _) = tx_bodies_and_requests(net);
+        let per_tx = bodies as f64 / txs as f64;
+        assert!(per_tx <= bodies_when_announced, "{nodes} nodes: {per_tx} bodies per transaction");
+    }
 }
 
 #[test]
