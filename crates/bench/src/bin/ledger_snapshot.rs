@@ -8,11 +8,12 @@
 //! the cold-sync onboarding comparison (`cold_sync_to_tip_1024_us` — a fresh
 //! node joining an established SimNet via serial download, parallel headers-first
 //! download, or snapshot bootstrap, measured in deterministic simulated time),
-//! and the gossip propagation comparison (`propagation_100` / `propagation_1000`
+//! the gossip propagation comparison (`propagation_100` / `propagation_1000`
 //! — a leader microblock flooding a 100-node degree-8 SimNet with full carriers
 //! vs the compact-relay + eager/lazy overlay stack, reporting coverage,
 //! simulated p50/p99 propagation delay, per-node relay bytes, and the
-//! flood-vs-overlay byte reduction, plus a 1000-node overlay row).
+//! flood-vs-overlay byte reduction, plus a 1000-node overlay row), and the cost
+//! of transaction relay through a 4-node mesh (`tx_relay_mesh4`).
 //!
 //! `scripts/bench_snapshot.sh` redirects this into `BENCH_ledger.json` (schema
 //! `bench_ledger/v5`) so the repository tracks the perf trajectory; CI runs a
@@ -530,6 +531,49 @@ fn propagation(nodes: usize, seed: u64, gossip: GossipConfig) -> PropagationStat
     }
 }
 
+/// Transaction relay through a 4-node full mesh (links 2–20 virtual ms): 200
+/// transactions submitted round-robin, one per ms, no blocks. Returns, per
+/// transaction and across all nodes, the `tx` bodies, the `inv` + `getdata` +
+/// `tx` messages and their wire bytes — and the median virtual ms from submit to
+/// "in every mempool", polled each ms. Seed-deterministic like [`propagation`].
+fn tx_relay_mesh4() -> [f64; 4] {
+    use ng_node::simnet::{SimConfig, SimNet};
+
+    let mut net = SimNet::new(SimConfig::new(4, 5));
+    net.connect_mesh(&[0, 1, 2, 3]);
+    net.run(2_000);
+    let txs = tx_pool(200);
+    let mut submitted = txs.iter().enumerate();
+    let (mut pending, mut delays) = (Vec::new(), Vec::new());
+    while delays.len() < txs.len() {
+        if let Some((seq, tx)) = submitted.next() {
+            assert!(net.submit_tx(seq % 4, tx.clone()));
+            pending.push((tx.txid(), net.now_ms()));
+        }
+        net.run(1);
+        pending.retain(|(txid, at)| {
+            let everywhere = (0..4).all(|node| net.engine(node).mempool_contains(txid));
+            if everywhere {
+                delays.push((net.now_ms() - at) as f64);
+            }
+            !everywhere
+        });
+    }
+    net.run(1_000);
+    let sent = |command: &str| {
+        let stats = (0..4).map(|node| net.wire_stats(node).command(command));
+        stats.fold((0, 0), |(msgs, bytes), c| (msgs + c.msgs_out, bytes + c.bytes_out))
+    };
+    let (inv, getdata, tx) = (sent("inv"), sent("getdata"), sent("tx"));
+    let per_tx = |total: u64| total as f64 / txs.len() as f64;
+    let (msgs, bytes) = (inv.0 + getdata.0 + tx.0, inv.1 + getdata.1 + tx.1);
+    [per_tx(tx.0), per_tx(msgs), per_tx(bytes), median(delays)]
+}
+
+/// [`tx_relay_mesh4`] as PR 14 measured it, when every hop was announced (`inv` →
+/// `getdata` → `tx`); recorded beside the current row.
+const TX_RELAY_EVERY_HOP_ANNOUNCED: [f64; 4] = [3.04, 15.04, 922.2, 52.0];
+
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
@@ -636,6 +680,16 @@ fn main() {
     println!("  }},");
     println!("  \"propagation_1000\": {{");
     println!("    \"overlay\": {}", prop_row(&overlay_1000));
+    println!("  }},");
+    let tx_relay_row = |[bodies, msgs, bytes, p50]: [f64; 4]| {
+        format!(
+            "{{ \"bodies_per_tx\": {bodies:.2}, \"msgs_per_tx\": {msgs:.2}, \
+             \"wire_bytes_per_tx\": {bytes:.1}, \"everywhere_p50_ms\": {p50:.1} }}"
+        )
+    };
+    println!("  \"tx_relay_mesh4\": {{");
+    println!("    \"first_hop_pushed\": {},", tx_relay_row(tx_relay_mesh4()));
+    println!("    \"every_hop_announced_pr14\": {}", tx_relay_row(TX_RELAY_EVERY_HOP_ANNOUNCED));
     println!("  }}");
     println!("}}");
 

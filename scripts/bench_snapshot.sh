@@ -38,6 +38,11 @@
 #     coverage, p50/p99 delay, per-node relay bytes, and the flood-vs-overlay
 #     byte reduction; --assert-fast pins reduction ≥ 5x and coverage ≥ 0.99 at
 #     both 100 and 1000 nodes
+#   * tx_relay_mesh4 — 200 transactions relayed through a 4-node full mesh
+#     (links 2–20 virtual ms, no blocks): tx bodies, inv + getdata + tx
+#     messages and wire bytes per transaction, and the median virtual time from
+#     submit to "in every mempool"; the first-hop push (current) beside the
+#     values PR 14 measured when every hop was announced
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

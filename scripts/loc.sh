@@ -14,7 +14,7 @@
 #   scripts/loc.sh [--check] [ROOT]   # ROOT defaults to the repository this script is in
 
 set -euo pipefail
-MAX_TOTAL=16827
+MAX_TOTAL=16883
 MAX_ENGINE_MODULE_LINES=1000
 
 check=0
