@@ -20,10 +20,10 @@ pub struct SecretKey(pub(crate) Scalar);
 /// A public key: a non-infinity curve point, stored in compressed form.
 ///
 /// A key built here ([`SecretKey::public_key`], [`Self::from_compressed`]) is on
-/// the curve. One that arrived as bytes (`Deserialize`: a wire frame, a datadir)
-/// is 33 unchecked bytes until [`Self::point`] decodes it — decoding costs a
-/// field square root, which the verifier pays anyway and the frame decoder
-/// should not — so verification under it fails closed
+/// the curve. One that arrived through `Deserialize` (a wire frame) is 33
+/// unchecked bytes until [`Self::point`] decodes it — decoding costs a field
+/// square root, which the verifier pays anyway and the frame decoder should
+/// not — so verification under it fails closed
 /// ([`crate::schnorr::SchnorrError::InvalidPublicKey`]) rather than trusting it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PublicKey {

@@ -47,10 +47,9 @@ fn five_nodes_with_rotating_leaders_converge() {
     }
 }
 
-/// Transaction bodies sent (`tx`) and requested (`getdata`) across all nodes.
-fn tx_bodies_and_requests(net: &SimNet) -> (u64, u64) {
-    let sent = |command| (0..net.len()).map(|node| net.wire_stats(node).command(command).msgs_out).sum();
-    (sent("tx"), sent("getdata"))
+/// Messages of one wire command sent across all nodes.
+fn sent(net: &SimNet, command: &str) -> u64 {
+    (0..net.len()).map(|node| net.wire_stats(node).command(command).msgs_out).sum()
 }
 
 /// A transaction's first hop is its body, every later hop `inv` → `getdata` →
@@ -62,12 +61,15 @@ fn tx_bodies_and_requests(net: &SimNet) -> (u64, u64) {
 /// per transaction.)
 #[test]
 fn each_transaction_body_crosses_the_mesh_about_three_times() {
-    let mut net = SimNet::new(SimConfig::new(4, 5));
+    let mut config = SimConfig::new(4, 5);
+    config.min_latency_ms = 2;
+    config.max_latency_ms = 20;
+    let mut net = SimNet::new(config);
     net.connect_mesh(&[0, 1, 2, 3]);
     assert!(net.run(2_000), "handshakes settle");
     net.mine_key_block(0);
     net.run(500);
-    let (_, block_requests) = tx_bodies_and_requests(&net);
+    let block_requests = sent(&net, "getdata");
     let txs = 200u64;
     for seq in 0..txs {
         assert!(net.submit_tx((seq % 4) as usize, test_tx(seq)));
@@ -77,8 +79,8 @@ fn each_transaction_body_crosses_the_mesh_about_three_times() {
     for node in 0..4 {
         assert_eq!(net.engine(node).mempool_len(), txs as usize, "node {node}");
     }
-    let (bodies, requests) = tx_bodies_and_requests(&net);
-    let requests = requests - block_requests;
+    let bodies = sent(&net, "tx");
+    let requests = sent(&net, "getdata") - block_requests;
     assert!(
         bodies as f64 <= 3.5 * txs as f64,
         "{bodies} tx bodies for {txs} transactions ({requests} getdata)"
@@ -165,8 +167,7 @@ fn pushed_transactions_reach_every_pool_on_sparse_and_lossy_networks() {
         for node in 0..nodes {
             assert_eq!(net.engine(node).mempool_len(), txs as usize, "node {node} of {nodes}");
         }
-        let (bodies, _) = tx_bodies_and_requests(net);
-        let per_tx = bodies as f64 / txs as f64;
+        let per_tx = sent(net, "tx") as f64 / txs as f64;
         assert!(per_tx <= bodies_when_announced, "{nodes} nodes: {per_tx} bodies per transaction");
     }
 }
