@@ -6,6 +6,10 @@
 //! intentionally small: one listener thread per endpoint, one reader thread per
 //! connection, blocking writes, and a crossbeam channel delivering [`TcpEvent`]s to the
 //! owner.
+//!
+//! Each connection has its own write lock, and every write gives up after
+//! [`WRITE_TIMEOUT`]: a peer that stops reading costs its own connection, which is
+//! then closed, and never blocks a send to anyone else.
 
 use crate::codec::{CodecError, FrameCodec};
 use crate::message::Message;
@@ -18,6 +22,22 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// How long one frame write may block before its connection is given up. A
+/// peer whose socket buffers stay full this long is not reading; the failed
+/// write closes the connection, and its reader reports `Disconnected`.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The write side of one connection. The lock keeps concurrent frames from
+/// interleaving; shutting the socket down needs no lock, so `close` and
+/// `shutdown` never wait behind a blocked write.
+struct Writer {
+    stream: TcpStream,
+    lock: Mutex<()>,
+}
+
+type Writers = Arc<Mutex<HashMap<u64, Arc<Writer>>>>;
 
 /// Events delivered to the endpoint owner.
 #[derive(Debug)]
@@ -52,7 +72,7 @@ pub struct TcpEndpoint {
     local_addr: SocketAddr,
     events_rx: Receiver<TcpEvent>,
     events_tx: Sender<TcpEvent>,
-    writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    writers: Writers,
     next_connection: Arc<AtomicU64>,
     closing: Arc<AtomicBool>,
     codec: FrameCodec,
@@ -94,25 +114,35 @@ impl TcpEndpoint {
         Ok(self.register(stream, false))
     }
 
-    /// Sends a message on a connection. Errors if the connection is gone or encoding
-    /// fails.
+    /// Sends a message on a connection. Errors if the connection is gone, encoding
+    /// fails, or the write fails or times out ([`WRITE_TIMEOUT`]); a failed write
+    /// closes the connection.
     pub fn send(&self, connection: u64, message: &Message) -> Result<(), String> {
         let frame = self
             .codec
             .encode(message)
             .map_err(|e: CodecError| e.to_string())?;
-        let mut writers = self.writers.lock();
-        let stream = writers
-            .get_mut(&connection)
+        let writer = self
+            .writers
+            .lock()
+            .get(&connection)
+            .cloned()
             .ok_or_else(|| format!("connection {connection} is closed"))?;
-        stream.write_all(&frame).map_err(|e| e.to_string())
+        let written = {
+            let _frame_lock = writer.lock.lock();
+            (&writer.stream).write_all(&frame)
+        };
+        written.map_err(|e| {
+            self.close(connection);
+            e.to_string()
+        })
     }
 
     /// Closes a connection (the reader thread will emit `Disconnected`).
     pub fn close(&self, connection: u64) {
-        let mut writers = self.writers.lock();
-        if let Some(stream) = writers.remove(&connection) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+        let removed = self.writers.lock().remove(&connection);
+        if let Some(writer) = removed {
+            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
         }
     }
 
@@ -128,8 +158,8 @@ impl TcpEndpoint {
         if self.closing.swap(true, Ordering::SeqCst) {
             return;
         }
-        for (_, stream) in self.writers.lock().drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+        for (_, writer) in self.writers.lock().drain() {
+            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
         }
         // Wake the acceptor blocked in `incoming()`; it sees `closing` and exits.
         let _ = TcpStream::connect(self.local_addr);
@@ -181,7 +211,7 @@ fn register_stream(
     stream: TcpStream,
     inbound: bool,
     events_tx: &Sender<TcpEvent>,
-    writers: &Arc<Mutex<HashMap<u64, TcpStream>>>,
+    writers: &Writers,
     next_connection: &Arc<AtomicU64>,
     codec: FrameCodec,
 ) -> u64 {
@@ -189,8 +219,13 @@ fn register_stream(
     let remote = stream
         .peer_addr()
         .unwrap_or_else(|_| "0.0.0.0:0".parse().expect("static addr"));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let reader = stream.try_clone().expect("clone tcp stream");
-    writers.lock().insert(connection, stream);
+    let writer = Writer {
+        stream,
+        lock: Mutex::new(()),
+    };
+    writers.lock().insert(connection, Arc::new(writer));
     let _ = events_tx.send(TcpEvent::Connected {
         connection,
         remote,
@@ -344,6 +379,57 @@ mod tests {
         }
         // Shutdown is idempotent.
         server.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_costs_only_its_own_connection() {
+        let endpoint = Arc::new(TcpEndpoint::bind("127.0.0.1:0").unwrap());
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stuck = endpoint.connect(sink.local_addr().unwrap()).unwrap();
+        let (never_reads, _) = sink.accept().unwrap();
+        let other = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let healthy = endpoint.connect(other.local_addr()).unwrap();
+
+        // Large frames until the socket buffers are full and a write blocks.
+        let big = Message::GetHeaders {
+            locator: (0..50_000u64)
+                .map(|i| ng_crypto::sha256::sha256(&i.to_le_bytes()))
+                .collect(),
+            limit: 1,
+        };
+        let flooder = Arc::clone(&endpoint);
+        thread::spawn(move || while flooder.send(stuck, &big).is_ok() {});
+        thread::sleep(Duration::from_millis(500));
+
+        let (done_tx, done_rx) = unbounded();
+        let sender = Arc::clone(&endpoint);
+        thread::spawn(move || {
+            let started = std::time::Instant::now();
+            let sent = sender.send(healthy, &Message::Ping(1));
+            let _ = done_tx.send((sent, started.elapsed()));
+        });
+        // A 5 s watchdog: a send blocked behind the stuck write fails here rather
+        // than hanging the suite (dropping the silent peer unblocks that write).
+        let healthy_send = done_rx.recv_timeout(Duration::from_secs(5));
+        let Ok((sent, took)) = healthy_send else {
+            drop(never_reads);
+            panic!("a send to a healthy connection waited on a peer that stopped reading");
+        };
+        assert!(sent.is_ok(), "{sent:?}");
+        assert!(took < Duration::from_secs(1), "healthy send took {took:?}");
+
+        let deadline = std::time::Instant::now() + WRITE_TIMEOUT + Duration::from_secs(5);
+        let mut disconnected = false;
+        while !disconnected && std::time::Instant::now() < deadline {
+            disconnected = matches!(
+                endpoint.events().recv_timeout(Duration::from_millis(100)),
+                Ok(TcpEvent::Disconnected { connection, .. }) if connection == stuck
+            );
+        }
+        drop(never_reads);
+        assert!(disconnected, "the stuck connection was never reported Disconnected");
+        assert!(endpoint.send(stuck, &Message::Ping(2)).is_err());
+        assert!(endpoint.send(healthy, &Message::Ping(3)).is_ok());
     }
 
     #[test]
