@@ -128,11 +128,8 @@ impl TcpEndpoint {
             .get(&connection)
             .cloned()
             .ok_or_else(|| format!("connection {connection} is closed"))?;
-        let written = {
-            let _frame_lock = writer.lock.lock();
-            (&writer.stream).write_all(&frame)
-        };
-        written.map_err(|e| {
+        let _frame_lock = writer.lock.lock();
+        (&writer.stream).write_all(&frame).map_err(|e| {
             self.close(connection);
             e.to_string()
         })
@@ -140,8 +137,7 @@ impl TcpEndpoint {
 
     /// Closes a connection (the reader thread will emit `Disconnected`).
     pub fn close(&self, connection: u64) {
-        let removed = self.writers.lock().remove(&connection);
-        if let Some(writer) = removed {
+        if let Some(writer) = self.writers.lock().remove(&connection) {
             let _ = writer.stream.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -397,15 +393,18 @@ mod tests {
                 .collect(),
             limit: 1,
         };
-        let flooder = Arc::clone(&endpoint);
-        thread::spawn(move || while flooder.send(stuck, &big).is_ok() {});
+        let flood_endpoint = Arc::clone(&endpoint);
+        let flooder = thread::spawn(move || while flood_endpoint.send(stuck, &big).is_ok() {});
+        // Time for the flood to fill the socket buffers and block in a write. The
+        // assertions below hold however far it got; the wait is what makes the
+        // test fail where one blocked write froze the whole endpoint.
         thread::sleep(Duration::from_millis(500));
 
         let (done_tx, done_rx) = unbounded();
-        let sender = Arc::clone(&endpoint);
-        thread::spawn(move || {
+        let send_endpoint = Arc::clone(&endpoint);
+        let sender = thread::spawn(move || {
             let started = std::time::Instant::now();
-            let sent = sender.send(healthy, &Message::Ping(1));
+            let sent = send_endpoint.send(healthy, &Message::Ping(1));
             let _ = done_tx.send((sent, started.elapsed()));
         });
         // A 5 s watchdog: a send blocked behind the stuck write fails here rather
@@ -415,6 +414,7 @@ mod tests {
             drop(never_reads);
             panic!("a send to a healthy connection waited on a peer that stopped reading");
         };
+        sender.join().expect("the sender thread finished");
         assert!(sent.is_ok(), "{sent:?}");
         assert!(took < Duration::from_secs(1), "healthy send took {took:?}");
 
@@ -428,6 +428,7 @@ mod tests {
         }
         drop(never_reads);
         assert!(disconnected, "the stuck connection was never reported Disconnected");
+        flooder.join().expect("the flood ends once its connection is closed");
         assert!(endpoint.send(stuck, &Message::Ping(2)).is_err());
         assert!(endpoint.send(healthy, &Message::Ping(3)).is_ok());
     }
