@@ -5,6 +5,8 @@
 //! * [`amount`] — coin amounts with checked arithmetic.
 //! * [`transaction`] — UTXO transactions, outpoints, coinbase construction, fees and
 //!   serialized-size accounting.
+//! * [`codec`] — the binary object codec and frame construction the wire and the
+//!   datadir share (transactions, outputs, UTXO entries, signatures).
 //! * [`utxo`] — the unspent-transaction-output set and double-spend prevention.
 //! * [`mempool`] — pending transactions ordered by fee rate (the paper's experiments
 //!   pre-fill mempools with independent transactions, §7).
@@ -24,6 +26,7 @@
 
 pub mod amount;
 pub mod chainstore;
+pub mod codec;
 pub mod error;
 pub mod fifo;
 pub mod forkchoice;

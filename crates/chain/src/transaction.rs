@@ -85,35 +85,11 @@ impl Transaction {
         self.inputs.is_empty()
     }
 
-    /// Canonical serialisation used for hashing and size accounting.
+    /// Canonical serialisation used for hashing and size accounting: the
+    /// [`crate::codec`] layout without the signature scheme tag.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_size());
-        out.extend_from_slice(&(self.inputs.len() as u32).to_le_bytes());
-        for input in &self.inputs {
-            out.extend_from_slice(&input.outpoint.txid.0);
-            out.extend_from_slice(&input.outpoint.vout.to_le_bytes());
-            match &input.pubkey {
-                Some(pk) => {
-                    out.push(1);
-                    out.extend_from_slice(&pk.to_compressed());
-                }
-                None => out.push(0),
-            }
-            match &input.signature {
-                Some(SignatureBytes::Schnorr(bytes)) => {
-                    out.push(1);
-                    out.extend_from_slice(bytes);
-                }
-                None => out.push(0),
-            }
-        }
-        out.extend_from_slice(&(self.outputs.len() as u32).to_le_bytes());
-        for output in &self.outputs {
-            out.extend_from_slice(&output.amount.sats().to_le_bytes());
-            out.extend_from_slice(&output.address.0 .0);
-        }
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        crate::codec::put_transaction_as(&mut out, self, false);
         out
     }
 

@@ -6,6 +6,7 @@
 //! (during a reorg) rewinds it.
 
 use crate::amount::Amount;
+use crate::codec::{put_coin, COIN_BYTES};
 use crate::error::TxError;
 use crate::sigcache::{BatchVerifier, SigCache, SigJob};
 use crate::transaction::{OutPoint, Transaction, TxOutput};
@@ -89,14 +90,9 @@ impl UtxoSet {
 
     /// Domain-tagged digest of one entry, the unit the rolling commitment XORs.
     fn entry_digest(outpoint: &OutPoint, entry: &UtxoEntry) -> Hash256 {
-        let mut data = Vec::with_capacity(16 + 32 + 4 + 8 + 32 + 8 + 1);
+        let mut data = Vec::with_capacity(17 + COIN_BYTES);
         data.extend_from_slice(b"BitcoinNG/utxo-v1");
-        data.extend_from_slice(&outpoint.txid.0);
-        data.extend_from_slice(&outpoint.vout.to_le_bytes());
-        data.extend_from_slice(&entry.output.amount.sats().to_le_bytes());
-        data.extend_from_slice(&entry.output.address.0 .0);
-        data.extend_from_slice(&entry.height.to_le_bytes());
-        data.push(entry.coinbase as u8);
+        put_coin(&mut data, &(*outpoint, *entry));
         ng_crypto::sha256::sha256(&data)
     }
 
@@ -417,16 +413,10 @@ impl UtxoSet {
     pub fn commitment(&self) -> ng_crypto::sha256::Hash256 {
         let mut keys: Vec<&OutPoint> = self.entries.keys().collect();
         keys.sort_unstable_by_key(|op| (op.txid, op.vout));
-        let mut data = Vec::with_capacity(keys.len() * 80 + 8);
+        let mut data = Vec::with_capacity(keys.len() * COIN_BYTES + 8);
         data.extend_from_slice(&(keys.len() as u64).to_le_bytes());
         for outpoint in keys {
-            let entry = &self.entries[outpoint];
-            data.extend_from_slice(&outpoint.txid.0);
-            data.extend_from_slice(&outpoint.vout.to_le_bytes());
-            data.extend_from_slice(&entry.output.amount.sats().to_le_bytes());
-            data.extend_from_slice(&entry.output.address.0 .0);
-            data.extend_from_slice(&entry.height.to_le_bytes());
-            data.push(entry.coinbase as u8);
+            put_coin(&mut data, &(*outpoint, self.entries[outpoint]));
         }
         ng_crypto::sha256::sha256(&data)
     }

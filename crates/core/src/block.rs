@@ -36,19 +36,14 @@ pub struct KeyBlock {
 }
 
 impl KeyBlock {
-    /// Canonical serialisation of the key-block header (the proof-of-work preimage).
+    /// Canonical serialisation of the key-block header (the proof-of-work preimage):
+    /// a tag, the [`crate::codec`] fields, then the coinbase outputs uncounted.
     pub fn header_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
         out.extend_from_slice(b"NG/key");
-        out.extend_from_slice(&self.prev.0);
-        out.extend_from_slice(&self.time_ms.to_le_bytes());
-        out.extend_from_slice(&self.target.0.to_be_bytes());
-        out.extend_from_slice(&self.nonce.to_le_bytes());
-        out.extend_from_slice(&self.miner.to_le_bytes());
-        out.extend_from_slice(&self.leader_pubkey.to_compressed());
+        crate::codec::put_key_fields(&mut out, self);
         for output in &self.coinbase {
-            out.extend_from_slice(&output.amount.sats().to_le_bytes());
-            out.extend_from_slice(&output.address.0 .0);
+            ng_chain::codec::put_output(&mut out, output);
         }
         out
     }
@@ -89,14 +84,12 @@ pub struct MicroHeader {
 }
 
 impl MicroHeader {
-    /// Canonical serialisation of the unsigned header.
+    /// Canonical serialisation of the unsigned header: a tag, then the
+    /// [`crate::codec`] layout.
     pub fn bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96);
+        let mut out = Vec::with_capacity(88);
         out.extend_from_slice(b"NG/micro");
-        out.extend_from_slice(&self.prev.0);
-        out.extend_from_slice(&self.time_ms.to_le_bytes());
-        out.extend_from_slice(&self.payload_digest.0);
-        out.extend_from_slice(&self.leader.to_le_bytes());
+        crate::codec::put_micro_header(&mut out, self);
         out
     }
 

@@ -6,6 +6,8 @@
 //!
 //! * [`params`] — protocol parameters (fee split, intervals, limits).
 //! * [`block`] — key blocks and microblocks.
+//! * [`codec`] — binary encoders for both block kinds and poison transactions,
+//!   shared by the wire and the datadir.
 //! * [`chain`] — validation, epoch/leader tracking and fee accounting over the generic
 //!   chain store.
 //! * [`node`] — the event-driven full node (leader election, microblock production,
@@ -18,6 +20,7 @@
 
 pub mod block;
 pub mod chain;
+pub mod codec;
 pub mod fees;
 pub mod node;
 pub mod params;

@@ -19,12 +19,13 @@ pub struct SecretKey(pub(crate) Scalar);
 
 /// A public key: a non-infinity curve point, stored in compressed form.
 ///
-/// A key built here ([`SecretKey::public_key`], [`Self::from_compressed`]) is on
-/// the curve. One that arrived through `Deserialize` (a wire frame) is 33
-/// unchecked bytes until [`Self::point`] decodes it — decoding costs a field
-/// square root, which the verifier pays anyway and the frame decoder should
-/// not — so verification under it fails closed
-/// ([`crate::schnorr::SchnorrError::InvalidPublicKey`]) rather than trusting it.
+/// A key built by [`SecretKey::public_key`] or [`Self::from_compressed`] is on
+/// the curve. One decoded from bytes ([`Self::from_compressed_unchecked`], used
+/// by the wire and datadir codecs, or `Deserialize`) is 33 unchecked bytes until
+/// [`Self::point`] decodes it — decoding costs a field square root, which the
+/// verifier pays anyway and a decoder should not — so verification under it
+/// fails closed ([`crate::schnorr::SchnorrError::InvalidPublicKey`]) rather than
+/// trusting it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PublicKey {
     #[serde(with = "crate::serde_arrays")]
@@ -111,6 +112,13 @@ impl PublicKey {
     pub fn from_compressed(bytes: [u8; 33]) -> Option<Self> {
         Point::from_compressed(&bytes)?;
         Some(PublicKey { compressed: bytes })
+    }
+
+    /// Wraps 33 bytes as a key **without** checking that they encode a curve
+    /// point: no square root is taken. Verification under an off-curve key
+    /// fails closed, so decoders may use this on untrusted input.
+    pub fn from_compressed_unchecked(bytes: [u8; 33]) -> Self {
+        PublicKey { compressed: bytes }
     }
 
     /// The compressed SEC1 encoding.
@@ -252,12 +260,12 @@ mod tests {
     #[test]
     fn verification_under_a_deserialized_off_curve_key_fails_closed() {
         use crate::schnorr::{self, SchnorrError};
-        // What `Deserialize` yields for 33 bytes off the wire: no curve check.
+        // What a decoder yields for 33 bytes off the wire: no curve check.
         // x = 5: 5³ + 7 = 132 has no square root mod p.
         let mut compressed = [0u8; 33];
         (compressed[0], compressed[32]) = (2, 5);
         assert!(PublicKey::from_compressed(compressed).is_none());
-        let forged = PublicKey { compressed };
+        let forged = PublicKey::from_compressed_unchecked(compressed);
         assert!(forged.point().is_none());
         let honest = KeyPair::from_id(1);
         let msg = sha256(b"anything");

@@ -29,8 +29,15 @@ const BOUNDED_STATE: &[&str] = &[
     "crates/net/src/sync.rs",
 ];
 
-/// Peer-input-reachable paths: a malformed message must never panic a node.
-const PANIC_FREE: &[&str] = &["crates/node/src/engine/", "crates/net/src/codec.rs"];
+/// Peer-input-reachable paths: a malformed message must never panic a node. The
+/// wire codec and the object codec beneath it (shared with the datadir) decode
+/// every frame a peer sends.
+const PANIC_FREE: &[&str] = &[
+    "crates/node/src/engine/",
+    "crates/net/src/codec.rs",
+    "crates/chain/src/codec.rs",
+    "crates/core/src/codec.rs",
+];
 
 fn matches(path: &str, patterns: &[&str]) -> bool {
     patterns.iter().any(|p| {
@@ -94,6 +101,9 @@ mod tests {
     fn fixture_virtual_paths_match() {
         assert!(is_engine_side("fixtures/virtual/crates/node/src/engine/relay.rs"));
         assert!(is_panic_free("crates/net/src/codec.rs"));
+        assert!(is_panic_free("crates/chain/src/codec.rs"));
+        assert!(is_panic_free("crates/core/src/codec.rs"));
+        assert!(!is_panic_free("crates/chain/src/utxo.rs"));
         assert!(is_bounded_state("crates/net/src/overlay.rs"));
         assert!(is_bounded_state("crates/net/src/peer.rs"));
     }

@@ -1,21 +1,41 @@
-//! Length-delimited framing with checksums.
+//! Wire framing and the binary message codec.
 //!
-//! Each frame is `magic (4) ‖ length (4, LE) ‖ checksum (4) ‖ body (length bytes)`,
-//! where the checksum is the first four bytes of the double-SHA-256 of the body — the
-//! same construction the Bitcoin wire protocol uses. The decoder is incremental: feed
-//! it arbitrary chunks of bytes (as read from a socket) and it yields complete messages
-//! as they become available, leaving partial frames buffered.
+//! Each frame is `magic (4) ‖ length (4, LE) ‖ checksum (4) ‖ body`, built by
+//! [`ng_chain::codec::frame`] — the construction the datadir's records use too —
+//! where the checksum is the first four bytes of the double-SHA-256 of the body,
+//! as in the Bitcoin wire protocol. The body is one command byte (the variant's
+//! position in [`Message`]) followed by its fields in the object codec the
+//! datadir shares: [`ng_chain::codec`] for transactions, outputs, UTXO entries and
+//! signatures, [`ng_core::codec`] for blocks and poisons; this module adds
+//! `ng_net`'s own types (inventory items, header records, compact blocks, wire
+//! snapshots). Decoding never panics, bounds every count by the bytes that
+//! remain, takes no square root for a public key, and refuses trailing bytes.
+//!
+//! The decoder is incremental: feed it arbitrary chunks of bytes (as read from a
+//! socket) and it yields complete messages as they become available, leaving
+//! partial frames buffered.
 
-use crate::message::Message;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ng_crypto::sha256::double_sha256;
+use crate::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
+use crate::relay::CompactMicroBlock;
+use crate::sync::HeaderRecord;
+use bytes::{Buf, Bytes, BytesMut};
+use ng_chain::codec::{
+    checksum, frame, put_coin, put_hash, put_len, put_signature, put_transaction, put_u256,
+    put_u32, put_u64, read_coin, read_signature, read_transaction, tagged, CodecError as BodyError,
+    FrameHeader, Reader, COIN_BYTES, FRAME_HEADER, MIN_TX_BYTES,
+};
+use ng_core::codec::{
+    put_key_block, put_micro_header, put_microblock, put_poison, read_key_block, read_micro_header,
+    read_microblock, read_poison,
+};
+use ng_crypto::pow::Work;
 use std::fmt;
 
 /// Frame magic identifying this network ("NGRP" — NG reproduction).
 pub const MAGIC: [u8; 4] = *b"NGRP";
 
 /// Frame header size: magic, length, checksum.
-pub const HEADER_LEN: usize = 12;
+pub const HEADER_LEN: usize = FRAME_HEADER;
 
 /// Default maximum body size: generous enough for a 1 MB block plus encoding overhead.
 pub const DEFAULT_MAX_BODY: usize = 8 * 1024 * 1024;
@@ -69,64 +89,49 @@ impl Default for FrameCodec {
 }
 
 impl FrameCodec {
-    /// A codec with a custom body-size limit.
-    pub fn with_max_body(max_body: usize) -> Self {
-        FrameCodec { max_body }
-    }
-
     /// Encodes one message into a self-contained frame.
     pub fn encode(&self, message: &Message) -> Result<Bytes, CodecError> {
-        let body = serde_json::to_vec(message).map_err(|e| CodecError::BadBody(e.to_string()))?;
-        if body.len() > self.max_body {
+        let size_hint = (message.wire_size() as usize).min(self.max_body);
+        let framed = frame(MAGIC, size_hint, |out| put_message(out, message));
+        let declared = framed.len() - HEADER_LEN;
+        if declared > self.max_body {
             return Err(CodecError::OversizedFrame {
-                declared: body.len(),
+                declared,
                 max: self.max_body,
             });
         }
-        let checksum = &double_sha256(&body).0[..4];
-        let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-        out.put_slice(&MAGIC);
-        out.put_u32_le(body.len() as u32);
-        out.put_slice(checksum);
-        out.put_slice(&body);
-        Ok(out.freeze())
+        Ok(Bytes::from(framed))
     }
 
     /// Attempts to decode one message from the front of `buffer`.
     ///
     /// Returns `Ok(None)` if the buffer does not yet hold a complete frame (read more
-    /// bytes and call again). On success the consumed bytes are removed from the
-    /// buffer, so the next call sees the next frame.
+    /// bytes and call again). Once a frame is complete its bytes are removed from the
+    /// buffer — also when its body fails to decode — so the next call sees the next
+    /// frame.
     pub fn decode(&self, buffer: &mut BytesMut) -> Result<Option<Message>, CodecError> {
-        if buffer.len() < HEADER_LEN {
+        let Some(header) = FrameHeader::parse(buffer) else {
             return Ok(None);
+        };
+        if header.magic != MAGIC {
+            return Err(CodecError::BadMagic(header.magic));
         }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&buffer[0..4]);
-        if magic != MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let length = u32::from_le_bytes([buffer[4], buffer[5], buffer[6], buffer[7]]) as usize;
-        if length > self.max_body {
+        if header.len > self.max_body {
             return Err(CodecError::OversizedFrame {
-                declared: length,
+                declared: header.len,
                 max: self.max_body,
             });
         }
-        if buffer.len() < HEADER_LEN + length {
+        let end = HEADER_LEN + header.len;
+        let Some(body) = buffer.get(HEADER_LEN..end) else {
             return Ok(None);
-        }
-        let mut checksum = [0u8; 4];
-        checksum.copy_from_slice(&buffer[8..12]);
-        // Frame complete: consume it.
-        buffer.advance(HEADER_LEN);
-        let body = buffer.split_to(length);
-        if double_sha256(&body).0[..4] != checksum {
-            return Err(CodecError::BadChecksum);
-        }
-        let message =
-            serde_json::from_slice(&body).map_err(|e| CodecError::BadBody(e.to_string()))?;
-        Ok(Some(message))
+        };
+        let message = match checksum(body) == header.checksum {
+            true => decode_body(body),
+            false => Err(CodecError::BadChecksum),
+        };
+        buffer.advance(end);
+        message.map(Some)
     }
 
     /// Decodes every complete frame currently in the buffer.
@@ -139,11 +144,180 @@ impl FrameCodec {
     }
 }
 
+/// Decodes one frame body: a message and nothing after it.
+fn decode_body(body: &[u8]) -> Result<Message, CodecError> {
+    let mut r = Reader::new(body);
+    read_message(&mut r)
+        .and_then(|message| r.finish().map(|()| message))
+        .map_err(|e| CodecError::BadBody(e.to_string()))
+}
+
+/// Appends a message body: its command byte, then its fields.
+fn put_message(out: &mut Vec<u8>, message: &Message) {
+    match message {
+        Message::Version { node_id, protocol, best_height, time_ms } => {
+            put_u64(tagged(out, 0), *node_id);
+            out.push(*protocol as u8);
+            put_u64(out, *best_height);
+            put_u64(out, *time_ms);
+        }
+        Message::Verack => out.push(1),
+        Message::Inv(items) => put_items(tagged(out, 2), items),
+        Message::GetData(items) => put_items(tagged(out, 3), items),
+        Message::KeyBlock(kb) => put_key_block(tagged(out, 4), kb),
+        Message::MicroBlock(mb) => put_microblock(tagged(out, 5), mb),
+        Message::Tx(tx) => put_transaction(tagged(out, 6), tx),
+        Message::GetHeaders { locator, limit } => {
+            put_len(tagged(out, 7), locator.len());
+            locator.iter().for_each(|id| put_hash(out, id));
+            put_u32(out, *limit);
+        }
+        Message::Headers(records) => {
+            put_len(tagged(out, 8), records.len());
+            for record in records {
+                put_hash(out, &record.id);
+                put_hash(out, &record.prev);
+                out.push(record.kind as u8);
+                put_u64(out, record.height);
+            }
+        }
+        Message::GetSnapshot { height } => put_u64(tagged(out, 9), *height),
+        Message::Snapshot(None) => out.extend_from_slice(&[10, 0]),
+        Message::Snapshot(Some(snapshot)) => {
+            out.extend_from_slice(&[10, 1]);
+            put_key_block(out, &snapshot.root);
+            put_u64(out, snapshot.height);
+            put_u256(out, &snapshot.total_work.0);
+            put_len(out, snapshot.entries.len());
+            snapshot.entries.iter().for_each(|coin| put_coin(out, coin));
+            put_len(out, snapshot.confirmed.len());
+            for (txid, count) in &snapshot.confirmed {
+                put_hash(out, txid);
+                put_u32(out, *count);
+            }
+        }
+        Message::CmpctBlock(compact) => {
+            put_micro_header(tagged(out, 11), &compact.header);
+            put_signature(out, &compact.signature);
+            put_u64(out, compact.salt);
+            put_len(out, compact.short_ids.len());
+            // Short ids are 48-bit (`relay::short_tx_id`): six bytes each.
+            compact.short_ids.iter().for_each(|id| out.extend_from_slice(&id.to_le_bytes()[..6]));
+        }
+        Message::GetBlockTxn { block, indexes } => {
+            put_hash(tagged(out, 12), block);
+            put_len(out, indexes.len());
+            indexes.iter().for_each(|&i| put_u32(out, i));
+        }
+        Message::BlockTxn { block, txs } => {
+            put_hash(tagged(out, 13), block);
+            put_len(out, txs.len());
+            txs.iter().for_each(|tx| put_transaction(out, tx));
+        }
+        Message::IHave(items) => put_items(tagged(out, 14), items),
+        Message::Graft(item) => put_item(tagged(out, 15), item),
+        Message::Prune => out.push(16),
+        Message::Poison(poison) => put_poison(tagged(out, 17), poison),
+        Message::Ping(nonce) => put_u64(tagged(out, 18), *nonce),
+        Message::Pong(nonce) => put_u64(tagged(out, 19), *nonce),
+    }
+}
+
+/// Reads a message body written by [`put_message`].
+fn read_message(r: &mut Reader<'_>) -> Result<Message, BodyError> {
+    Ok(match r.u8()? {
+        0 => Message::Version {
+            node_id: r.u64()?,
+            protocol: by_index(r, &[ProtocolKind::Bitcoin, ProtocolKind::BitcoinNg], "protocol kind")?,
+            best_height: r.u64()?,
+            time_ms: r.u64()?,
+        },
+        1 => Message::Verack,
+        2 => Message::Inv(r.counted(33, read_item)?),
+        3 => Message::GetData(r.counted(33, read_item)?),
+        4 => Message::KeyBlock(Box::new(read_key_block(r)?)),
+        5 => Message::MicroBlock(Box::new(read_microblock(r)?)),
+        6 => Message::Tx(Box::new(read_transaction(r)?)),
+        7 => Message::GetHeaders {
+            locator: r.counted(32, Reader::hash)?,
+            limit: r.u32()?,
+        },
+        8 => Message::Headers(r.counted(73, |r| {
+            Ok(HeaderRecord {
+                id: r.hash()?,
+                prev: r.hash()?,
+                kind: read_kind(r)?,
+                height: r.u64()?,
+            })
+        })?),
+        9 => Message::GetSnapshot { height: r.u64()? },
+        10 => Message::Snapshot(match r.flag("snapshot presence tag")? {
+            false => None,
+            true => Some(Box::new(WireSnapshot {
+                root: read_key_block(r)?,
+                height: r.u64()?,
+                total_work: Work(r.u256()?),
+                entries: r.counted(COIN_BYTES, read_coin)?,
+                confirmed: r.counted(36, |r| Ok((r.hash()?, r.u32()?)))?,
+            })),
+        }),
+        11 => Message::CmpctBlock(Box::new(CompactMicroBlock {
+            header: read_micro_header(r)?,
+            signature: read_signature(r)?,
+            salt: r.u64()?,
+            short_ids: r.counted(6, |r| {
+                let [a, b, c, d, e, f] = r.array()?;
+                Ok(u64::from_le_bytes([a, b, c, d, e, f, 0, 0]))
+            })?,
+        })),
+        12 => Message::GetBlockTxn {
+            block: r.hash()?,
+            indexes: r.counted(4, Reader::u32)?,
+        },
+        13 => Message::BlockTxn {
+            block: r.hash()?,
+            txs: r.counted(MIN_TX_BYTES, read_transaction)?,
+        },
+        14 => Message::IHave(r.counted(33, read_item)?),
+        15 => Message::Graft(read_item(r)?),
+        16 => Message::Prune,
+        17 => Message::Poison(Box::new(read_poison(r)?)),
+        18 => Message::Ping(r.u64()?),
+        19 => Message::Pong(r.u64()?),
+        _ => return Err(BodyError::Malformed("command")),
+    })
+}
+
+fn put_item(out: &mut Vec<u8>, item: &InvItem) {
+    out.push(item.kind as u8);
+    put_hash(out, &item.id);
+}
+
+fn put_items(out: &mut Vec<u8>, items: &[InvItem]) {
+    put_len(out, items.len());
+    items.iter().for_each(|item| put_item(out, item));
+}
+
+/// Reads a fieldless enum written as `variant as u8`: the byte indexes `variants`,
+/// which lists them in declaration order.
+fn by_index<T: Copy>(r: &mut Reader<'_>, variants: &[T], what: &'static str) -> Result<T, BodyError> {
+    let index = r.u8()? as usize;
+    variants.get(index).copied().ok_or(BodyError::Malformed(what))
+}
+
+fn read_kind(r: &mut Reader<'_>) -> Result<InvKind, BodyError> {
+    let kinds = [InvKind::KeyBlock, InvKind::MicroBlock, InvKind::Transaction];
+    by_index(r, &kinds, "inventory kind")
+}
+
+fn read_item(r: &mut Reader<'_>) -> Result<InvItem, BodyError> {
+    Ok(InvItem::new(read_kind(r)?, r.hash()?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{InvItem, InvKind, ProtocolKind};
-    use crate::sync::HeaderRecord;
+    use bytes::BufMut;
     use ng_crypto::sha256::sha256;
     use proptest::prelude::*;
 
@@ -241,7 +415,7 @@ mod tests {
 
     #[test]
     fn oversized_frames_rejected_on_both_sides() {
-        let codec = FrameCodec::with_max_body(64);
+        let codec = FrameCodec { max_body: 64 };
         let big = Message::Inv(
             (0..100)
                 .map(|i: u64| InvItem::new(InvKind::Transaction, sha256(&i.to_le_bytes())))

@@ -12,7 +12,8 @@
 //! * [`message`] — the wire messages (version handshake, inventory, block and
 //!   transaction carriers, keepalives).
 //! * [`codec`] — frame encoding/decoding over [`bytes::BytesMut`] with checksums and
-//!   size limits.
+//!   size limits: a command byte plus a binary body in the object codec the
+//!   datadir shares (`ng_chain::codec`, `ng_core::codec`).
 //! * [`peer`] — the per-connection state machine (handshake, bounded inventory
 //!   bookkeeping: what the remote is known to hold, what was requested from it).
 //! * [`relay`] — BIP152-style compact microblock relay: salted short tx ids,

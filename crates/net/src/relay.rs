@@ -20,7 +20,7 @@ use ng_chain::transaction::Transaction;
 use ng_core::block::{MicroBlock, MicroHeader};
 use ng_crypto::sha256::{sha256, Hash256};
 use ng_crypto::signer::SignatureBytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ng_chain::fifo::BoundedFifoMap;
 use std::collections::HashMap;
 
@@ -46,7 +46,7 @@ pub fn short_tx_id(salt: u64, txid: &Hash256) -> u64 {
 /// A microblock compressed for relay: the signed header plus one salted short id per
 /// payload transaction. Only `Payload::Transactions` microblocks can be compacted;
 /// synthetic payloads have no transactions to reconstruct and are relayed in full.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct CompactMicroBlock {
     /// The microblock header (carries the payload digest the reconstruction must hit).
     pub header: MicroHeader,

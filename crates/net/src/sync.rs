@@ -29,7 +29,7 @@
 
 use crate::message::{InvItem, InvKind};
 use ng_crypto::sha256::Hash256;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Default maximum number of header records per `headers` batch.
@@ -37,7 +37,7 @@ pub const DEFAULT_HEADER_BATCH: u32 = 256;
 
 /// A compact description of one block, enough for a peer to decide whether it needs
 /// the full block and to request blocks in parent-before-child order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct HeaderRecord {
     /// The block id.
     pub id: Hash256,

@@ -1,7 +1,7 @@
 //! Property tests for the wire format: every [`Message`] variant must survive an
 //! encode→decode round trip (also under arbitrary stream chunking), and malformed
-//! frames — truncated, corrupted, or mislabelled — must surface a [`CodecError`]
-//! instead of panicking or yielding a bogus message.
+//! frames — truncated, corrupted, mislabelled, padded or lying about a count — must
+//! surface a [`CodecError`] instead of panicking or yielding a bogus message.
 
 use bytes::{BufMut, BytesMut};
 use ng_chain::amount::Amount;
@@ -13,7 +13,7 @@ use ng_core::poison::PoisonTransaction;
 use ng_core::NgNode;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::sha256::sha256;
-use ng_crypto::signer::SchnorrSigner;
+use ng_crypto::signer::{SchnorrSigner, SignatureBytes};
 use ng_chain::transaction::TxOutput;
 use ng_chain::utxo::UtxoEntry;
 use ng_crypto::pow::Work;
@@ -28,12 +28,15 @@ use proptest::prelude::*;
 fn every_variant(seed: u64) -> Vec<Message> {
     let mut node = NgNode::new(seed % 7 + 1, NgParams::default(), seed);
     let key_block = node.mine_and_adopt_key_block(1_000 + seed);
-    let payload = Payload::Synthetic {
-        bytes: 200 + seed % 1_000,
-        tx_count: 1 + seed % 9,
-        total_fees: Amount::from_sats(seed % 10_000),
-        tag: seed,
-    };
+    let mut tx = TransactionBuilder::new()
+        .input(OutPoint::new(sha256(&seed.to_le_bytes()), (seed % 4) as u32))
+        .output(Amount::from_sats(1 + seed), KeyPair::from_id(seed + 1).address())
+        .payload(seed.to_le_bytes().to_vec())
+        .build();
+    if seed.is_multiple_of(2) {
+        tx.sign_all_inputs(&SchnorrSigner::new(*node.keys()));
+    }
+    let payload = Payload::Transactions(vec![tx.clone(); 1 + (seed % 3) as usize]);
     let micro_header = MicroHeader {
         prev: key_block.id(),
         time_ms: 2_000 + seed,
@@ -53,11 +56,6 @@ fn every_variant(seed: u64) -> Vec<Message> {
             .map(|i| short_tx_id(seed, &sha256(&i.to_le_bytes())))
             .collect(),
     };
-    let tx = TransactionBuilder::new()
-        .input(OutPoint::new(sha256(&seed.to_le_bytes()), (seed % 4) as u32))
-        .output(Amount::from_sats(1 + seed), KeyPair::from_id(seed + 1).address())
-        .payload(seed.to_le_bytes().to_vec())
-        .build();
     // A conflicting sibling of `micro`: same parent and leader, different payload.
     let sibling_payload = Payload::Synthetic {
         bytes: 100 + seed % 500,
@@ -284,7 +282,7 @@ fn garbage_streams_are_rejected_without_panic() {
     let mut buf = BytesMut::from(&bytes[..]);
     assert_eq!(codec.decode(&mut buf), Err(CodecError::BadChecksum));
 
-    // A frame whose body passes the checksum but is not valid JSON for a Message.
+    // A frame whose body passes the checksum but names no command.
     let mut buf = framed(b"not a message");
     assert!(matches!(codec.decode(&mut buf), Err(CodecError::BadBody(_))));
     assert_eq!(buf.len(), 0, "the bad frame was consumed");
@@ -300,41 +298,50 @@ fn framed(body: &[u8]) -> BytesMut {
     bytes
 }
 
+/// The body of `message`'s frame.
+fn body_of(message: &Message) -> Vec<u8> {
+    FrameCodec::default().encode(message).unwrap()[HEADER_LEN..].to_vec()
+}
+
+/// Where `bytes` first occur in `body`.
+fn position(body: &[u8], bytes: &[u8]) -> usize {
+    body.windows(bytes.len()).position(|w| w == bytes).expect("the bytes are encoded")
+}
+
 /// The wire is where bytes become types, and the signature type holds Schnorr
-/// only: a body naming the keyed-hash variant older builds accepted in every
-/// signature position — anyone could compute it from the *public* key — is not a
-/// message.
+/// only: a body naming another signature scheme (tag 2 — the keyed hash older
+/// builds accepted, which anyone could compute from the *public* key) in any
+/// signature position is not a message. This is the datadir codec's rule too:
+/// both decode signatures through `ng_chain::codec::read_signature`.
 #[test]
 fn a_body_naming_another_signature_scheme_is_not_a_message() {
     let codec = FrameCodec::default();
-    let variants = every_variant(3);
-    let mut signed = TransactionBuilder::new()
-        .input(OutPoint::new(sha256(b"coin"), 0))
-        .output(Amount::from_sats(1), KeyPair::from_id(2).address())
-        .build();
-    signed.sign_all_inputs(&SchnorrSigner::new(KeyPair::from_id(1)));
-    let carriers = [
-        Message::Tx(Box::new(signed)),
-        variants.iter().find(|m| m.command() == "microblock").unwrap().clone(),
-        variants.iter().find(|m| m.command() == "poison").unwrap().clone(),
-    ];
-    let forged_signature =
-        format!("{{\"Simulated\":{}}}", serde_json::to_string(&sha256(b"forged")).unwrap());
-    for message in carriers {
-        let honest = serde_json::to_string(&message).unwrap();
-        let mut forged = String::new();
-        let mut rest = honest.as_str();
-        while let Some(start) = rest.find("{\"Schnorr\":[") {
-            let end = start + rest[start..].find("]}").expect("the byte array closes") + 2;
-            forged.push_str(&rest[..start]);
-            forged.push_str(&forged_signature);
-            rest = &rest[end..];
+    let variants = every_variant(2);
+    let carrier = |command: &str| variants.iter().find(|m| m.command() == command).unwrap().clone();
+    let mut signatures = Vec::new();
+    for message in [carrier("tx"), carrier("microblock"), carrier("cmpct"), carrier("poison")] {
+        match &message {
+            Message::Tx(tx) => signatures.extend(tx.inputs.iter().filter_map(|i| i.signature.clone())),
+            Message::MicroBlock(m) => signatures.push(m.signature.clone()),
+            Message::CmpctBlock(c) => signatures.push(c.signature.clone()),
+            Message::Poison(p) => signatures.extend([p.signature_a.clone(), p.signature_b.clone()]),
+            _ => unreachable!(),
         }
-        forged.push_str(rest);
-        assert_ne!(forged, honest, "{} carries a signature", message.command());
-        assert_eq!(codec.decode(&mut framed(honest.as_bytes())), Ok(Some(message.clone())));
-        let verdict = codec.decode(&mut framed(forged.as_bytes()));
-        assert!(matches!(verdict, Err(CodecError::BadBody(_))), "{}: {verdict:?}", message.command());
+        let honest = body_of(&message);
+        assert_eq!(codec.decode(&mut framed(&honest)), Ok(Some(message.clone())));
+        for SignatureBytes::Schnorr(sig) in signatures.drain(..) {
+            let mut forged = honest.clone();
+            let tag = position(&honest, &sig) - 1;
+            assert_eq!(forged[tag], 1, "the Schnorr tag");
+            forged[tag] = 2;
+            let verdict = codec.decode(&mut framed(&forged));
+            assert_eq!(
+                verdict,
+                Err(CodecError::BadBody("malformed record: signature tag".into())),
+                "{}",
+                message.command()
+            );
+        }
     }
 }
 
@@ -355,27 +362,95 @@ fn a_frame_carrying_an_off_curve_key_decodes_and_never_verifies() {
         .build();
     spend.sign_all_inputs(&signer);
     let key_block = every_variant(3).into_iter().find(|m| m.command() == "keyblock").unwrap();
-    let forge = |honest: &Message| {
-        let json = serde_json::to_string(honest).unwrap();
-        let start = json.find("{\"compressed\":[").expect("carries a public key");
-        let end = start + json[start..].find("]}").expect("the byte array closes") + 2;
-        let forged = format!("{}{{\"compressed\":{off_curve:?}}}{}", &json[..start], &json[end..]);
-        codec.decode(&mut framed(forged.as_bytes())).expect("a well-formed body").expect("one frame")
+    let forge = |honest: &Message, key: [u8; 33]| {
+        let mut forged = body_of(honest);
+        let at = position(&forged, &key);
+        forged[at..at + 33].copy_from_slice(&off_curve);
+        codec.decode(&mut framed(&forged)).expect("a well-formed body").expect("one frame")
     };
-    let Message::Tx(forged) = forge(&Message::Tx(Box::new(spend))) else {
+    let Message::Tx(forged) = forge(&Message::Tx(Box::new(spend)), signer.public_key().to_compressed()) else {
         panic!("a tx frame decodes to a tx");
     };
     let key = forged.inputs[0].pubkey.expect("signed");
     assert!(key.point().is_none());
     let paid_to_its_hash = TxOutput { amount: Amount::from_sats(2), address: key.address() };
     assert!(!forged.verify_input(0, &paid_to_its_hash));
-    let Message::KeyBlock(forged) = forge(&key_block) else {
+    let Message::KeyBlock(honest) = &key_block else { unreachable!() };
+    let Message::KeyBlock(forged) = forge(&key_block, honest.leader_pubkey.to_compressed()) else {
         panic!("a keyblock frame decodes to a key block");
     };
     assert!(forged.leader_pubkey.point().is_none());
     let digest = sha256(b"a microblock header");
     let verdict = ng_crypto::signer::verify_signature(&forged.leader_pubkey, &digest, &signer.sign(&digest));
     assert_eq!(verdict, Err(ng_crypto::SchnorrError::InvalidPublicKey));
+}
+
+/// A body must end where its message does: one trailing byte after any variant
+/// is refused.
+#[test]
+fn trailing_bytes_are_not_a_message() {
+    let codec = FrameCodec::default();
+    for message in every_variant(4) {
+        let padded = [body_of(&message), vec![0]].concat();
+        let verdict = codec.decode(&mut framed(&padded));
+        assert_eq!(
+            verdict,
+            Err(CodecError::BadBody("malformed record: trailing bytes".into())),
+            "{}",
+            message.command()
+        );
+    }
+}
+
+/// A count is checked against the bytes that remain before anything is
+/// allocated: 0xFFFF_FFFF written over any four bytes of any body decodes to an
+/// error or to some message, never a panic — and never a reservation for four
+/// billion items, which would abort the process. Every list-bearing variant is
+/// refused as truncated when the lie lands on one of its counts.
+#[test]
+fn a_count_beyond_the_body_is_refused_without_allocating() {
+    let codec = FrameCodec::default();
+    let list_bearing = [
+        "inv", "getdata", "keyblock", "microblock", "tx", "getheaders", "headers", "snapshot",
+        "cmpct", "getblocktxn", "blocktxn", "ihave",
+    ];
+    for seed in [1u64, 5] {
+        for message in every_variant(seed) {
+            let body = body_of(&message);
+            let mut refused = 0;
+            for at in 1..body.len().saturating_sub(3) {
+                let mut lying = body.clone();
+                lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let verdict = codec.decode(&mut framed(&lying));
+                refused += (verdict == Err(CodecError::BadBody("record truncated".into()))) as usize;
+            }
+            let command = message.command();
+            let snapshot_absent = matches!(message, Message::Snapshot(None));
+            if list_bearing.contains(&command) && !snapshot_absent {
+                assert!(refused > 0, "{command}: no count was refused");
+            }
+        }
+    }
+}
+
+/// `Message::wire_size` — what SimNet charges for bandwidth without encoding a
+/// frame — tracks the real frame length of every variant. The widest gap is a
+/// snapshot's (its 32-byte chain work is modelled as 8 bytes); a synthetic
+/// microblock, charged the byte count it declares, is not among the variants.
+#[test]
+fn the_cost_model_tracks_real_frame_lengths() {
+    let codec = FrameCodec::default();
+    for seed in [1u64, 2, 9] {
+        for message in every_variant(seed) {
+            let real = codec.encode(&message).unwrap().len() as i64;
+            let modelled = message.wire_size() as i64;
+            assert!(
+                (real - modelled).abs() <= 28,
+                "{}: frame {real} B, wire_size {modelled} B",
+                message.command()
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! The file-backed storage backend and its recovery scan.
 
 use crate::codec::{
-    self, frame, put_block, put_snapshot, put_undo, put_wal_record, read_block, read_snapshot,
-    read_undo, read_wal_record, scan_frames, verify_frame, Reader, WalRecord, FRAME_HEADER,
-    MAGIC_BLOCKS, MAGIC_SNAP, MAGIC_UNDO, MAGIC_WAL,
+    self, frame, put_snapshot, put_undo, put_wal_record, read_snapshot, read_undo,
+    read_wal_record, scan_frames, verify_frame, Reader, WalRecord, FRAME_HEADER, MAGIC_BLOCKS,
+    MAGIC_SNAP, MAGIC_UNDO, MAGIC_WAL,
 };
 use crate::{ChainStorage, RollCommit, Snapshot, StoreError};
 use ng_chain::undo::BlockUndo;
 use ng_core::block::NgBlock;
+use ng_core::codec::{put_block, read_block};
 use ng_crypto::hex;
 use ng_crypto::sha256::Hash256;
 use std::collections::{HashMap, HashSet};
@@ -344,22 +345,24 @@ impl FileStorage {
 
 impl ChainStorage for FileStorage {
     fn store_block(&mut self, block: &NgBlock, height: u64) -> Result<(), StoreError> {
-        let mut body = Vec::with_capacity(128);
-        body.extend_from_slice(&block.id().0);
-        body.extend_from_slice(&block.prev().0);
-        body.extend_from_slice(&height.to_le_bytes());
-        body.push(block.is_key() as u8);
-        put_block(&mut body, block);
-        self.blocks.write_all(&frame(MAGIC_BLOCKS, &body))?;
+        let record = frame(MAGIC_BLOCKS, 128, |body| {
+            body.extend_from_slice(&block.id().0);
+            body.extend_from_slice(&block.prev().0);
+            body.extend_from_slice(&height.to_le_bytes());
+            body.push(block.is_key() as u8);
+            put_block(body, block);
+        });
+        self.blocks.write_all(&record)?;
         Ok(())
     }
 
     fn store_undo(&mut self, id: &Hash256, height: u64, undo: &BlockUndo) -> Result<(), StoreError> {
-        let mut body = Vec::with_capacity(64);
-        body.extend_from_slice(&id.0);
-        body.extend_from_slice(&height.to_le_bytes());
-        put_undo(&mut body, undo);
-        self.undos.write_all(&frame(MAGIC_UNDO, &body))?;
+        let record = frame(MAGIC_UNDO, 64, |body| {
+            body.extend_from_slice(&id.0);
+            body.extend_from_slice(&height.to_le_bytes());
+            put_undo(body, undo);
+        });
+        self.undos.write_all(&record)?;
         Ok(())
     }
 
@@ -368,9 +371,10 @@ impl ChainStorage for FileStorage {
         // durable before the commit record — a torn block with an intact commit
         // would acknowledge a roll recovery cannot replay.
         self.flush_data()?;
-        let mut body = Vec::with_capacity(128);
-        put_wal_record(&mut body, &WalRecord::Roll(roll.clone()));
-        self.wal.write_all(&frame(MAGIC_WAL, &body))?;
+        let record = frame(MAGIC_WAL, 128, |body| {
+            put_wal_record(body, &WalRecord::Roll(roll.clone()))
+        });
+        self.wal.write_all(&record)?;
         self.wal.flush()?;
         if self.config.fsync {
             self.wal.sync_data()?;
@@ -379,9 +383,10 @@ impl ChainStorage for FileStorage {
     }
 
     fn note_invalidated(&mut self, id: &Hash256) -> Result<(), StoreError> {
-        let mut body = Vec::with_capacity(33);
-        put_wal_record(&mut body, &WalRecord::Invalidated(*id));
-        self.wal.write_all(&frame(MAGIC_WAL, &body))?;
+        let record = frame(MAGIC_WAL, 33, |body| {
+            put_wal_record(body, &WalRecord::Invalidated(*id))
+        });
+        self.wal.write_all(&record)?;
         self.wal.flush()?;
         Ok(())
     }
@@ -389,13 +394,12 @@ impl ChainStorage for FileStorage {
     fn store_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), StoreError> {
         // Snapshots are atomic: written to a temp file, flushed, then renamed into
         // place. A crash mid-write leaves only a `.tmp` that recovery ignores.
-        let mut body = Vec::with_capacity(4096);
-        put_snapshot(&mut body, snapshot);
+        let record = frame(MAGIC_SNAP, 4096, |body| put_snapshot(body, snapshot));
         let name = snapshot_file_name(snapshot.height, &snapshot.sorted);
         let dir = Self::snapshot_dir(&self.dir);
         let tmp = dir.join(format!("{name}.tmp"));
         let mut file = File::create(&tmp)?;
-        file.write_all(&frame(MAGIC_SNAP, &body))?;
+        file.write_all(&record)?;
         file.flush()?;
         if self.config.fsync {
             file.sync_data()?;
