@@ -12,8 +12,10 @@
 //! — a leader microblock flooding a 100-node degree-8 SimNet with full carriers
 //! vs the compact-relay + eager/lazy overlay stack, reporting coverage,
 //! simulated p50/p99 propagation delay, per-node relay bytes, and the
-//! flood-vs-overlay byte reduction, plus a 1000-node overlay row), and the cost
-//! of transaction relay through a 4-node mesh (`tx_relay_mesh4`).
+//! flood-vs-overlay byte reduction, plus a 1000-node overlay row), the cost
+//! of transaction relay through a 4-node mesh (`tx_relay_mesh4`), and the wire
+//! codec's cost per `tx` frame and per 512-transaction microblock frame
+//! (`wire_codec`).
 //!
 //! `scripts/bench_snapshot.sh` redirects this into `BENCH_ledger.json` (schema
 //! `bench_ledger/v5`) so the repository tracks the perf trajectory; CI runs a
@@ -25,12 +27,17 @@
 //!
 //! Usage: `ledger_snapshot [--iters N] [--assert-fast]` (default 200 iterations).
 
+use bytes::BytesMut;
 use ng_chain::amount::Amount;
+use ng_chain::payload::Payload;
 use ng_chain::transaction::{OutPoint, Transaction, TransactionBuilder};
 use ng_core::params::NgParams;
 use ng_crypto::keys::KeyPair;
 use ng_crypto::schnorr::{self, BatchEntry};
 use ng_crypto::sha256::sha256;
+use ng_crypto::signer::SchnorrSigner;
+use ng_net::codec::FrameCodec;
+use ng_net::message::Message;
 use ng_node::chainstate::ChainView;
 use ng_node::engine::{Engine, EngineConfig, GossipConfig, Input};
 use ng_node::ledger::rebuild_utxo;
@@ -574,6 +581,42 @@ fn tx_relay_mesh4() -> [f64; 4] {
 /// `getdata` → `tx`); recorded beside the current row.
 const TX_RELAY_EVERY_HOP_ANNOUNCED: [f64; 4] = [3.04, 15.04, 922.2, 52.0];
 
+/// The wire codec on real bytes: median microseconds to encode and to decode one
+/// `tx` frame (a signed 1-in/1-out spend) and one 512-transaction `microblock`
+/// frame, plus the bytes of the `tx` frame.
+fn wire_codec(iters: usize) -> [f64; 5] {
+    let mut node = ng_core::node::NgNode::new(1, unchecked_params(), 0);
+    node.mine_and_adopt_key_block(1_000);
+    let signer = SchnorrSigner::new(*node.keys());
+    let mut txs = tx_pool(512);
+    txs.iter_mut().for_each(|tx| tx.sign_all_inputs(&signer));
+    let tx = Message::Tx(Box::new(txs[0].clone()));
+    let micro = node.produce_microblock(2_000, Payload::Transactions(txs)).expect("leader produces");
+    let codec = FrameCodec::default();
+    let round_trip = |message: &Message, iters: usize| {
+        let (mut encode, mut decode) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+        for _ in 0..iters {
+            let t = Instant::now();
+            let frame = black_box(codec.encode(black_box(message)).expect("frames"));
+            encode.push(t.elapsed().as_secs_f64() * 1e6);
+            let mut buffer = BytesMut::from(&frame[..]);
+            let t = Instant::now();
+            black_box(codec.decode(&mut buffer).expect("decodes"));
+            decode.push(t.elapsed().as_secs_f64() * 1e6);
+        }
+        [median(encode), median(decode)]
+    };
+    let [tx_encode, tx_decode] = round_trip(&tx, iters * 5);
+    let block = Message::MicroBlock(Box::new(micro));
+    let [block_encode, block_decode] = round_trip(&block, (iters / 20).clamp(3, 10));
+    let tx_bytes = codec.encode(&tx).expect("frames").len() as f64;
+    [tx_encode, tx_decode, block_encode, block_decode, tx_bytes]
+}
+
+/// [`wire_codec`] measured on the same host before the wire spoke the binary
+/// codec, when every frame body was JSON; recorded beside the current row.
+const WIRE_CODEC_JSON: [f64; 5] = [8.6, 21.4, 4776.9, 362039.9, 744.0];
+
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
@@ -690,6 +733,17 @@ fn main() {
     println!("  \"tx_relay_mesh4\": {{");
     println!("    \"first_hop_pushed\": {},", tx_relay_row(tx_relay_mesh4()));
     println!("    \"every_hop_announced_pr14\": {}", tx_relay_row(TX_RELAY_EVERY_HOP_ANNOUNCED));
+    println!("  }},");
+    let codec_row = |[tx_encode, tx_decode, block_encode, block_decode, tx_bytes]: [f64; 5]| {
+        format!(
+            "{{ \"tx_encode_us\": {tx_encode:.2}, \"tx_decode_us\": {tx_decode:.2}, \
+             \"microblock_512tx_encode_us\": {block_encode:.1}, \
+             \"microblock_512tx_decode_us\": {block_decode:.1}, \"tx_frame_bytes\": {tx_bytes:.0} }}"
+        )
+    };
+    println!("  \"wire_codec\": {{");
+    println!("    \"binary\": {},", codec_row(wire_codec(iters)));
+    println!("    \"json_pr15\": {}", codec_row(WIRE_CODEC_JSON));
     println!("  }}");
     println!("}}");
 

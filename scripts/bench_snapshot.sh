@@ -43,6 +43,10 @@
 #     messages and wire bytes per transaction, and the median virtual time from
 #     submit to "in every mempool"; the first-hop push (current) beside the
 #     values PR 14 measured when every hop was announced
+#   * wire_codec — FrameCodec on real bytes: µs to encode and to decode one
+#     signed `tx` frame and one 512-transaction `microblock` frame, and the
+#     bytes of the `tx` frame; the binary codec (current) beside the values
+#     measured when frame bodies were JSON
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
