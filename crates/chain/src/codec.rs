@@ -109,7 +109,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -122,7 +122,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);
         }

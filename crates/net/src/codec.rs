@@ -55,7 +55,7 @@ pub enum CodecError {
     /// The body checksum did not match (corruption in transit).
     BadChecksum,
     /// The body could not be decoded into a [`Message`].
-    BadBody(String),
+    BadBody(BodyError),
 }
 
 impl fmt::Display for CodecError {
@@ -149,7 +149,7 @@ fn decode_body(body: &[u8]) -> Result<Message, CodecError> {
     let mut r = Reader::new(body);
     read_message(&mut r)
         .and_then(|message| r.finish().map(|()| message))
-        .map_err(|e| CodecError::BadBody(e.to_string()))
+        .map_err(CodecError::BadBody)
 }
 
 /// Appends a message body: its command byte, then its fields.

@@ -17,6 +17,7 @@ use ng_crypto::signer::{SchnorrSigner, SignatureBytes};
 use ng_chain::transaction::TxOutput;
 use ng_chain::utxo::UtxoEntry;
 use ng_crypto::pow::Work;
+use ng_chain::codec::CodecError as BodyError;
 use ng_net::codec::{CodecError, FrameCodec, HEADER_LEN};
 use ng_net::message::{InvItem, InvKind, Message, ProtocolKind, WireSnapshot};
 use ng_net::relay::{short_tx_id, CompactMicroBlock};
@@ -337,7 +338,7 @@ fn a_body_naming_another_signature_scheme_is_not_a_message() {
             let verdict = codec.decode(&mut framed(&forged));
             assert_eq!(
                 verdict,
-                Err(CodecError::BadBody("malformed record: signature tag".into())),
+                Err(CodecError::BadBody(BodyError::Malformed("signature tag"))),
                 "{}",
                 message.command()
             );
@@ -395,7 +396,7 @@ fn trailing_bytes_are_not_a_message() {
         let verdict = codec.decode(&mut framed(&padded));
         assert_eq!(
             verdict,
-            Err(CodecError::BadBody("malformed record: trailing bytes".into())),
+            Err(CodecError::BadBody(BodyError::Malformed("trailing bytes"))),
             "{}",
             message.command()
         );
@@ -422,7 +423,7 @@ fn a_count_beyond_the_body_is_refused_without_allocating() {
                 let mut lying = body.clone();
                 lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
                 let verdict = codec.decode(&mut framed(&lying));
-                refused += (verdict == Err(CodecError::BadBody("record truncated".into()))) as usize;
+                refused += (verdict == Err(CodecError::BadBody(BodyError::Truncated))) as usize;
             }
             let command = message.command();
             let snapshot_absent = matches!(message, Message::Snapshot(None));

@@ -15,9 +15,8 @@
 
 use ng_chain::codec::{
     checksum, put_coin, put_hash, put_len, put_outpoint, put_u256, put_u32, put_u64, read_coin,
-    read_outpoint, tagged, FrameHeader, COIN_BYTES,
+    read_outpoint, tagged, CodecError, FrameHeader, Reader, COIN_BYTES, FRAME_HEADER,
 };
-pub use ng_chain::codec::{frame, CodecError, Reader, FRAME_HEADER};
 use ng_chain::undo::BlockUndo;
 use ng_chain::utxo::TxUndo;
 use ng_core::codec::{put_key_block, read_key_block};
@@ -239,7 +238,7 @@ pub fn read_snapshot(r: &mut Reader<'_>) -> Result<crate::Snapshot, CodecError> 
 mod tests {
     use super::*;
     use ng_chain::amount::Amount;
-    use ng_chain::codec::{put_transaction, read_transaction};
+    use ng_chain::codec::{frame, put_transaction, read_transaction};
     use ng_chain::payload::Payload;
     use ng_chain::transaction::{OutPoint, Transaction, TransactionBuilder, TxOutput};
     use ng_chain::utxo::UtxoEntry;

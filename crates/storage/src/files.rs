@@ -1,11 +1,11 @@
 //! The file-backed storage backend and its recovery scan.
 
 use crate::codec::{
-    self, frame, put_snapshot, put_undo, put_wal_record, read_snapshot, read_undo,
-    read_wal_record, scan_frames, verify_frame, Reader, WalRecord, FRAME_HEADER, MAGIC_BLOCKS,
-    MAGIC_SNAP, MAGIC_UNDO, MAGIC_WAL,
+    self, put_snapshot, put_undo, put_wal_record, read_snapshot, read_undo, read_wal_record,
+    scan_frames, verify_frame, WalRecord, MAGIC_BLOCKS, MAGIC_SNAP, MAGIC_UNDO, MAGIC_WAL,
 };
 use crate::{ChainStorage, RollCommit, Snapshot, StoreError};
+use ng_chain::codec::{frame, Reader, FRAME_HEADER};
 use ng_chain::undo::BlockUndo;
 use ng_core::block::NgBlock;
 use ng_core::codec::{put_block, read_block};

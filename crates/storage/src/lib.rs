@@ -38,7 +38,8 @@
 pub mod codec;
 mod files;
 
-pub use codec::{CodecError, WalRecord};
+pub use codec::WalRecord;
+pub use ng_chain::codec::CodecError;
 pub use files::{crash_truncate, FileStorage, Recovery, StorageConfig};
 
 use ng_chain::transaction::OutPoint;
