@@ -592,6 +592,7 @@ fn wire_codec(iters: usize) -> [f64; 5] {
     txs.iter_mut().for_each(|tx| tx.sign_all_inputs(&signer));
     let tx = Message::Tx(Box::new(txs[0].clone()));
     let micro = node.produce_microblock(2_000, Payload::Transactions(txs)).expect("leader produces");
+    let block = Message::MicroBlock(Box::new(micro));
     let codec = FrameCodec::default();
     let round_trip = |message: &Message, iters: usize| {
         let (mut encode, mut decode) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
@@ -604,12 +605,10 @@ fn wire_codec(iters: usize) -> [f64; 5] {
             black_box(codec.decode(&mut buffer).expect("decodes"));
             decode.push(t.elapsed().as_secs_f64() * 1e6);
         }
-        [median(encode), median(decode)]
+        [median(encode), median(decode), codec.encode(message).expect("frames").len() as f64]
     };
-    let [tx_encode, tx_decode] = round_trip(&tx, iters * 5);
-    let block = Message::MicroBlock(Box::new(micro));
-    let [block_encode, block_decode] = round_trip(&block, (iters / 20).clamp(3, 10));
-    let tx_bytes = codec.encode(&tx).expect("frames").len() as f64;
+    let [tx_encode, tx_decode, tx_bytes] = round_trip(&tx, iters * 5);
+    let [block_encode, block_decode, _] = round_trip(&block, (iters / 20).clamp(3, 10));
     [tx_encode, tx_decode, block_encode, block_decode, tx_bytes]
 }
 
@@ -743,7 +742,7 @@ fn main() {
     };
     println!("  \"wire_codec\": {{");
     println!("    \"binary\": {},", codec_row(wire_codec(iters)));
-    println!("    \"json_pr15\": {}", codec_row(WIRE_CODEC_JSON));
+    println!("    \"json\": {}", codec_row(WIRE_CODEC_JSON));
     println!("  }}");
     println!("}}");
 

@@ -209,9 +209,10 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a collection length as the u32 count [`Reader::counted`] reads.
-pub fn put_len(out: &mut Vec<u8>, len: usize) {
-    put_u32(out, len as u32);
+/// Appends a collection: the u32 count [`Reader::counted`] reads, then each item.
+pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    items.iter().for_each(|item| put(out, item));
 }
 
 /// Appends a 32-byte hash.
@@ -298,8 +299,7 @@ pub fn put_transaction(out: &mut Vec<u8>, tx: &Transaction) {
 /// The one transaction layout, with or without signature scheme tags (the
 /// hashing form that txids commit to has none).
 pub(crate) fn put_transaction_as(out: &mut Vec<u8>, tx: &Transaction, scheme_tags: bool) {
-    put_len(out, tx.inputs.len());
-    for input in &tx.inputs {
+    put_list(out, &tx.inputs, |out, input| {
         put_outpoint(out, &input.outpoint);
         out.push(input.pubkey.is_some() as u8);
         if let Some(pk) = &input.pubkey {
@@ -312,10 +312,9 @@ pub(crate) fn put_transaction_as(out: &mut Vec<u8>, tx: &Transaction, scheme_tag
             }
             out.extend_from_slice(sig);
         }
-    }
-    put_len(out, tx.outputs.len());
-    tx.outputs.iter().for_each(|output| put_output(out, output));
-    put_len(out, tx.payload.len());
+    });
+    put_list(out, &tx.outputs, put_output);
+    put_u32(out, tx.payload.len() as u32);
     out.extend_from_slice(&tx.payload);
 }
 

@@ -8,7 +8,7 @@ use crate::block::{KeyBlock, MicroBlock, MicroHeader, NgBlock};
 use crate::poison::PoisonTransaction;
 use ng_chain::amount::Amount;
 use ng_chain::codec::{
-    put_hash, put_len, put_output, put_pubkey, put_signature, put_transaction, put_u256, put_u64,
+    put_hash, put_list, put_output, put_pubkey, put_signature, put_transaction, put_u256, put_u64,
     read_output, read_pubkey, read_signature, read_transaction, tagged, CodecError, Reader,
     MIN_TX_BYTES,
 };
@@ -29,8 +29,7 @@ pub fn put_key_fields(out: &mut Vec<u8>, kb: &KeyBlock) {
 /// Appends a key block.
 pub fn put_key_block(out: &mut Vec<u8>, kb: &KeyBlock) {
     put_key_fields(out, kb);
-    put_len(out, kb.coinbase.len());
-    kb.coinbase.iter().for_each(|output| put_output(out, output));
+    put_list(out, &kb.coinbase, put_output);
 }
 
 /// Reads a key block.
@@ -69,10 +68,7 @@ pub fn put_microblock(out: &mut Vec<u8>, mb: &MicroBlock) {
     put_micro_header(out, &mb.header);
     put_signature(out, &mb.signature);
     match &mb.payload {
-        Payload::Transactions(txs) => {
-            put_len(tagged(out, 0), txs.len());
-            txs.iter().for_each(|tx| put_transaction(out, tx));
-        }
+        Payload::Transactions(txs) => put_list(tagged(out, 0), txs, put_transaction),
         Payload::Synthetic { bytes, tx_count, total_fees, tag } => {
             out.push(1);
             for v in [*bytes, *tx_count, total_fees.sats(), *tag] {

@@ -20,7 +20,7 @@ use crate::relay::CompactMicroBlock;
 use crate::sync::HeaderRecord;
 use bytes::{Buf, Bytes, BytesMut};
 use ng_chain::codec::{
-    checksum, frame, put_coin, put_hash, put_len, put_signature, put_transaction, put_u256,
+    checksum, frame, put_coin, put_hash, put_list, put_signature, put_transaction, put_u256,
     put_u32, put_u64, read_coin, read_signature, read_transaction, tagged, CodecError as BodyError,
     FrameHeader, Reader, COIN_BYTES, FRAME_HEADER, MIN_TX_BYTES,
 };
@@ -95,10 +95,7 @@ impl FrameCodec {
         let framed = frame(MAGIC, size_hint, |out| put_message(out, message));
         let declared = framed.len() - HEADER_LEN;
         if declared > self.max_body {
-            return Err(CodecError::OversizedFrame {
-                declared,
-                max: self.max_body,
-            });
+            return Err(CodecError::OversizedFrame { declared, max: self.max_body });
         }
         Ok(Bytes::from(framed))
     }
@@ -117,10 +114,7 @@ impl FrameCodec {
             return Err(CodecError::BadMagic(header.magic));
         }
         if header.len > self.max_body {
-            return Err(CodecError::OversizedFrame {
-                declared: header.len,
-                max: self.max_body,
-            });
+            return Err(CodecError::OversizedFrame { declared: header.len, max: self.max_body });
         }
         let end = HEADER_LEN + header.len;
         let Some(body) = buffer.get(HEADER_LEN..end) else {
@@ -162,24 +156,22 @@ fn put_message(out: &mut Vec<u8>, message: &Message) {
             put_u64(out, *time_ms);
         }
         Message::Verack => out.push(1),
-        Message::Inv(items) => put_items(tagged(out, 2), items),
-        Message::GetData(items) => put_items(tagged(out, 3), items),
+        Message::Inv(items) => put_list(tagged(out, 2), items, put_item),
+        Message::GetData(items) => put_list(tagged(out, 3), items, put_item),
         Message::KeyBlock(kb) => put_key_block(tagged(out, 4), kb),
         Message::MicroBlock(mb) => put_microblock(tagged(out, 5), mb),
         Message::Tx(tx) => put_transaction(tagged(out, 6), tx),
         Message::GetHeaders { locator, limit } => {
-            put_len(tagged(out, 7), locator.len());
-            locator.iter().for_each(|id| put_hash(out, id));
+            put_list(tagged(out, 7), locator, put_hash);
             put_u32(out, *limit);
         }
         Message::Headers(records) => {
-            put_len(tagged(out, 8), records.len());
-            for record in records {
+            put_list(tagged(out, 8), records, |out, record| {
                 put_hash(out, &record.id);
                 put_hash(out, &record.prev);
                 out.push(record.kind as u8);
                 put_u64(out, record.height);
-            }
+            });
         }
         Message::GetSnapshot { height } => put_u64(tagged(out, 9), *height),
         Message::Snapshot(None) => out.extend_from_slice(&[10, 0]),
@@ -188,33 +180,28 @@ fn put_message(out: &mut Vec<u8>, message: &Message) {
             put_key_block(out, &snapshot.root);
             put_u64(out, snapshot.height);
             put_u256(out, &snapshot.total_work.0);
-            put_len(out, snapshot.entries.len());
-            snapshot.entries.iter().for_each(|coin| put_coin(out, coin));
-            put_len(out, snapshot.confirmed.len());
-            for (txid, count) in &snapshot.confirmed {
+            put_list(out, &snapshot.entries, put_coin);
+            put_list(out, &snapshot.confirmed, |out, (txid, count)| {
                 put_hash(out, txid);
                 put_u32(out, *count);
-            }
+            });
         }
         Message::CmpctBlock(compact) => {
             put_micro_header(tagged(out, 11), &compact.header);
             put_signature(out, &compact.signature);
             put_u64(out, compact.salt);
-            put_len(out, compact.short_ids.len());
             // Short ids are 48-bit (`relay::short_tx_id`): six bytes each.
-            compact.short_ids.iter().for_each(|id| out.extend_from_slice(&id.to_le_bytes()[..6]));
+            put_list(out, &compact.short_ids, |out, id| out.extend_from_slice(&id.to_le_bytes()[..6]));
         }
         Message::GetBlockTxn { block, indexes } => {
             put_hash(tagged(out, 12), block);
-            put_len(out, indexes.len());
-            indexes.iter().for_each(|&i| put_u32(out, i));
+            put_list(out, indexes, |out, &i| put_u32(out, i));
         }
         Message::BlockTxn { block, txs } => {
             put_hash(tagged(out, 13), block);
-            put_len(out, txs.len());
-            txs.iter().for_each(|tx| put_transaction(out, tx));
+            put_list(out, txs, put_transaction);
         }
-        Message::IHave(items) => put_items(tagged(out, 14), items),
+        Message::IHave(items) => put_list(tagged(out, 14), items, put_item),
         Message::Graft(item) => put_item(tagged(out, 15), item),
         Message::Prune => out.push(16),
         Message::Poison(poison) => put_poison(tagged(out, 17), poison),
@@ -291,11 +278,6 @@ fn read_message(r: &mut Reader<'_>) -> Result<Message, BodyError> {
 fn put_item(out: &mut Vec<u8>, item: &InvItem) {
     out.push(item.kind as u8);
     put_hash(out, &item.id);
-}
-
-fn put_items(out: &mut Vec<u8>, items: &[InvItem]) {
-    put_len(out, items.len());
-    items.iter().for_each(|item| put_item(out, item));
 }
 
 /// Reads a fieldless enum written as `variant as u8`: the byte indexes `variants`,

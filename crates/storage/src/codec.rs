@@ -14,7 +14,7 @@
 //! (the 10× bar against a from-genesis replay), which text parsing would not meet.
 
 use ng_chain::codec::{
-    checksum, put_coin, put_hash, put_len, put_outpoint, put_u256, put_u32, put_u64, read_coin,
+    checksum, put_coin, put_hash, put_list, put_outpoint, put_u256, put_u32, put_u64, read_coin,
     read_outpoint, tagged, CodecError, FrameHeader, Reader, COIN_BYTES, FRAME_HEADER,
 };
 use ng_chain::undo::BlockUndo;
@@ -100,40 +100,33 @@ pub fn scan_frames_structural(file: &[u8], magic: [u8; 4]) -> (Vec<FrameRef>, us
 
 /// Encodes a block undo record body.
 pub fn put_undo(out: &mut Vec<u8>, undo: &BlockUndo) {
-    put_len(out, undo.txs.len());
-    for tx_undo in &undo.txs {
+    put_list(out, &undo.txs, |out, tx_undo| {
         put_hash(out, &tx_undo.txid);
         put_u32(out, tx_undo.output_count);
-        put_len(out, tx_undo.spent.len());
-        tx_undo.spent.iter().for_each(|coin| put_coin(out, coin));
-    }
-    put_len(out, undo.coinbase.len());
-    undo.coinbase.iter().for_each(|outpoint| put_outpoint(out, outpoint));
-    put_len(out, undo.replaced.len());
-    for (tx_index, outpoint, entry) in &undo.replaced {
+        put_list(out, &tx_undo.spent, put_coin);
+    });
+    put_list(out, &undo.coinbase, put_outpoint);
+    put_list(out, &undo.replaced, |out, (tx_index, outpoint, entry)| {
         put_u32(out, *tx_index);
         put_coin(out, &(*outpoint, *entry));
-    }
+    });
 }
 
 /// Decodes a block undo record body.
 pub fn read_undo(r: &mut Reader<'_>) -> Result<BlockUndo, CodecError> {
-    let txs = r.counted(40, |r| {
-        Ok(TxUndo {
-            txid: r.hash()?,
-            output_count: r.u32()?,
-            spent: r.counted(COIN_BYTES, read_coin)?,
-        })
-    })?;
-    let coinbase = r.counted(36, read_outpoint)?;
-    let replaced = r.counted(4 + COIN_BYTES, |r| {
-        let (tx_index, (outpoint, entry)) = (r.u32()?, read_coin(r)?);
-        Ok((tx_index, outpoint, entry))
-    })?;
     Ok(BlockUndo {
-        txs,
-        coinbase,
-        replaced,
+        txs: r.counted(40, |r| {
+            Ok(TxUndo {
+                txid: r.hash()?,
+                output_count: r.u32()?,
+                spent: r.counted(COIN_BYTES, read_coin)?,
+            })
+        })?,
+        coinbase: r.counted(36, read_outpoint)?,
+        replaced: r.counted(4 + COIN_BYTES, |r| {
+            let (tx_index, (outpoint, entry)) = (r.u32()?, read_coin(r)?);
+            Ok((tx_index, outpoint, entry))
+        })?,
     })
 }
 
@@ -158,10 +151,8 @@ pub fn put_wal_record(out: &mut Vec<u8>, record: &WalRecord) {
             put_hash(tagged(out, 0), &roll.anchor);
             put_u64(out, roll.anchor_height);
             put_hash(out, &roll.rolling);
-            for ids in [&roll.disconnected, &roll.connected] {
-                put_len(out, ids.len());
-                ids.iter().for_each(|id| put_hash(out, id));
-            }
+            put_list(out, &roll.disconnected, put_hash);
+            put_list(out, &roll.connected, put_hash);
         }
         WalRecord::Invalidated(id) => put_hash(tagged(out, 1), id),
     }
@@ -170,20 +161,13 @@ pub fn put_wal_record(out: &mut Vec<u8>, record: &WalRecord) {
 /// Decodes one WAL record body.
 pub fn read_wal_record(r: &mut Reader<'_>) -> Result<WalRecord, CodecError> {
     match r.u8()? {
-        0 => {
-            let anchor = r.hash()?;
-            let anchor_height = r.u64()?;
-            let rolling = r.hash()?;
-            let disconnected = r.counted(32, Reader::hash)?;
-            let connected = r.counted(32, Reader::hash)?;
-            Ok(WalRecord::Roll(crate::RollCommit {
-                anchor,
-                anchor_height,
-                rolling,
-                disconnected,
-                connected,
-            }))
-        }
+        0 => Ok(WalRecord::Roll(crate::RollCommit {
+            anchor: r.hash()?,
+            anchor_height: r.u64()?,
+            rolling: r.hash()?,
+            disconnected: r.counted(32, Reader::hash)?,
+            connected: r.counted(32, Reader::hash)?,
+        })),
         1 => Ok(WalRecord::Invalidated(r.hash()?)),
         _ => Err(CodecError::Malformed("wal record tag")),
     }
@@ -196,13 +180,11 @@ pub fn put_snapshot(out: &mut Vec<u8>, snap: &crate::Snapshot) {
     put_u256(out, &snap.total_work.0);
     put_hash(out, &snap.rolling);
     put_hash(out, &snap.sorted);
-    put_len(out, snap.entries.len());
-    snap.entries.iter().for_each(|coin| put_coin(out, coin));
-    put_len(out, snap.confirmed.len());
-    for (txid, count) in &snap.confirmed {
+    put_list(out, &snap.entries, put_coin);
+    put_list(out, &snap.confirmed, |out, (txid, count)| {
         put_hash(out, txid);
         put_u32(out, *count);
-    }
+    });
 }
 
 /// Decodes only a snapshot's header — root block, height, work and the two
