@@ -315,6 +315,22 @@ mod tests {
     }
 
     #[test]
+    fn an_ihave_with_no_eager_link_is_pulled_at_once() {
+        let it = item(b"leaf");
+        let mut ov = overlay_with_peers(1);
+        ov.on_ihave(1, it, 500);
+        assert_eq!(ov.next_deadline(), Some(500 + PULL_TIMEOUT_MS), "a push may still win");
+
+        // Both ends pruned the only link: no push can beat the pull.
+        let mut ov = overlay_with_peers(1);
+        ov.on_prune(1);
+        ov.on_ihave(1, it, 500);
+        assert_eq!(ov.next_deadline(), Some(500));
+        assert_eq!(ov.expire(500), vec![(it, 1)]);
+        assert!(ov.is_eager(1), "the graft restored an eager link");
+    }
+
+    #[test]
     fn arrival_cancels_the_pull() {
         let mut ov = overlay_with_peers(4);
         let it = item(b"x");

@@ -631,10 +631,12 @@ mod tests {
     use ng_chain::amount::Amount;
     use ng_chain::payload::Payload;
     use ng_chain::transaction::{OutPoint, TransactionBuilder};
-    use ng_core::block::{MicroBlock, MicroHeader};
+    use ng_core::block::{KeyBlock, MicroBlock, MicroHeader};
     use ng_crypto::keys::KeyPair;
     use ng_crypto::sha256::sha256;
     use ng_crypto::signer::SchnorrSigner;
+    use ng_net::overlay::PULL_TIMEOUT_MS;
+    use ng_net::sync::HeaderRecord;
 
     /// A microblock on `prev`, signed for `leader` with `keys`, whose one
     /// transaction spends an output that does not exist.
@@ -989,5 +991,119 @@ mod tests {
         assert!(reports(&effects).any(|event| *event == rejected));
         a.handle(3_000, Input::MineKeyBlock);
         assert_eq!(a.height(), 4, "still handling inputs");
+    }
+
+    /// An overlay engine with handshaken peers `1..=peers`: the first three eager,
+    /// the rest lazy.
+    fn overlay_engine(peers: u64) -> Engine {
+        let mut b = gossip_engine(2, GossipConfig::scalable());
+        (1..=peers).for_each(|peer| register_peer(&mut b, peer));
+        b
+    }
+
+    /// A leader's key block and one microblock on it.
+    fn epoch_with_one_microblock() -> (KeyBlock, MicroBlock) {
+        let mut leader = ng_core::node::NgNode::new(9, params(), 0);
+        let kb = leader.mine_and_adopt_key_block(1_000);
+        let payload = Payload::Transactions(vec![test_tx(1)]);
+        let micro = leader.produce_microblock(1_100, payload).expect("leader is due");
+        (kb, micro)
+    }
+
+    fn pruned(effects: &[Effect]) -> bool {
+        sends(effects).iter().any(|&(_, command)| command == "prune")
+    }
+
+    #[test]
+    fn a_block_that_answers_our_own_request_prunes_no_link() {
+        let (kb, micro) = epoch_with_one_microblock();
+        let kb_item = InvItem::new(InvKind::KeyBlock, kb.id());
+        let key_block = || Message::KeyBlock(Box::new(kb.clone()));
+
+        // `getdata`: peer 1 announces, peer 2's eager push lands first, then 1 answers.
+        let mut b = overlay_engine(2);
+        let asked = deliver(&mut b, 1_010, 1, Message::Inv(vec![kb_item]));
+        assert_eq!(sends(&asked), vec![(1, "getdata")]);
+        deliver(&mut b, 1_011, 2, key_block());
+        assert!(!pruned(&deliver(&mut b, 1_012, 1, key_block())), "a getdata reply");
+
+        // `graft`: lazy peer 4 advertises, the pull times out, peer 1's push lands
+        // first, then 4 answers the graft.
+        let mut b = overlay_engine(4);
+        deliver(&mut b, 1_010, 4, Message::IHave(vec![kb_item]));
+        let expired = b.handle(1_010 + PULL_TIMEOUT_MS, Input::Tick);
+        assert!(sends(&expired).contains(&(4, "graft")));
+        deliver(&mut b, 1_200, 1, key_block());
+        assert!(!pruned(&deliver(&mut b, 1_201, 4, key_block())), "a graft reply");
+
+        // Sync download: the microblock is pushed before its key block, the header
+        // walk fetches both, and the key block adopts the orphan before the
+        // re-downloaded copy lands.
+        let mut b = overlay_engine(1);
+        let orphaned = deliver(&mut b, 1_110, 1, Message::MicroBlock(Box::new(micro.clone())));
+        assert!(sends(&orphaned).contains(&(1, "getheaders")));
+        let record = |block: NgBlock, height| HeaderRecord {
+            id: block.id(),
+            prev: block.prev(),
+            kind: inv_kind(&block),
+            height,
+        };
+        let records =
+            vec![record(NgBlock::Key(kb.clone()), 1), record(NgBlock::Micro(micro.clone()), 2)];
+        let fetched = deliver(&mut b, 1_120, 1, Message::Headers(records));
+        assert!(sends(&fetched).contains(&(1, "getdata")));
+        deliver(&mut b, 1_130, 1, key_block());
+        assert_eq!(b.tip(), micro.id(), "the key block adopted the orphan");
+        let effects = deliver(&mut b, 1_131, 1, Message::MicroBlock(Box::new(micro)));
+        assert!(!pruned(&effects), "a sync re-download");
+        assert_eq!(b.overlay_eager(), vec![1]);
+    }
+
+    #[test]
+    fn an_ihave_for_a_pending_block_draws_no_graft() {
+        let (_, micro) = epoch_with_one_microblock();
+        let mut b = overlay_engine(4);
+        // The microblock arrives before its key block and waits in the pending buffer.
+        deliver(&mut b, 1_110, 1, Message::MicroBlock(Box::new(micro.clone())));
+        let advert = vec![InvItem::new(InvKind::MicroBlock, micro.id())];
+        deliver(&mut b, 1_120, 4, Message::IHave(advert));
+        let expired = b.handle(1_120 + PULL_TIMEOUT_MS, Input::Tick);
+        assert!(!sends(&expired).contains(&(4, "graft")), "the block is already here");
+    }
+
+    #[test]
+    fn a_held_back_side_branch_is_announced_parents_first() {
+        // `a` validates and builds two key blocks of its own.
+        let mut a = Engine::new(EngineConfig::new(1, validated_params()));
+        (7..=8).for_each(|peer| register_peer(&mut a, peer));
+        a.handle(1_000, Input::MineKeyBlock);
+        a.handle(1_100, Input::MineKeyBlock);
+
+        // A rival epoch off genesis: a key block, three microblocks whose ids do
+        // not sort in chain order, then two key blocks that outweigh `a`'s chain.
+        let mut rival = ng_core::node::NgNode::new(2, validated_params(), 0);
+        let rival_kb = rival.mine_and_adopt_key_block(2_000);
+        let micros: Vec<MicroBlock> = [2_010, 2_020, 2_030]
+            .map(|at| rival.produce_microblock(at, Payload::Transactions(vec![])).expect("due"))
+            .into();
+        let ids: Vec<Hash256> = micros.iter().map(MicroBlock::id).collect();
+        assert!(!ids.is_sorted(), "the fixture's ids sort in chain order");
+        let heavier = [rival.mine_and_adopt_key_block(2_100), rival.mine_and_adopt_key_block(2_200)];
+
+        deliver(&mut a, 3_000, 7, Message::KeyBlock(Box::new(rival_kb)));
+        for (at, micro) in (3_001..).zip(micros) {
+            let effects = deliver(&mut a, at, 7, Message::MicroBlock(Box::new(micro)));
+            assert_eq!(sends(&effects), vec![], "a side-branch microblock is held back");
+        }
+        let mut announced = Vec::new();
+        for (at, kb) in (3_010..).zip(heavier) {
+            for effect in deliver(&mut a, at, 7, Message::KeyBlock(Box::new(kb))) {
+                if let Effect::Send { peer: 8, message: Message::Inv(items) } = effect {
+                    let micros = items.iter().filter(|item| item.kind == InvKind::MicroBlock);
+                    announced.extend(micros.map(|item| item.id));
+                }
+            }
+        }
+        assert_eq!(announced, ids, "announced in chain order once the branch won");
     }
 }
