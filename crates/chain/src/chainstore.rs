@@ -66,6 +66,11 @@ impl<T> BoundedParentBuffer<T> {
         self.items.is_empty()
     }
 
+    /// True if the item with this id is buffered.
+    pub fn contains(&self, id: &Hash256) -> bool {
+        self.items.contains_key(id)
+    }
+
     /// The parent ids currently waited on, in canonical (sorted) order so the
     /// buffer's hash-map layout never leaks into caller behavior.
     pub fn parents(&self) -> Vec<Hash256> {

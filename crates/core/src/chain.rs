@@ -322,6 +322,11 @@ impl NgChainState {
         self.pending.len()
     }
 
+    /// True if the block waits in the pending buffer for a missing parent.
+    pub fn is_pending(&self, id: &Hash256) -> bool {
+        self.pending.contains(id)
+    }
+
     /// Looks up a block.
     pub fn get(&self, id: &Hash256) -> Option<&NgBlock> {
         self.store.get(id).map(|s| &s.block)

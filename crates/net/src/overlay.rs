@@ -5,13 +5,19 @@
 //! set (full pushes, forming a spanning broadcast tree) and a **lazy** set (6-byte-ish
 //! `ihave` advertisements only). The tree is discovered and repaired by two moves:
 //!
-//! * **prune** — a duplicate push means two eager paths reach this node; the link the
-//!   duplicate came over is demoted to lazy on both ends.
+//! * **prune** — an unrequested duplicate push (a `cmpctblock`, or a full block
+//!   nobody asked for) means two eager paths reach this node; the link it came over
+//!   is demoted to lazy on both ends. A block that answers this node's own request —
+//!   a `getdata`, a sync download, a `graft` — is a reply, never a duplicate push,
+//!   whatever copies arrived before it.
 //! * **graft** — an `ihave` for a block that never arrives eagerly within
 //!   [`PULL_TIMEOUT_MS`] promotes the advertising link back to eager
 //!   and pulls the block over it. This is the self-healing path: severing tree links
 //!   only delays delivery by one pull timeout, after which the tree regrows over the
-//!   surviving lazy links.
+//!   surviving lazy links. With no eager link left no push can beat the pull, so an
+//!   `ihave` is pulled at once: a leaf whose links were all pruned (both ends of a
+//!   link can each see the other's copy as the duplicate) does not wait out the
+//!   timeout on every block.
 //!
 //! The state machine is pure and deterministic: sets are `BTreeSet`-ordered, pending
 //! pulls expire against an explicit clock (`Input::Tick` in the engine), and every
@@ -175,8 +181,9 @@ impl Overlay {
     }
 
     /// An `ihave` for a block we do not hold arrived from `peer`: remember it as a
-    /// pull candidate. Returns true if this created a new pending pull (the caller
-    /// should re-arm its timer).
+    /// pull candidate, due after [`PULL_TIMEOUT_MS`] — or at once if no eager link
+    /// is left to push it. Returns true if this created a new pending pull (the
+    /// caller should re-arm its timer).
     pub fn on_ihave(&mut self, peer: u64, item: InvItem, now_ms: u64) -> bool {
         if let Some(pull) = self.pulls.get_mut(&item.id) {
             if !pull.holders.contains(&peer) && pull.holders.len() < MAX_HOLDERS {
@@ -184,12 +191,13 @@ impl Overlay {
             }
             return false;
         }
+        let wait_ms = if self.eager.is_empty() { 0 } else { PULL_TIMEOUT_MS };
         self.pulls.insert(
             item.id,
             PendingPull {
                 item,
                 holders: VecDeque::from([peer]),
-                deadline_ms: now_ms + PULL_TIMEOUT_MS,
+                deadline_ms: now_ms + wait_ms,
             },
         );
         true

@@ -7,7 +7,7 @@
 //! [`PeerAction`]s for the caller (the engine) to execute — which keeps it directly
 //! unit-testable.
 
-use crate::message::{InvItem, Message, ProtocolKind};
+use crate::message::{InvItem, InvKind, Message, ProtocolKind};
 use ng_chain::fifo::BoundedFifoMap;
 use ng_crypto::sha256::Hash256;
 use std::fmt;
@@ -114,7 +114,9 @@ pub struct Peer {
     /// them on this FIFO link. After a push no `inv`/`getdata` follows, so this
     /// entry is the only record that the body went out.
     known: BoundedFifoMap<Hash256, ()>,
-    /// Objects we have asked the remote for and not yet received.
+    /// Objects we have asked the remote for and not yet received. A transaction
+    /// leaves when its body arrives; a block when the caller takes its request
+    /// ([`Self::forget_request`]), which is how it tells a reply from a push.
     in_flight: BoundedFifoMap<Hash256, ()>,
 }
 
@@ -195,26 +197,28 @@ impl Peer {
     /// Builds a `getdata` for the subset of `items` not already requested, marking them
     /// in flight.
     pub fn request(&mut self, items: &[InvItem]) -> Option<Message> {
-        let mut fresh = Vec::new();
-        for item in items {
-            if !self.in_flight.contains_key(&item.id) {
-                self.in_flight.insert(item.id, ());
-                fresh.push(*item);
-            }
-        }
-        if fresh.is_empty() {
-            None
-        } else {
-            Some(Message::GetData(fresh))
-        }
+        let fresh: Vec<InvItem> =
+            items.iter().copied().filter(|item| self.note_request(item.id)).collect();
+        (!fresh.is_empty()).then_some(Message::GetData(fresh))
     }
 
-    /// Drops an outstanding request so it can be re-issued. The download scheduler
-    /// calls this when a request passes its deadline: the original `getdata` (or its
-    /// reply) may have been lost on the wire, and without clearing the in-flight
-    /// entry the dedup in [`Self::request`] would suppress every retry forever.
-    pub fn forget_request(&mut self, id: &Hash256) {
-        self.in_flight.remove(id);
+    /// Marks `id` as asked of the remote — by a `getdata`, or by a `graft`, which
+    /// the remote answers with the block itself — unless it already is; true if it
+    /// was not.
+    pub fn note_request(&mut self, id: Hash256) -> bool {
+        let fresh = !self.in_flight.contains_key(&id);
+        self.in_flight.insert(id, ());
+        fresh
+    }
+
+    /// Drops an outstanding request; true if `id` was in flight. The download
+    /// scheduler calls this to re-issue a request past its deadline: the original
+    /// `getdata` (or its reply) may have been lost on the wire, and without clearing
+    /// the in-flight entry the dedup in [`Self::request`] would suppress every retry
+    /// forever. The caller also calls it when a block arrives: a block that answers
+    /// a request is a reply, never a duplicate push.
+    pub fn forget_request(&mut self, id: &Hash256) -> bool {
+        self.in_flight.remove(id).is_some()
     }
 
     /// Feeds one incoming message to the state machine.
@@ -324,7 +328,10 @@ impl Peer {
             | Message::Tx(_)) => {
                 if let Some(inv) = carried.carried_inventory() {
                     self.known.insert(inv.id, ());
-                    self.in_flight.remove(&inv.id);
+                    // A block's request stays until the caller takes it.
+                    if inv.kind == InvKind::Transaction {
+                        self.in_flight.remove(&inv.id);
+                    }
                 }
                 vec![PeerAction::Deliver(carried)]
             }
@@ -365,7 +372,6 @@ impl Peer {
 mod tests {
     use super::*;
     use ng_crypto::sha256::sha256;
-    use crate::message::InvKind;
 
     fn handshake_pair() -> (Peer, Peer) {
         let (mut alice, hello) = Peer::outbound(1, ProtocolKind::BitcoinNg, 5, 100);
@@ -449,6 +455,22 @@ mod tests {
         assert_eq!(alice.in_flight(), 1);
         // Requesting again while in flight is a no-op.
         assert_eq!(alice.request(&[item]), None);
+    }
+
+    #[test]
+    fn a_block_request_outlives_the_block_until_the_caller_takes_it() {
+        let (mut alice, _) = handshake_pair();
+        let tx = Message::Tx(Box::new(ng_chain::transaction::TransactionBuilder::new().build()));
+        let genesis = ng_core::chain::genesis_key_block(&Default::default());
+        let block = Message::KeyBlock(Box::new(genesis));
+        let [tx_id, block_id] = [&tx, &block].map(|m| m.carried_inventory().expect("carries").id);
+        assert!(alice.note_request(tx_id) && alice.note_request(block_id));
+        assert!(!alice.note_request(block_id), "already in flight");
+        alice.on_message(tx, 5, 700);
+        alice.on_message(block, 5, 701);
+        assert_eq!(alice.in_flight(), 1, "a transaction's request ends with its body");
+        assert!(alice.forget_request(&block_id), "the block answered a request");
+        assert!(!alice.forget_request(&block_id), "a second copy would be a push");
     }
 
     #[test]

@@ -52,7 +52,8 @@
 //!    `fraud.block_stored` (a second signature under the same parent is an
 //!    equivocation; proofs parked under this block are retried).
 //!
-//! A duplicate goes to `relay.prune_duplicate_link`; an orphan to
+//! A duplicate pushed unrequested goes to `relay.prune_duplicate_link` (one that
+//! answers this node's own request never does); an orphan to
 //! `relay.hold_back` and, unless the scheduler expected it,
 //! `onboarding.request_sync`.
 //!
@@ -430,11 +431,13 @@ impl Engine {
         }
     }
 
-    /// A block body arrived: the snapshot backfill takes the ones it asked for,
-    /// everything else is offered to the chain.
+    /// A block body arrived from `from`, pushed or answering a request this node
+    /// sent: the snapshot backfill takes the ones it asked for, everything else is
+    /// offered to the chain.
     fn on_block(&mut self, from: u64, block: NgBlock, now_ms: u64, effects: &mut Vec<Effect>) {
+        let requested = self.relay.answered(from, &block.id());
         if let Some(block) = self.onboarding.claim_block(block, &mut self.chain, effects) {
-            self.accept_block(Some(from), block, now_ms, effects);
+            self.accept_block(Some(from), block, requested, now_ms, effects);
         }
     }
 
@@ -480,7 +483,7 @@ impl Engine {
             Message::CmpctBlock(compact) => {
                 let rebuilt = self.relay.on_compact(from, *compact, &self.chain, effects);
                 if let Some(block) = rebuilt {
-                    self.accept_block(Some(from), block, now_ms, effects);
+                    self.accept_block(Some(from), block, false, now_ms, effects);
                 }
             }
             Message::GetBlockTxn { block, indexes } => self.relay.serve_block_txn(
@@ -493,7 +496,7 @@ impl Engine {
             ),
             Message::BlockTxn { block, txs } => {
                 if let Some(block) = self.relay.on_block_txn(from, block, txs, effects) {
-                    self.accept_block(Some(from), block, now_ms, effects);
+                    self.accept_block(Some(from), block, false, now_ms, effects);
                 }
             }
             Message::IHave(items) => {
@@ -520,10 +523,13 @@ impl Engine {
         }
     }
 
+    /// The one path every delivered block takes (see the module docs); `requested`
+    /// if it answers a request this node sent `from`.
     fn accept_block(
         &mut self,
         from: Option<u64>,
         block: NgBlock,
+        requested: bool,
         now_ms: u64,
         effects: &mut Vec<Effect>,
     ) {
@@ -554,7 +560,7 @@ impl Engine {
             }
             Ok(InsertOutcome::Duplicate) => {
                 report(effects, ReportEvent::BlockDuplicate { id });
-                if let Some(from) = from {
+                if let (Some(from), false) = (from, requested) {
                     // A second eager path pushed a full copy: demote that link.
                     self.relay.prune_duplicate_link(from, effects);
                 }

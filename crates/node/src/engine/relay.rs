@@ -281,6 +281,12 @@ impl Relay {
         send(effects, peer, message);
     }
 
+    /// Block `id` arrived from `peer`: true if it answers a request this node sent
+    /// it (a `getdata` or a `graft`), which is then no longer in flight.
+    pub(super) fn answered(&mut self, peer: u64, id: &Hash256) -> bool {
+        self.peers.get_mut(&peer).is_some_and(|state| state.forget_request(id))
+    }
+
     /// Sends `peer` a `getdata` for `items`. Any earlier request for the same ids
     /// on this connection is forgotten first: callers re-issue after a timeout (the
     /// original `getdata` or its reply may have been lost), and the connection's
@@ -388,8 +394,8 @@ impl Relay {
         self.request_from(from, &[InvItem::new(InvKind::MicroBlock, id)], effects);
     }
 
-    /// A duplicate eager push arrived over `from`: demote the link to lazy and tell
-    /// the other end to stop pushing to us (Plumtree's tree-repair move).
+    /// An unrequested duplicate push arrived over `from`: demote the link to lazy and
+    /// tell the other end to stop pushing to us (Plumtree's tree-repair move).
     pub(super) fn prune_duplicate_link(&mut self, from: u64, effects: &mut Vec<Effect>) {
         if self.gossip.overlay && self.overlay.on_duplicate(from) {
             report(effects, ReportEvent::OverlayPrune { peer: from });
@@ -398,13 +404,17 @@ impl Relay {
     }
 
     /// Fires overdue lazy pulls: each grafts its next advertiser back to eager and
-    /// pulls the missed block over that link (the overlay's self-healing path).
+    /// pulls the missed block over that link (the overlay's self-healing path). A
+    /// graft is a request like a `getdata`: the block it draws is a reply.
     pub(super) fn drive(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
         if self.overlay.pending_pulls() == 0 {
             return;
         }
         for (item, peer) in self.overlay.expire(now_ms) {
             report(effects, ReportEvent::OverlayGraft { peer });
+            if let Some(state) = self.peers.get_mut(&peer) {
+                state.note_request(item.id);
+            }
             send(effects, peer, Message::Graft(item));
         }
     }
@@ -583,8 +593,10 @@ impl Relay {
             .filter(|id| chain.announceable(id))
             .copied()
             .collect();
-        // Sorted so the announcement order does not depend on arrival order.
-        adopted.sort_unstable();
+        // Parents first, so a FIFO link never delivers a child ahead of its parent;
+        // ids break ties, so the order does not depend on arrival order.
+        let store = chain.node().chain().store();
+        adopted.sort_unstable_by_key(|id| (store.height_of(id), *id));
         for id in adopted {
             self.held_back.remove(&id);
             self.announce_block(id, None, chain, effects);
@@ -608,9 +620,12 @@ fn served_block<'a>(
     }
 }
 
-/// True if the block is held, in the tree or below its root.
+/// True if the block is held: in the tree, in the pending buffer waiting for its
+/// parent, or below the root.
 fn holds_block(id: &Hash256, chain: &Chain, onboarding: &Onboarding) -> bool {
-    chain.holds(id) || onboarding.backfilled_block(id).is_some()
+    chain.holds(id)
+        || chain.node().chain().is_pending(id)
+        || onboarding.backfilled_block(id).is_some()
 }
 
 /// The wire message that carries a block, built from the tree's copy at the moment
@@ -1088,7 +1103,7 @@ mod tests {
             .into();
         let ids: Vec<Hash256> = micros.iter().map(MicroBlock::id).collect();
         assert!(!ids.is_sorted(), "the fixture's ids sort in chain order");
-        let heavier = [rival.mine_and_adopt_key_block(2_100), rival.mine_and_adopt_key_block(2_200)];
+        let heavier = [2_100, 2_200].map(|at| rival.mine_and_adopt_key_block(at));
 
         deliver(&mut a, 3_000, 7, Message::KeyBlock(Box::new(rival_kb)));
         for (at, micro) in (3_001..).zip(micros) {

@@ -189,7 +189,7 @@ fn golden_traces_are_pinned() {
 const GOLDEN_FLOOD: &str =
     "4ec41995668498b2fcc77dc0c23d36cba34ab39c48e29e72203e2c2a1fa36f46";
 const GOLDEN_SCALABLE: &str =
-    "43581308dd134115eeffeda54e589378d9e38ca96a9d1be96b8740698f67da97";
+    "7dd9025e74e177630abf2d67971989306ae36bbb62c509dfca8f8f1a65b28731";
 const GOLDEN_BOOTSTRAP: &str =
     "d2369895a01be050f1d7c9c4cc1db321724b15a60cb5cfaf1d05b38c6d728c25";
 const GOLDEN_POISON: &str =
