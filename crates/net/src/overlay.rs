@@ -160,21 +160,12 @@ impl Overlay {
 
     /// The remote end pruned us: stop pushing to it eagerly.
     pub fn on_prune(&mut self, peer: u64) {
-        if self.eager.remove(&peer) {
-            self.lazy.insert(peer);
-        }
+        self.on_duplicate(peer);
     }
 
-    /// The remote end grafted us: it wants eager pushes again (the caller also serves
-    /// the grafted block itself).
+    /// The remote end grafted us, or our pull timed out and we graft it: the link
+    /// is eager again (the caller also serves or pulls the grafted block).
     pub fn on_graft(&mut self, peer: u64) {
-        if self.lazy.remove(&peer) {
-            self.eager.insert(peer);
-        }
-    }
-
-    /// Promotes a lazy link to eager locally (the pull-timeout graft move).
-    fn promote(&mut self, peer: u64) {
         if self.lazy.remove(&peer) {
             self.eager.insert(peer);
         }
@@ -244,7 +235,7 @@ impl Overlay {
                 Some(peer) => {
                     let item = pull.item;
                     pull.deadline_ms = now_ms + PULL_TIMEOUT_MS;
-                    self.promote(peer);
+                    self.on_graft(peer);
                     grafts.push((item, peer));
                 }
                 None => {
