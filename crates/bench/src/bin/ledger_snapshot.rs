@@ -13,9 +13,10 @@
 //! vs the compact-relay + eager/lazy overlay stack, reporting coverage,
 //! simulated p50/p99 propagation delay, per-node relay bytes, and the
 //! flood-vs-overlay byte reduction, plus a 1000-node overlay row), the cost
-//! of transaction relay through a 4-node mesh (`tx_relay_mesh4`), and the wire
-//! codec's cost per `tx` frame and per 512-transaction microblock frame
-//! (`wire_codec`).
+//! of transaction relay through a 4-node mesh (`tx_relay_mesh4`), the overlay's
+//! grafts, prunes and observer latency under leader hand-over
+//! (`overlay_handover3`), and the wire codec's cost per `tx` frame and per
+//! 512-transaction microblock frame (`wire_codec`).
 //!
 //! `scripts/bench_snapshot.sh` redirects this into `BENCH_ledger.json` (schema
 //! `bench_ledger/v5`) so the repository tracks the perf trajectory; CI runs a
@@ -55,6 +56,9 @@ fn unchecked_params() -> NgParams {
     }
 }
 
+/// Produce a microblock from whatever the leader has pooled.
+const PRODUCE: Input = Input::ProduceMicroblock { require_transactions: true };
+
 fn tx_pool(n: u64) -> Vec<Transaction> {
     let address = KeyPair::from_id(9).address();
     (0..n)
@@ -74,12 +78,7 @@ fn engine_with_chain(microblocks: u64) -> (Engine, u64) {
     for tx in tx_pool(microblocks) {
         now += 10;
         engine.handle(now, Input::SubmitTx(Box::new(tx)));
-        engine.handle(
-            now,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        );
+        engine.handle(now, PRODUCE);
     }
     (engine, now)
 }
@@ -99,12 +98,7 @@ fn cycle_us(depth: u64, iters: usize) -> f64 {
             engine.handle(now, Input::SubmitTx(Box::new(tx)));
         }
         now += 10;
-        black_box(engine.handle(
-            now,
-            Input::ProduceMicroblock {
-                require_transactions: true,
-            },
-        ));
+        black_box(engine.handle(now, PRODUCE));
         samples.push(t.elapsed().as_secs_f64() * 1e6);
     }
     median(samples)
@@ -125,11 +119,8 @@ fn reorg_us(depth: u64, iters: usize) -> f64 {
         let kb = node.mine_and_adopt_key_block(1_000);
         let mut now = 2_000u64;
         for tx in tx_pool(depth) {
-            node.produce_microblock(
-                now,
-                ng_chain::payload::Payload::Transactions(vec![tx]),
-            )
-            .expect("leader produces");
+            node.produce_microblock(now, Payload::Transactions(vec![tx]))
+                .expect("leader produces");
             now += 10;
         }
         view.sync(node.chain_mut()).expect("unchecked connect");
@@ -257,10 +248,7 @@ fn connect_256tx(iters: usize) -> (f64, f64, f64, f64, usize) {
         pooled_view.set_batch_executor(pool.clone());
         let t = Instant::now();
         let micro = node
-            .produce_microblock(
-                3_000,
-                ng_chain::payload::Payload::Transactions(txs.clone()),
-            )
+            .produce_microblock(3_000, Payload::Transactions(txs.clone()))
             .expect("256-tx microblock");
         let produced_at = t.elapsed().as_secs_f64() * 1e6;
 
@@ -347,12 +335,7 @@ fn durable_reopen_us(depth: u64, iters: usize, checkpoint_interval: u64) -> f64 
                     now,
                     Input::SubmitTx(Box::new(pool[height as usize].clone())),
                 );
-                engine.handle(
-                    now,
-                    Input::ProduceMicroblock {
-                        require_transactions: true,
-                    },
-                );
+                engine.handle(now, PRODUCE);
             }
         }
         assert_eq!(engine.height(), depth, "durable chain built to depth");
@@ -527,13 +510,10 @@ fn propagation(nodes: usize, seed: u64, gossip: GossipConfig) -> PropagationStat
     }
     let mut delays: Vec<u64> = first.values().map(|&at| at - produced_at).collect();
     delays.sort_unstable();
-    let percentile = |p: usize| -> f64 {
-        delays[(delays.len() * p / 100).min(delays.len() - 1)] as f64 * 1_000.0
-    };
     PropagationStats {
         coverage: first.len() as f64 / nodes as f64,
-        p50_us: percentile(50),
-        p99_us: percentile(99),
+        p50_us: percentile(&delays, 50) * 1_000.0,
+        p99_us: percentile(&delays, 99) * 1_000.0,
         relay_bytes_per_node: (relay_bytes(&net) - baseline) as f64 / nodes as f64,
     }
 }
@@ -580,6 +560,60 @@ fn tx_relay_mesh4() -> [f64; 4] {
 /// [`tx_relay_mesh4`] as PR 14 measured it, when every hop was announced (`inv` →
 /// `getdata` → `tx`); recorded beside the current row.
 const TX_RELAY_EVERY_HOP_ANNOUNCED: [f64; 4] = [3.04, 15.04, 922.2, 52.0];
+
+/// The overlay under leader hand-over, seed-deterministic like [`propagation`]:
+/// a 3-node mesh (links 2–20 virtual ms, 2 ms auto-microblocks, compact + overlay)
+/// where nodes 0 and 1 swap leadership every 250 ms, node 2 only observes, and
+/// 6 000 transactions reach the non-leader, one per ms. Returns the grafts and
+/// prunes of all nodes per 1000 blocks the observer accepted, and the observer's
+/// p50/p99 virtual ms from a main-chain block's production to its arrival there.
+fn overlay_handover3() -> [f64; 4] {
+    use ng_node::simnet::{SimConfig, SimNet};
+
+    let mut config = SimConfig::new(3, 1);
+    config.gossip = GossipConfig::scalable();
+    config.auto_microblocks = true;
+    config.record_arrivals = true;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2]);
+    net.run(2_000);
+    for ms in 0..6_000 {
+        let leader = (ms / 250 % 2) as usize;
+        if ms % 250 == 0 {
+            net.mine_key_block(leader);
+        }
+        net.submit_tx(1 - leader, ng_node::testnet::test_tx(ms));
+        net.run(1);
+    }
+    net.run(5_000);
+    let main_chain = net.engine(2).node().chain().store().main_chain();
+    let mut delays: Vec<u64> = main_chain
+        .iter()
+        .filter_map(|id| {
+            let arrivals = net.arrivals(id);
+            let observed = arrivals.iter().find(|&&(node, _)| node == 2)?.1;
+            Some(observed - arrivals.first()?.1)
+        })
+        .collect();
+    delays.sort_unstable();
+    let counters: Vec<_> = net.snapshots().into_iter().map(|snap| snap.counters).collect();
+    let per_1000 = |count: u64| count as f64 * 1_000.0 / counters[2].blocks_accepted as f64;
+    [
+        per_1000(counters.iter().map(|c| c.overlay_grafts).sum()),
+        per_1000(counters.iter().map(|c| c.overlay_prunes).sum()),
+        percentile(&delays, 50),
+        percentile(&delays, 99),
+    ]
+}
+
+/// [`overlay_handover3`] measured before a reply to this node's own request
+/// stopped counting as a duplicate push; recorded beside the current row.
+const OVERLAY_HANDOVER3_REPLIES_PRUNED: [f64; 4] = [541.1, 59.1, 142.0, 206.0];
+
+/// The `p`-th percentile of ascending `samples`.
+fn percentile(samples: &[u64], p: usize) -> f64 {
+    samples[(samples.len() * p / 100).min(samples.len() - 1)] as f64
+}
 
 /// The wire codec on real bytes: median microseconds to encode and to decode one
 /// `tx` frame (a signed 1-in/1-out spend) and one 512-transaction `microblock`
@@ -740,6 +774,16 @@ fn main() {
              \"microblock_512tx_decode_us\": {block_decode:.1}, \"tx_frame_bytes\": {tx_bytes:.0} }}"
         )
     };
+    let handover_row = |[grafts, prunes, p50, p99]: [f64; 4]| {
+        format!(
+            "{{ \"grafts_per_1000_blocks\": {grafts:.1}, \"prunes_per_1000_blocks\": {prunes:.1}, \
+             \"observer_p50_ms\": {p50:.1}, \"observer_p99_ms\": {p99:.1} }}"
+        )
+    };
+    println!("  \"overlay_handover3\": {{");
+    println!("    \"replies_never_prune\": {},", handover_row(overlay_handover3()));
+    println!("    \"replies_pruned\": {}", handover_row(OVERLAY_HANDOVER3_REPLIES_PRUNED));
+    println!("  }},");
     println!("  \"wire_codec\": {{");
     println!("    \"binary\": {},", codec_row(wire_codec(iters)));
     println!("    \"json\": {}", codec_row(WIRE_CODEC_JSON));

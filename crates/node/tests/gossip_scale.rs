@@ -9,7 +9,9 @@
 //! bytes. A second scenario severs the producer's eager links mid-stream and
 //! checks the lazy `ihave` → timeout → graft path regrows the broadcast tree
 //! (full coverage restored, grafts observed). A multi-seed sweep repeats
-//! propagation under message loss and link churn.
+//! propagation under message loss and link churn. A leader hand-over workload
+//! checks the overlay never prunes a link over a block it asked for, so an
+//! observer keeps an eager link and does not wait out a pull timeout per block.
 
 use ng_crypto::sha256::Hash256;
 use ng_node::engine::GossipConfig;
@@ -220,5 +222,44 @@ fn propagation_survives_loss_and_churn_across_seeds() {
                 coverage(&net, &blk)
             );
         }
+    }
+}
+
+/// The hand-over workload on a 3-node mesh (links 2–20 ms, 2 ms auto-microblocks,
+/// compact + overlay): nodes 0 and 1 swap leadership every 250 ms, node 2 only
+/// observes, and 6 000 transactions reach the non-leader, one per ms.
+fn handover3(seed: u64) -> SimNet {
+    let mut config = SimConfig::new(3, seed);
+    config.gossip = GossipConfig::scalable();
+    config.auto_microblocks = true;
+    let mut net = SimNet::new(config);
+    net.connect_mesh(&[0, 1, 2]);
+    assert!(net.run(2_000), "handshakes settle");
+    for ms in 0..6_000 {
+        let leader = (ms / 250 % 2) as usize;
+        if ms % 250 == 0 {
+            net.mine_key_block(leader);
+        }
+        net.submit_tx(1 - leader, test_tx(ms));
+        net.run(1);
+    }
+    assert!(net.run(5_000), "the network drains");
+    net
+}
+
+#[test]
+fn leader_hand_over_keeps_the_observer_on_an_eager_link() {
+    // Before replies stopped counting as duplicate pushes, seeds 1–3 drew 600–680
+    // grafts and 60–90 prunes, and the observer lost every eager link on two.
+    for seed in 1..=3 {
+        let net = handover3(seed);
+        let counters: Vec<_> = net.snapshots().into_iter().map(|snap| snap.counters).collect();
+        let grafts: u64 = counters.iter().map(|c| c.overlay_grafts).sum();
+        let prunes: u64 = counters.iter().map(|c| c.overlay_prunes).sum();
+        let observed = counters[2].blocks_accepted;
+        assert!(net.converged(), "seed {seed}: converged");
+        assert!(grafts * 100 <= observed, "seed {seed}: {grafts} grafts for {observed} blocks");
+        assert!(prunes <= 4, "seed {seed}: {prunes} prunes");
+        assert!(!net.engine(2).overlay_eager().is_empty(), "seed {seed}: observer has an eager link");
     }
 }

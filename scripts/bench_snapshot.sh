@@ -43,6 +43,12 @@
 #     messages and wire bytes per transaction, and the median virtual time from
 #     submit to "in every mempool"; the first-hop push (current) beside the
 #     values PR 14 measured when every hop was announced
+#   * overlay_handover3 — leader hand-over on a 3-node SimNet (nodes 0 and 1
+#     swap leadership every 250 virtual ms, node 2 observes, 2 ms
+#     auto-microblocks, 6 000 transactions at one per ms): overlay grafts and
+#     prunes per 1000 observed blocks and the observer's p50/p99 virtual ms from
+#     production to arrival; replies never prune (current) beside the values
+#     measured when a reply to the node's own request counted as a duplicate push
 #   * wire_codec — FrameCodec on real bytes: µs to encode and to decode one
 #     signed `tx` frame and one 512-transaction `microblock` frame, and the
 #     bytes of the `tx` frame; the binary codec (current) beside the values
