@@ -442,4 +442,85 @@ mod tests {
         assert!(client.send(conn, &Message::Ping(1)).is_err());
         let _ = server;
     }
+
+    /// The pattern Nagle's algorithm stalls: A writes two small frames back to
+    /// back and B's owner answers once the second is in. With Nagle on, the
+    /// second frame waits for the ACK of the first, which a receiver with
+    /// nothing to send delays by up to 40 ms.
+    #[test]
+    fn a_second_small_frame_does_not_wait_for_an_ack() {
+        let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let b = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let to_b = a.connect(b.local_addr()).unwrap();
+        let to_a = wait_connection(&b, Duration::from_secs(5)).expect("accepted");
+        let _ = wait_connection(&a, Duration::from_secs(5));
+        let mut took = Vec::new();
+        for round in 0..20u64 {
+            let started = std::time::Instant::now();
+            a.send(to_b, &Message::Ping(2 * round)).unwrap();
+            a.send(to_b, &Message::Ping(2 * round + 1)).unwrap();
+            for _ in 0..2 {
+                recv_message(&b, Duration::from_secs(5)).expect("frame at B");
+            }
+            b.send(to_a, &Message::Pong(round)).unwrap();
+            let (_, answer) = recv_message(&a, Duration::from_secs(5)).expect("answer at A");
+            assert_eq!(answer, Message::Pong(round));
+            took.push(started.elapsed());
+        }
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(median < Duration::from_millis(5), "median exchange took {median:?}");
+    }
+
+    fn nodelay(endpoint: &TcpEndpoint, connection: u64) -> bool {
+        endpoint.writers.lock()[&connection].stream.nodelay().unwrap()
+    }
+
+    #[test]
+    fn dialled_and_accepted_streams_disable_nagle() {
+        let server = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let client = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let dialled = client.connect(server.local_addr()).unwrap();
+        let accepted = wait_connection(&server, Duration::from_secs(5)).expect("accepted");
+        assert!(nodelay(&client, dialled), "the dialled stream runs Nagle");
+        assert!(nodelay(&server, accepted), "the accepted stream runs Nagle");
+    }
+
+    /// An owner's input channel: transport events beside the owner's own inputs.
+    #[derive(Debug)]
+    enum OwnerInput {
+        Tcp(TcpEvent),
+        Own(u64),
+    }
+
+    impl From<TcpEvent> for OwnerInput {
+        fn from(event: TcpEvent) -> Self {
+            OwnerInput::Tcp(event)
+        }
+    }
+
+    #[test]
+    fn bind_with_reports_a_connection_into_the_owners_channel() {
+        let (input_tx, input_rx) = unbounded();
+        input_tx.send(OwnerInput::Own(1)).unwrap();
+        let server = TcpEndpoint::bind_with("127.0.0.1:0", (input_tx, input_rx.clone())).unwrap();
+        let client = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let conn = client.connect(server.local_addr()).unwrap();
+        client.send(conn, &Message::Ping(7)).unwrap();
+        let next = || input_rx.recv_timeout(Duration::from_secs(5)).expect("an input");
+        assert!(matches!(next(), OwnerInput::Own(1)));
+        let OwnerInput::Tcp(TcpEvent::Connected { connection, inbound: true, .. }) = next() else {
+            panic!("expected an inbound Connected first");
+        };
+        assert!(matches!(
+            next(),
+            OwnerInput::Tcp(TcpEvent::Message { connection: at, message: Message::Ping(7) })
+                if at == connection
+        ));
+        client.close(conn);
+        assert!(matches!(
+            next(),
+            OwnerInput::Tcp(TcpEvent::Disconnected { connection: at, .. }) if at == connection
+        ));
+    }
 }
