@@ -7,6 +7,18 @@
 //! connection, blocking writes, and a crossbeam channel delivering [`TcpEvent`]s to the
 //! owner.
 //!
+//! The owner supplies that channel ([`TcpEndpoint::bind_with`]) and names its item
+//! type, any `E: From<TcpEvent>`; [`TcpEndpoint::bind`] is `bind_with` on a fresh
+//! channel of plain [`TcpEvent`]s. An owner that already waits on a channel of its
+//! own inputs passes that one, so a frame goes from the reader thread straight to
+//! the owner's loop, with no thread in between to copy it across.
+//!
+//! Every stream, dialled or accepted, has Nagle's algorithm off (`TCP_NODELAY`), so
+//! a frame leaves when it is written. The protocol writes small frames back to back
+//! (a `tx` after a `tx`, an `inv` after a `cmpct`) and often waits for an answer to
+//! the second; with Nagle on, that frame waits for the ACK of the first, which a
+//! receiver with nothing to send delays by up to 40 ms.
+//!
 //! Each connection has its own write lock, and every write gives up after
 //! [`WRITE_TIMEOUT`]: a peer that stops reading costs its own connection, which is
 //! then closed, and never blocks a send to anyone else.
@@ -37,8 +49,6 @@ struct Writer {
     lock: Mutex<()>,
 }
 
-type Writers = Arc<Mutex<HashMap<u64, Arc<Writer>>>>;
-
 /// Events delivered to the endpoint owner.
 #[derive(Debug)]
 pub enum TcpEvent {
@@ -67,51 +77,71 @@ pub enum TcpEvent {
     },
 }
 
-/// A TCP endpoint: listener plus outbound connections, all speaking framed [`Message`]s.
-pub struct TcpEndpoint {
-    local_addr: SocketAddr,
-    events_rx: Receiver<TcpEvent>,
-    events_tx: Sender<TcpEvent>,
-    writers: Writers,
-    next_connection: Arc<AtomicU64>,
-    closing: Arc<AtomicBool>,
+/// What the endpoint, its acceptor and its reader threads share.
+struct Shared<E> {
+    events_tx: Sender<E>,
+    writers: Mutex<HashMap<u64, Arc<Writer>>>,
+    next_connection: AtomicU64,
+    closing: AtomicBool,
     codec: FrameCodec,
+}
+
+/// A TCP endpoint: listener plus outbound connections, all speaking framed
+/// [`Message`]s, reporting into a channel of `E`s.
+pub struct TcpEndpoint<E = TcpEvent> {
+    local_addr: SocketAddr,
+    events_rx: Receiver<E>,
+    shared: Arc<Shared<E>>,
 }
 
 impl TcpEndpoint {
     /// Binds a listener on `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting connections.
+    /// accepting connections; events arrive on [`TcpEndpoint::events`].
     pub fn bind(addr: &str) -> std::io::Result<Self> {
+        Self::bind_with(addr, unbounded())
+    }
+}
+
+impl<E: From<TcpEvent> + Send + 'static> TcpEndpoint<E> {
+    /// [`TcpEndpoint::bind`], reporting into the owner's channel: every event is
+    /// converted with `E::from` and sent on `channel.0`; [`TcpEndpoint::events`]
+    /// returns `channel.1`.
+    pub fn bind_with(addr: &str, channel: (Sender<E>, Receiver<E>)) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (events_tx, events_rx) = unbounded();
-        let endpoint = TcpEndpoint {
+        let (events_tx, events_rx) = channel;
+        let shared = Arc::new(Shared {
+            events_tx,
+            writers: Mutex::new(HashMap::new()),
+            next_connection: AtomicU64::new(0),
+            closing: AtomicBool::new(false),
+            codec: FrameCodec::default(),
+        });
+        let acceptor = Arc::clone(&shared);
+        thread::spawn(move || accept_loop(listener.incoming(), &acceptor));
+        Ok(TcpEndpoint {
             local_addr,
             events_rx,
-            events_tx,
-            writers: Arc::new(Mutex::new(HashMap::new())),
-            next_connection: Arc::new(AtomicU64::new(0)),
-            closing: Arc::new(AtomicBool::new(false)),
-            codec: FrameCodec::default(),
-        };
-        endpoint.spawn_acceptor(listener);
-        Ok(endpoint)
+            shared,
+        })
     }
 
+    /// Opens an outbound connection; returns its connection id.
+    pub fn connect(&self, addr: SocketAddr) -> std::io::Result<u64> {
+        let stream = TcpStream::connect(addr)?;
+        Ok(register_stream(stream, false, &self.shared))
+    }
+}
+
+impl<E> TcpEndpoint<E> {
     /// The bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
     /// The receiving side of the event stream.
-    pub fn events(&self) -> &Receiver<TcpEvent> {
+    pub fn events(&self) -> &Receiver<E> {
         &self.events_rx
-    }
-
-    /// Opens an outbound connection; returns its connection id.
-    pub fn connect(&self, addr: SocketAddr) -> std::io::Result<u64> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(self.register(stream, false))
     }
 
     /// Sends a message on a connection. Errors if the connection is gone, encoding
@@ -119,10 +149,12 @@ impl TcpEndpoint {
     /// closes the connection.
     pub fn send(&self, connection: u64, message: &Message) -> Result<(), String> {
         let frame = self
+            .shared
             .codec
             .encode(message)
             .map_err(|e: CodecError| e.to_string())?;
         let writer = self
+            .shared
             .writers
             .lock()
             .get(&connection)
@@ -137,138 +169,105 @@ impl TcpEndpoint {
 
     /// Closes a connection (the reader thread will emit `Disconnected`).
     pub fn close(&self, connection: u64) {
-        if let Some(writer) = self.writers.lock().remove(&connection) {
+        if let Some(writer) = self.shared.writers.lock().remove(&connection) {
             let _ = writer.stream.shutdown(std::net::Shutdown::Both);
         }
     }
 
     /// Number of live connections.
     pub fn connection_count(&self) -> usize {
-        self.writers.lock().len()
+        self.shared.writers.lock().len()
     }
 
     /// Stops the endpoint: closes every connection and unblocks the acceptor thread
     /// so it exits (instead of leaking a blocked thread plus the bound listener for
     /// the life of the process). Idempotent; also called on drop.
     pub fn shutdown(&self) {
-        if self.closing.swap(true, Ordering::SeqCst) {
+        if self.shared.closing.swap(true, Ordering::SeqCst) {
             return;
         }
-        for (_, writer) in self.writers.lock().drain() {
+        for (_, writer) in self.shared.writers.lock().drain() {
             let _ = writer.stream.shutdown(std::net::Shutdown::Both);
         }
         // Wake the acceptor blocked in `incoming()`; it sees `closing` and exits.
         let _ = TcpStream::connect(self.local_addr);
     }
-
-    fn spawn_acceptor(&self, listener: TcpListener) {
-        let events_tx = self.events_tx.clone();
-        let writers = Arc::clone(&self.writers);
-        let next_connection = Arc::clone(&self.next_connection);
-        let closing = Arc::clone(&self.closing);
-        let codec = self.codec.clone();
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                if closing.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { break };
-                register_stream(
-                    stream,
-                    true,
-                    &events_tx,
-                    &writers,
-                    &next_connection,
-                    codec.clone(),
-                );
-            }
-        });
-    }
-
-    fn register(&self, stream: TcpStream, inbound: bool) -> u64 {
-        register_stream(
-            stream,
-            inbound,
-            &self.events_tx,
-            &self.writers,
-            &self.next_connection,
-            self.codec.clone(),
-        )
-    }
 }
 
-impl Drop for TcpEndpoint {
+impl<E> Drop for TcpEndpoint<E> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-fn register_stream(
+/// Registers every inbound stream `incoming` yields until the endpoint closes.
+fn accept_loop<E: From<TcpEvent> + Send + 'static>(
+    incoming: impl IntoIterator<Item = std::io::Result<TcpStream>>,
+    shared: &Arc<Shared<E>>,
+) {
+    for stream in incoming {
+        if shared.closing.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { break };
+        register_stream(stream, true, shared);
+    }
+}
+
+fn register_stream<E: From<TcpEvent> + Send + 'static>(
     stream: TcpStream,
     inbound: bool,
-    events_tx: &Sender<TcpEvent>,
-    writers: &Writers,
-    next_connection: &Arc<AtomicU64>,
-    codec: FrameCodec,
+    shared: &Arc<Shared<E>>,
 ) -> u64 {
-    let connection = next_connection.fetch_add(1, Ordering::SeqCst);
+    let connection = shared.next_connection.fetch_add(1, Ordering::SeqCst);
     let remote = stream
         .peer_addr()
         .unwrap_or_else(|_| "0.0.0.0:0".parse().expect("static addr"));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let _ = stream.set_nodelay(true);
     let reader = stream.try_clone().expect("clone tcp stream");
     let writer = Writer {
         stream,
         lock: Mutex::new(()),
     };
-    writers.lock().insert(connection, Arc::new(writer));
-    let _ = events_tx.send(TcpEvent::Connected {
+    shared.writers.lock().insert(connection, Arc::new(writer));
+    let _ = shared.events_tx.send(E::from(TcpEvent::Connected {
         connection,
         remote,
         inbound,
-    });
+    }));
 
-    let events_tx = events_tx.clone();
-    let writers = Arc::clone(writers);
+    let shared = Arc::clone(shared);
     thread::spawn(move || {
+        let report = |event: TcpEvent| shared.events_tx.send(E::from(event)).is_ok();
         let mut reader = reader;
         let mut buffer = BytesMut::with_capacity(64 * 1024);
         let mut chunk = [0u8; 16 * 1024];
-        let reason = loop {
+        let reason = 'read: loop {
             match reader.read(&mut chunk) {
                 Ok(0) => break "connection closed by peer".to_string(),
                 Ok(n) => {
                     buffer.extend_from_slice(&chunk[..n]);
                     loop {
-                        match codec.decode(&mut buffer) {
+                        match shared.codec.decode(&mut buffer) {
                             Ok(Some(message)) => {
-                                if events_tx
-                                    .send(TcpEvent::Message {
-                                        connection,
-                                        message,
-                                    })
-                                    .is_err()
-                                {
+                                if !report(TcpEvent::Message {
+                                    connection,
+                                    message,
+                                }) {
                                     break;
                                 }
                             }
                             Ok(None) => break,
-                            Err(e) => {
-                                let _ = events_tx.send(TcpEvent::Disconnected {
-                                    connection,
-                                    reason: e.to_string(),
-                                });
-                                writers.lock().remove(&connection);
-                                return;
-                            }
+                            Err(e) => break 'read e.to_string(),
                         }
                     }
                 }
                 Err(e) => break e.to_string(),
             }
         };
-        writers.lock().remove(&connection);
-        let _ = events_tx.send(TcpEvent::Disconnected { connection, reason });
+        shared.writers.lock().remove(&connection);
+        report(TcpEvent::Disconnected { connection, reason });
     });
     connection
 }
@@ -473,7 +472,7 @@ mod tests {
     }
 
     fn nodelay(endpoint: &TcpEndpoint, connection: u64) -> bool {
-        endpoint.writers.lock()[&connection].stream.nodelay().unwrap()
+        endpoint.shared.writers.lock()[&connection].stream.nodelay().unwrap()
     }
 
     #[test]

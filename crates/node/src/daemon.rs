@@ -2,8 +2,10 @@
 //! [`Engine`].
 //!
 //! All protocol logic lives in [`crate::engine`]; this module only moves bytes and
-//! clocks. The daemon runs on its own thread. A forwarder moves [`TcpEvent`]s from
-//! the transport into the same channel that carries control [`Command`]s, so the
+//! clocks. The daemon runs on its own thread. The transport reports its
+//! [`TcpEvent`]s into the same channel that carries control [`Command`]s (the
+//! endpoint is bound on that channel, [`TcpEndpoint::bind_with`]), so a received
+//! frame goes from its connection's reader thread straight to the loop, and the
 //! loop is a single `recv_timeout` whose timeout is the deadline of the engine's
 //! last [`Effect::SetTimer`] — an idle daemon sleeps until the next protocol
 //! deadline instead of polling on a fixed tick. Effects map one-to-one onto I/O:
@@ -13,7 +15,7 @@
 
 use crate::engine::{Effect, Engine, EngineConfig, Input as EngineInput, ReportEvent};
 use crate::report::{record, NodeSnapshot};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use ng_chain::transaction::Transaction;
 use ng_core::params::NgParams;
 use ng_crypto::sha256::Hash256;
@@ -124,6 +126,12 @@ enum DriverInput {
     Cmd(Command),
 }
 
+impl From<TcpEvent> for DriverInput {
+    fn from(event: TcpEvent) -> Self {
+        DriverInput::Tcp(event)
+    }
+}
+
 /// Handle to a running daemon. Dropping the handle shuts the daemon down.
 pub struct NodeHandle {
     id: u64,
@@ -215,21 +223,10 @@ impl Drop for NodeHandle {
 
 /// Spawns a daemon and returns its handle.
 pub fn spawn(config: NodeConfig) -> std::io::Result<NodeHandle> {
-    let endpoint = TcpEndpoint::bind(&config.listen_addr)?;
+    let (input_tx, input_rx) = unbounded();
+    let endpoint = TcpEndpoint::bind_with(&config.listen_addr, (input_tx.clone(), input_rx))?;
     let addr = endpoint.local_addr();
     let counters = Arc::new(NodeCounters::new());
-    let (input_tx, input_rx) = unbounded();
-
-    // Forward transport events into the unified input channel.
-    let events = endpoint.events().clone();
-    let forward_tx = input_tx.clone();
-    std::thread::spawn(move || {
-        while let Ok(event) = events.recv() {
-            if forward_tx.send(DriverInput::Tcp(event)).is_err() {
-                break;
-            }
-        }
-    });
 
     let id = config.id;
     // Real-thread driver: fan connect-time signature batches across the shared
@@ -257,7 +254,7 @@ pub fn spawn(config: NodeConfig) -> std::io::Result<NodeHandle> {
     };
     let thread = std::thread::Builder::new()
         .name(format!("ng-node-{id}"))
-        .spawn(move || daemon.run(input_rx))?;
+        .spawn(move || daemon.run())?;
 
     Ok(NodeHandle {
         id,
@@ -271,20 +268,21 @@ pub fn spawn(config: NodeConfig) -> std::io::Result<NodeHandle> {
 /// The thin I/O driver around the engine.
 struct Daemon {
     engine: Engine,
-    endpoint: TcpEndpoint,
+    /// Bound on the daemon's input channel: its `events()` are the loop's inputs.
+    endpoint: TcpEndpoint<DriverInput>,
     counters: Arc<NodeCounters>,
     /// Deadline of the engine's last `SetTimer` effect, if still pending.
     deadline_ms: Option<u64>,
 }
 
 impl Daemon {
-    fn run(mut self, input_rx: Receiver<DriverInput>) {
+    fn run(mut self) {
         loop {
             let timeout = match self.deadline_ms {
                 Some(deadline) => Duration::from_millis(deadline.saturating_sub(now_ms()).max(1)),
                 None => IDLE_BACKSTOP,
             };
-            match input_rx.recv_timeout(timeout) {
+            match self.endpoint.events().recv_timeout(timeout) {
                 Ok(DriverInput::Tcp(event)) => self.on_tcp(event),
                 Ok(DriverInput::Cmd(Command::Shutdown)) => break,
                 Ok(DriverInput::Cmd(command)) => self.on_command(command),
