@@ -485,6 +485,24 @@ mod tests {
         assert!(nodelay(&server, accepted), "the accepted stream runs Nagle");
     }
 
+    /// One failed `accept` (here `EMFILE`, the process out of descriptors during
+    /// a connection flood) must not end the accept loop and close the port.
+    #[test]
+    fn an_accept_error_does_not_stop_the_acceptor() {
+        const EMFILE: i32 = 24;
+        let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _dialled = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let incoming = [Err(std::io::Error::from_raw_os_error(EMFILE)), Ok(accepted)];
+        accept_loop(incoming, &endpoint.shared);
+        assert_eq!(endpoint.connection_count(), 1, "the stream after the error was dropped");
+        assert!(matches!(
+            endpoint.events().recv_timeout(Duration::from_secs(5)),
+            Ok(TcpEvent::Connected { inbound: true, .. })
+        ));
+    }
+
     /// An owner's input channel: transport events beside the owner's own inputs.
     #[derive(Debug)]
     enum OwnerInput {
