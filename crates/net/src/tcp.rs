@@ -41,6 +41,11 @@ use std::time::Duration;
 /// write closes the connection, and its reader reports `Disconnected`.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// How long the acceptor waits after a failed `accept` before the next one. The
+/// usual cause, the process out of descriptors (`EMFILE`), outlasts an
+/// immediate retry, which would only spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
 /// The write side of one connection. The lock keeps concurrent frames from
 /// interleaving; shutting the socket down needs no lock, so `close` and
 /// `shutdown` never wait behind a blocked write.
@@ -126,10 +131,10 @@ impl<E: From<TcpEvent> + Send + 'static> TcpEndpoint<E> {
         })
     }
 
-    /// Opens an outbound connection; returns its connection id.
+    /// Opens an outbound connection; returns its connection id. Errors if the dial
+    /// fails or the stream cannot be cloned for its reader thread.
     pub fn connect(&self, addr: SocketAddr) -> std::io::Result<u64> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(register_stream(stream, false, &self.shared))
+        register_stream(TcpStream::connect(addr)?, false, &self.shared)
     }
 }
 
@@ -200,7 +205,9 @@ impl<E> Drop for TcpEndpoint<E> {
     }
 }
 
-/// Registers every inbound stream `incoming` yields until the endpoint closes.
+/// Registers every inbound stream `incoming` yields until the endpoint closes. A
+/// failed `accept` costs [`ACCEPT_BACKOFF`], and a stream that cannot be
+/// registered is dropped, which closes it; neither stops the loop.
 fn accept_loop<E: From<TcpEvent> + Send + 'static>(
     incoming: impl IntoIterator<Item = std::io::Result<TcpStream>>,
     shared: &Arc<Shared<E>>,
@@ -209,8 +216,12 @@ fn accept_loop<E: From<TcpEvent> + Send + 'static>(
         if shared.closing.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { break };
-        register_stream(stream, true, shared);
+        match stream {
+            Ok(stream) => {
+                let _ = register_stream(stream, true, shared);
+            }
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
+        }
     }
 }
 
@@ -218,14 +229,14 @@ fn register_stream<E: From<TcpEvent> + Send + 'static>(
     stream: TcpStream,
     inbound: bool,
     shared: &Arc<Shared<E>>,
-) -> u64 {
+) -> std::io::Result<u64> {
+    let reader = stream.try_clone()?;
     let connection = shared.next_connection.fetch_add(1, Ordering::SeqCst);
     let remote = stream
         .peer_addr()
-        .unwrap_or_else(|_| "0.0.0.0:0".parse().expect("static addr"));
+        .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let reader = stream.try_clone().expect("clone tcp stream");
     let writer = Writer {
         stream,
         lock: Mutex::new(()),
@@ -269,7 +280,7 @@ fn register_stream<E: From<TcpEvent> + Send + 'static>(
         shared.writers.lock().remove(&connection);
         report(TcpEvent::Disconnected { connection, reason });
     });
-    connection
+    Ok(connection)
 }
 
 #[cfg(test)]
