@@ -15,8 +15,9 @@
 //! flood-vs-overlay byte reduction, plus a 1000-node overlay row), the cost
 //! of transaction relay through a 4-node mesh (`tx_relay_mesh4`), the overlay's
 //! grafts, prunes and observer latency under leader hand-over
-//! (`overlay_handover3`), and the wire codec's cost per `tx` frame and per
-//! 512-transaction microblock frame (`wire_codec`).
+//! (`overlay_handover3`), the wire codec's cost per `tx` frame and per
+//! 512-transaction microblock frame (`wire_codec`), and the latency of small
+//! frames between two loopback `TcpEndpoint`s (`tcp_frames`).
 //!
 //! `scripts/bench_snapshot.sh` redirects this into `BENCH_ledger.json` (schema
 //! `bench_ledger/v5`) so the repository tracks the perf trajectory; CI runs a
@@ -650,6 +651,54 @@ fn wire_codec(iters: usize) -> [f64; 5] {
 /// codec, when every frame body was JSON; recorded beside the current row.
 const WIRE_CODEC_JSON: [f64; 5] = [8.6, 21.4, 4776.9, 362039.9, 744.0];
 
+/// Two `TcpEndpoint`s over loopback, `exchanges` rounds of: a lone `ping` from A
+/// until B's owner has it (one-way delivery), then two `ping`s back to back and
+/// B's `pong` once the second is in, until A's owner has the `pong` (the
+/// write-write-answer exchange Nagle's algorithm stalls). Returns p50 and p99 µs
+/// of the one-way delivery, then of the exchange.
+fn tcp_frames(exchanges: usize) -> [f64; 4] {
+    use ng_net::tcp::{TcpEndpoint, TcpEvent};
+
+    let a = TcpEndpoint::bind("127.0.0.1:0").expect("bind A");
+    let b = TcpEndpoint::bind("127.0.0.1:0").expect("bind B");
+    let to_b = a.connect(b.local_addr()).expect("A dials B");
+    // The connection a message arrived on, skipping `Connected`.
+    let message_at = |endpoint: &TcpEndpoint| loop {
+        match endpoint.events().recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(TcpEvent::Message { connection, .. }) => return connection,
+            Ok(TcpEvent::Connected { .. }) => continue,
+            other => panic!("tcp_frames: {other:?}"),
+        }
+    };
+    let (mut one_way, mut exchange) = (Vec::new(), Vec::new());
+    for round in 0..exchanges as u64 {
+        let t = Instant::now();
+        a.send(to_b, &Message::Ping(round)).expect("ping");
+        message_at(&b);
+        one_way.push(t.elapsed().as_micros() as u64);
+        let t = Instant::now();
+        a.send(to_b, &Message::Ping(round)).expect("first ping");
+        a.send(to_b, &Message::Ping(round)).expect("second ping");
+        message_at(&b);
+        let to_a = message_at(&b);
+        b.send(to_a, &Message::Pong(round)).expect("pong");
+        message_at(&a);
+        exchange.push(t.elapsed().as_micros() as u64);
+    }
+    one_way.sort_unstable();
+    exchange.sort_unstable();
+    [
+        percentile(&one_way, 50),
+        percentile(&one_way, 99),
+        percentile(&exchange, 50),
+        percentile(&exchange, 99),
+    ]
+}
+
+/// [`tcp_frames`] measured on the same host before streams set `TCP_NODELAY`
+/// (per figure, the median of five runs); recorded beside the current row.
+const TCP_FRAMES_NAGLE: [f64; 4] = [11.0, 25.0, 43987.0, 47931.0];
+
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
@@ -787,6 +836,17 @@ fn main() {
     println!("  \"wire_codec\": {{");
     println!("    \"binary\": {},", codec_row(wire_codec(iters)));
     println!("    \"json\": {}", codec_row(WIRE_CODEC_JSON));
+    println!("  }},");
+    let frames_row = |[one_p50, one_p99, wwa_p50, wwa_p99]: [f64; 4]| {
+        format!(
+            "{{ \"one_way_p50_us\": {one_p50:.0}, \"one_way_p99_us\": {one_p99:.0}, \
+             \"write_write_answer_p50_us\": {wwa_p50:.0}, \
+             \"write_write_answer_p99_us\": {wwa_p99:.0} }}"
+        )
+    };
+    println!("  \"tcp_frames\": {{");
+    println!("    \"nodelay\": {},", frames_row(tcp_frames(iters * 5)));
+    println!("    \"nagle\": {}", frames_row(TCP_FRAMES_NAGLE));
     println!("  }}");
     println!("}}");
 

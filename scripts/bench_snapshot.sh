@@ -53,6 +53,12 @@
 #     signed `tx` frame and one 512-transaction `microblock` frame, and the
 #     bytes of the `tx` frame; the binary codec (current) beside the values
 #     measured when frame bodies were JSON
+#   * tcp_frames — two TcpEndpoints over loopback, 1000 rounds (5 × --iters):
+#     p50/p99 µs of a lone `ping` frame's one-way delivery, and of the
+#     write-write-answer exchange (two `ping`s back to back, a `pong` once the
+#     second is in, timed until it is back); TCP_NODELAY on every stream
+#     (current) beside the values the same function measured with Nagle's
+#     algorithm on, when the second frame waited for a delayed ACK
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
