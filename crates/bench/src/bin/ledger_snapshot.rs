@@ -664,7 +664,10 @@ fn tcp_frames(exchanges: usize) -> [f64; 4] {
     let to_b = a.connect(b.local_addr()).expect("A dials B");
     // The connection a message arrived on, skipping `Connected`.
     let message_at = |endpoint: &TcpEndpoint| loop {
-        match endpoint.events().recv_timeout(std::time::Duration::from_secs(10)) {
+        match endpoint
+            .events()
+            .recv_timeout(std::time::Duration::from_secs(10))
+        {
             Ok(TcpEvent::Message { connection, .. }) => return connection,
             Ok(TcpEvent::Connected { .. }) => continue,
             other => panic!("tcp_frames: {other:?}"),

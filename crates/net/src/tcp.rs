@@ -479,11 +479,17 @@ mod tests {
         }
         took.sort();
         let median = took[took.len() / 2];
-        assert!(median < Duration::from_millis(5), "median exchange took {median:?}");
+        assert!(
+            median < Duration::from_millis(5),
+            "median exchange took {median:?}"
+        );
     }
 
     fn nodelay(endpoint: &TcpEndpoint, connection: u64) -> bool {
-        endpoint.shared.writers.lock()[&connection].stream.nodelay().unwrap()
+        endpoint.shared.writers.lock()[&connection]
+            .stream
+            .nodelay()
+            .unwrap()
     }
 
     #[test]
@@ -507,7 +513,11 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         let incoming = [Err(std::io::Error::from_raw_os_error(EMFILE)), Ok(accepted)];
         accept_loop(incoming, &endpoint.shared);
-        assert_eq!(endpoint.connection_count(), 1, "the stream after the error was dropped");
+        assert_eq!(
+            endpoint.connection_count(),
+            1,
+            "the stream after the error was dropped"
+        );
         assert!(matches!(
             endpoint.events().recv_timeout(Duration::from_secs(5)),
             Ok(TcpEvent::Connected { inbound: true, .. })
@@ -535,9 +545,18 @@ mod tests {
         let client = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let conn = client.connect(server.local_addr()).unwrap();
         client.send(conn, &Message::Ping(7)).unwrap();
-        let next = || input_rx.recv_timeout(Duration::from_secs(5)).expect("an input");
+        let next = || {
+            input_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("an input")
+        };
         assert!(matches!(next(), OwnerInput::Own(1)));
-        let OwnerInput::Tcp(TcpEvent::Connected { connection, inbound: true, .. }) = next() else {
+        let OwnerInput::Tcp(TcpEvent::Connected {
+            connection,
+            inbound: true,
+            ..
+        }) = next()
+        else {
             panic!("expected an inbound Connected first");
         };
         assert!(matches!(

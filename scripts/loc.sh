@@ -15,7 +15,7 @@
 #   scripts/loc.sh [--check] [ROOT]   # ROOT defaults to the repository this script is in
 
 set -euo pipefail
-MAX_TOTAL=17069
+MAX_TOTAL=17101
 MAX_ENGINE_MODULE_LINES=500
 
 check=0
