@@ -2,6 +2,8 @@
 //! the incremental chainstate's microblock-cycle cost, the crypto backend's
 //! sign/verify/batch-verify latencies, the 256-transaction connect comparison
 //! (batched + worker-pool verification vs sequential per-signature verification),
+//! admission of relayed signed `tx` frames through a validating engine, alone and
+//! in queues of 8, 32 and 128 (`admission_batch`),
 //! the durable-store restart comparison (`restart_to_tip_us` — reopen a
 //! datadir from its newest UTXO snapshot — against `rebuild_from_genesis_1024_us`,
 //! the same reopen with checkpoints disabled so recovery replays every block),
@@ -277,6 +279,97 @@ fn connect_256tx(iters: usize) -> (f64, f64, f64, f64, usize) {
         median(cycle_samples),
         workers,
     )
+}
+
+/// A validating engine with handshaken peers 1 and 2, and `n` spends of outputs
+/// it holds confirmed, signed and ready for peer 1 to relay.
+fn funded_receiver(n: usize) -> (Engine, Vec<Transaction>) {
+    let params = ng_bench::workload::validated_params();
+    let mut engine = Engine::new(EngineConfig::new(1, params));
+    for peer in [1u64, 2] {
+        engine.handle(
+            0,
+            Input::PeerConnected {
+                peer,
+                inbound: true,
+            },
+        );
+        let version = Message::Version {
+            node_id: 10_000 + peer,
+            protocol: ng_net::message::ProtocolKind::BitcoinNg,
+            best_height: 0,
+            time_ms: 0,
+        };
+        for message in [version, Message::Verack, Message::Headers(vec![])] {
+            engine.handle(0, Input::Message { peer, message });
+        }
+    }
+    engine.handle(1_000, Input::MineKeyBlock);
+    let keys = *engine.node().keys();
+    let signer = SchnorrSigner::new(keys);
+    let share = Amount::from_coins(25).sats() / n as u64;
+    let mut fanout = TransactionBuilder::new().input(OutPoint::new(engine.tip(), 0));
+    for _ in 0..n {
+        fanout = fanout.output(Amount::from_sats(share), keys.address());
+    }
+    let mut fanout = fanout.build();
+    fanout.sign_all_inputs(&signer);
+    let fanout_id = fanout.txid();
+    engine.handle(1_001, Input::SubmitTx(Box::new(fanout)));
+    engine.handle(1_002, PRODUCE);
+    let spends = (0..n as u32)
+        .map(|vout| {
+            let mut tx = TransactionBuilder::new()
+                .input(OutPoint::new(fanout_id, vout))
+                .output(
+                    Amount::from_sats(share - 100),
+                    KeyPair::from_id(3000 + u64::from(vout)).address(),
+                )
+                .build();
+            tx.sign_all_inputs(&signer);
+            tx
+        })
+        .collect();
+    (engine, spends)
+}
+
+/// Queue sizes of the `admission_batch` row: a lone frame, then 8, 32 and 128.
+const ADMISSION_QUEUES: [usize; 4] = [1, 8, 32, 128];
+
+/// Median µs per transaction to admit relayed signed `tx` frames through a
+/// validating `Engine`: for each of [`ADMISSION_QUEUES`], that many frames from
+/// peer 1, timed from the first frame until the last is pooled — the deadline
+/// tick that flushes a short queue and the `inv`s to peer 2 included. A queue
+/// of 128 fills the engine's admission batch and flushes it twice. Every
+/// signature is new to the engine.
+fn admission_batch(iters: usize) -> [f64; 4] {
+    let mut samples = ADMISSION_QUEUES.map(|_| Vec::with_capacity(iters));
+    for _ in 0..iters {
+        let (mut engine, spends) = funded_receiver(ADMISSION_QUEUES.iter().sum());
+        let mut spends = spends.into_iter();
+        let mut now = 10_000;
+        for (size, samples) in ADMISSION_QUEUES.iter().zip(&mut samples) {
+            let pooled = engine.mempool_len();
+            let frames: Vec<Input> = spends
+                .by_ref()
+                .take(*size)
+                .map(|tx| Input::Message {
+                    peer: 1,
+                    message: Message::Tx(Box::new(tx)),
+                })
+                .collect();
+            let t = Instant::now();
+            for frame in frames {
+                black_box(engine.handle(now, frame));
+            }
+            // Past any admission deadline: the tick flushes whatever waits.
+            now += 1_000;
+            black_box(engine.handle(now, Input::Tick));
+            samples.push(t.elapsed().as_secs_f64() * 1e6 / *size as f64);
+            assert_eq!(engine.mempool_len(), pooled + size, "every frame admitted");
+        }
+    }
+    samples.map(median)
 }
 
 /// Median microseconds to reopen a durable datadir and restore a node to its
@@ -741,6 +834,7 @@ fn main() {
     let restart_speedup = rebuild_1024 / restart_1024.max(f64::EPSILON);
     let (seq_256, inline_256, batched_256, cycle_256, workers) =
         connect_256tx((iters / 20).clamp(3, 10));
+    let [admit_lone, admit_8, admit_32, admit_128] = admission_batch((iters / 10).clamp(3, 20));
     let speedup = seq_256 / batched_256.max(f64::EPSILON);
     // Virtual time is deterministic per seed, so a couple of seeds suffice.
     let cold_iters = (iters / 100).clamp(1, 3);
@@ -779,6 +873,12 @@ fn main() {
     println!("    \"batched_parallel_us\": {batched_256:.1},");
     println!("    \"speedup\": {speedup:.2},");
     println!("    \"workers\": {workers}");
+    println!("  }},");
+    println!("  \"admission_batch\": {{");
+    println!("    \"lone_us_per_tx\": {admit_lone:.1},");
+    println!("    \"queue_8_us_per_tx\": {admit_8:.1},");
+    println!("    \"queue_32_us_per_tx\": {admit_32:.1},");
+    println!("    \"queue_128_us_per_tx\": {admit_128:.1}");
     println!("  }},");
     println!("  \"reorg_depth8_us\": {reorg_8:.1},");
     println!("  \"ledger_replay_from_genesis_1024_us\": {replay_1024:.1},");
@@ -867,6 +967,12 @@ fn main() {
         if batch_256 > 256.0 * verify.max(50.0) {
             failures.push(format!(
                 "verify_batch_256_us {batch_256:.1} is no better than sequential"
+            ));
+        }
+        if admit_128 >= admit_lone {
+            failures.push(format!(
+                "admission_batch queue_128_us_per_tx {admit_128:.1} >= lone_us_per_tx \
+                 {admit_lone:.1}: batched admission lost to one-by-one admission"
             ));
         }
         if speedup < 1.0 {

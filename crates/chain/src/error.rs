@@ -6,7 +6,7 @@ use ng_crypto::sha256::Hash256;
 use std::fmt;
 
 /// Errors produced while validating a transaction against the UTXO set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
 pub enum TxError {
     /// A coinbase transaction appeared where a regular transaction was expected.
     UnexpectedCoinbase,

@@ -111,6 +111,11 @@ impl<K: Hash + Eq + Clone, V> BoundedFifoMap<K, V> {
         self.order.clear();
     }
 
+    /// Removes every entry and returns them, oldest first.
+    pub fn drain(&mut self) -> Vec<(K, V)> {
+        std::iter::from_fn(|| self.evict_oldest()).collect()
+    }
+
     /// The entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.order.iter().filter_map(|(seq, key)| {
@@ -208,5 +213,18 @@ mod tests {
         assert_eq!(map.keys().copied().collect::<Vec<_>>(), vec![6, 7]);
         map.clear();
         assert!(map.is_empty() && map.iter().next().is_none());
+    }
+
+    #[test]
+    fn drain_empties_the_map_oldest_first_past_stale_slots() {
+        let mut map = BoundedFifoMap::new(4);
+        for key in [3u8, 1, 2] {
+            map.insert(key, u32::from(key) * 10);
+        }
+        map.remove(&3);
+        map.insert(3, 31); // its first slot is stale
+        assert_eq!(map.drain(), vec![(1, 10), (2, 20), (3, 31)]);
+        assert!(map.is_empty() && map.order.is_empty());
+        assert_eq!(map.insert(7, 70), None, "still usable, at its cap");
     }
 }

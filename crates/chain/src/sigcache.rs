@@ -17,9 +17,10 @@
 //! [`BatchVerifier`] sits in front of the cache: connect-time validation *defers*
 //! each uncached signature as a [`SigJob`] and flushes the whole block's jobs as one
 //! random-linear-combination batch ([`ng_crypto::schnorr::verify_batch`]), optionally
-//! fanned across a [`BatchExecutor`]'s worker threads. On batch failure the culprit
-//! is pinpointed by bisection and surfaced as a [`BatchSigFailure`] so the block can
-//! be rejected and the sending peer punished.
+//! fanned across a [`BatchExecutor`]'s worker threads. On batch failure bisection
+//! pinpoints every culprit, each surfaced as a [`BatchSigFailure`], while the
+//! transactions whose signatures all verified are still cached: a connecting block
+//! is rejected on any failure, and an admission batch refuses only the culprits.
 
 use ng_crypto::schnorr::{self, BatchEntry, Signature};
 use ng_crypto::sha256::Hash256;
@@ -30,11 +31,14 @@ use crate::fifo::BoundedFifoMap;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The dedup key of one signature equation: everything [`SigJob`] carries except
-/// its identifiers. The transaction format shares one signature across all inputs
-/// of a common owner (`sign_all_inputs`), so a multi-input transaction emits many
-/// jobs proving the same equation — verifying it once suffices.
-type SigEquation = (PublicKey, Hash256, SignatureBytes);
+/// The dedup key of one signature equation within one transaction: its txid and
+/// everything else [`SigJob`] carries except the outpoint. The transaction format
+/// shares one signature across all inputs of a common owner (`sign_all_inputs`),
+/// so a multi-input transaction emits many jobs proving the same equation —
+/// verifying it once suffices. Equations are never shared across transactions:
+/// a failing job then condemns exactly the transaction it came from, so the
+/// transactions whose own jobs all passed can be cached even when others failed.
+type SigEquation = (Hash256, PublicKey, Hash256, SignatureBytes);
 
 /// Default capacity: at ~200 bytes per pooled transaction this covers far more
 /// transactions than a microblock interval serializes.
@@ -123,6 +127,10 @@ pub struct SigJob {
     pub signature: SignatureBytes,
 }
 
+fn equation(job: &SigJob) -> SigEquation {
+    (job.txid, job.pubkey, job.sighash, job.signature.clone())
+}
+
 /// Executor for batch verification; implementations may fan independent chunks
 /// across worker threads ([`BatchVerifier`] splits its jobs into `workers()` chunks).
 pub trait BatchExecutor: Send + Sync {
@@ -175,16 +183,12 @@ impl BatchVerifier {
         }
     }
 
-    /// Defers one signature check. Jobs proving an equation already deferred — a
-    /// multi-input transaction carries the same `(pubkey, sighash, signature)` on
-    /// every input of a common owner — are dropped: one verification covers them.
-    /// (Sound across transactions too: the sighash strips all signatures, so two
-    /// transactions sharing an equation share the signed content byte for byte.)
+    /// Defers one signature check. Jobs proving an equation the same transaction
+    /// already deferred — a multi-input transaction carries the same `(pubkey,
+    /// sighash, signature)` on every input of a common owner — are dropped: one
+    /// verification covers them.
     pub fn push(&mut self, job: SigJob) {
-        if self
-            .seen
-            .insert((job.pubkey, job.sighash, job.signature.clone()))
-        {
+        if self.seen.insert(equation(&job)) {
             self.jobs.push(job);
         }
     }
@@ -199,12 +203,21 @@ impl BatchVerifier {
         self.jobs.is_empty()
     }
 
+    /// Drops the jobs deferred after the first `len` — those of a transaction
+    /// whose validation failed after some of its signatures were deferred. Its
+    /// equations leave the dedup set with them, so a later push defers them again.
+    pub fn truncate(&mut self, len: usize) {
+        for job in self.jobs.drain(len.min(self.jobs.len())..) {
+            self.seen.remove(&equation(&job));
+        }
+    }
+
     /// Verifies every deferred job as one batch (fanned across the executor's
-    /// workers when one is installed). On success the verdicts land in `cache` —
-    /// a txid is cached only once **all** of its jobs verified — and the verifier
-    /// is left empty. On failure the culprit is located by per-chunk bisection and
-    /// returned; nothing is cached (rejecting the block is the rare path).
-    pub fn flush(&mut self, cache: &mut SigCache) -> Result<(), BatchSigFailure> {
+    /// workers when one is installed) and leaves the verifier empty. A txid is
+    /// cached once **all** of its jobs verified. When any job fails, bisection
+    /// finds every failing one: they are returned in deferral order, and the
+    /// transactions without a failing job are cached all the same.
+    pub fn flush(&mut self, cache: &mut SigCache) -> Result<(), Vec<BatchSigFailure>> {
         let jobs = std::mem::take(&mut self.jobs);
         self.seen.clear();
         if jobs.is_empty() {
@@ -217,31 +230,33 @@ impl BatchVerifier {
                 (job.pubkey, job.sighash, Signature::from_bytes(bytes))
             })
             .collect();
-        if let Some(bad) = Self::verify_schnorr(&entries, self.executor.as_deref()) {
-            let job = &jobs[bad];
-            return Err(BatchSigFailure {
-                txid: job.txid,
-                outpoint: job.outpoint,
-            });
-        }
-        for job in &jobs {
+        let invalid = Self::verify_schnorr(&entries, self.executor.as_deref());
+        let failures: Vec<BatchSigFailure> = invalid
+            .into_iter()
+            .map(|bad| BatchSigFailure {
+                txid: jobs[bad].txid,
+                outpoint: jobs[bad].outpoint,
+            })
+            .collect();
+        let failed: HashSet<Hash256> = failures.iter().map(|failure| failure.txid).collect();
+        for job in jobs.iter().filter(|job| !failed.contains(&job.txid)) {
             cache.insert(job.txid);
         }
-        Ok(())
+        match failures.is_empty() {
+            true => Ok(()),
+            false => Err(failures),
+        }
     }
 
-    /// Verifies the batch, returning the index of the first invalid entry (`None` =
-    /// all good). With an executor the batch splits into one chunk per worker; a
-    /// failing chunk is bisected inline (failures are the rare path).
-    fn verify_schnorr(
-        entries: &[BatchEntry],
-        executor: Option<&dyn BatchExecutor>,
-    ) -> Option<usize> {
+    /// Verifies the batch, returning the index of every invalid entry, ascending
+    /// (empty = all good). With an executor the batch splits into one chunk per
+    /// worker; a failing chunk is bisected inline (failures are the rare path).
+    fn verify_schnorr(entries: &[BatchEntry], executor: Option<&dyn BatchExecutor>) -> Vec<usize> {
         let workers = executor.map(|e| e.workers()).unwrap_or(1);
         if workers <= 1 || entries.len() < 2 * workers {
             // find_invalid's root step IS the batch verification: the happy path
             // costs exactly one batch pass, a failure goes straight to bisection.
-            return schnorr::find_invalid(entries).first().copied();
+            return schnorr::find_invalid(entries);
         }
         let executor = executor.expect("workers > 1 implies an executor");
         let chunk_size = entries.len().div_ceil(workers);
@@ -250,16 +265,16 @@ impl BatchVerifier {
             .map(|c| c.to_vec())
             .collect();
         let verdicts = executor.verify_chunks(chunks);
+        let mut invalid = Vec::new();
         for (chunk_index, ok) in verdicts.iter().enumerate() {
             if !ok {
                 let start = chunk_index * chunk_size;
                 let end = (start + chunk_size).min(entries.len());
-                if let Some(&i) = schnorr::find_invalid(&entries[start..end]).first() {
-                    return Some(start + i);
-                }
+                let bad = schnorr::find_invalid(&entries[start..end]);
+                invalid.extend(bad.into_iter().map(|i| start + i));
             }
         }
-        None
+        invalid
     }
 }
 
@@ -333,16 +348,79 @@ mod tests {
     }
 
     #[test]
-    fn batch_verifier_pinpoints_the_bad_job_and_caches_nothing() {
+    fn batch_verifier_pinpoints_the_bad_job_and_caches_the_rest() {
         let mut cache = SigCache::new(64);
         let mut batch = BatchVerifier::new();
         for i in 0..8 {
             batch.push(job(i, i == 5));
         }
-        let failure = batch.flush(&mut cache).unwrap_err();
-        assert_eq!(failure.txid, job(5, false).txid);
-        assert_eq!(failure.outpoint, job(5, false).outpoint);
-        assert!(cache.is_empty(), "a failing batch caches no verdicts");
+        let failures = batch.flush(&mut cache).unwrap_err();
+        let expected = BatchSigFailure {
+            txid: job(5, false).txid,
+            outpoint: job(5, false).outpoint,
+        };
+        assert_eq!(failures, vec![expected]);
+        let culprit = job(5, false).txid;
+        assert!(!cache.contains(&culprit), "the culprit is never cached");
+        assert_eq!(cache.len(), 7, "the seven good verdicts are");
+    }
+
+    #[test]
+    fn every_forged_signature_in_a_batch_is_reported_and_the_others_are_cached() {
+        let forged = [17, 50];
+        let run = |executor: Option<Arc<dyn BatchExecutor>>| {
+            let mut cache = SigCache::new(128);
+            let mut batch = match executor {
+                Some(executor) => BatchVerifier::with_executor(executor),
+                None => BatchVerifier::new(),
+            };
+            for i in 0..64 {
+                batch.push(job(i, forged.contains(&i)));
+            }
+            let failures = batch.flush(&mut cache).unwrap_err();
+            (failures, cache)
+        };
+        for executor in [None, Some(Arc::new(TwoChunks) as Arc<dyn BatchExecutor>)] {
+            let (failures, cache) = run(executor);
+            let reported: Vec<Hash256> = failures.iter().map(|failure| failure.txid).collect();
+            let expected = forged.map(|i| job(i, false).txid).to_vec();
+            assert_eq!(reported, expected, "both, in order");
+            assert_eq!(cache.len(), 62);
+            assert!((0..64)
+                .filter(|i| !forged.contains(i))
+                .all(|i| cache.contains(&job(i, false).txid)));
+        }
+    }
+
+    /// An executor that verifies its chunks inline, as two workers would.
+    struct TwoChunks;
+
+    impl BatchExecutor for TwoChunks {
+        fn workers(&self) -> usize {
+            2
+        }
+        fn verify_chunks(&self, chunks: Vec<Vec<BatchEntry>>) -> Vec<bool> {
+            chunks
+                .iter()
+                .map(|chunk| schnorr::verify_batch(chunk).is_ok())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn truncate_drops_the_jobs_of_a_refused_transaction() {
+        let mut cache = SigCache::new(8);
+        let mut batch = BatchVerifier::new();
+        batch.push(job(1, false));
+        batch.push(job(2, true));
+        batch.truncate(1);
+        assert_eq!(batch.len(), 1);
+        // Its equation left the dedup set too: pushed again, it is deferred again.
+        batch.push(job(2, true));
+        assert_eq!(batch.len(), 2);
+        batch.truncate(1);
+        batch.flush(&mut cache).expect("the forged job went");
+        assert!(cache.contains(&job(1, false).txid));
     }
 
     #[test]

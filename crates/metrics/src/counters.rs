@@ -92,6 +92,16 @@ node_counters! {
     microblocks_produced,
     /// Transactions accepted into the mempool.
     txs_accepted,
+    /// Transactions refused because they were already pending (pooled or queued).
+    txs_rejected_pooled,
+    /// Transactions refused because they were already confirmed.
+    txs_rejected_confirmed,
+    /// Transactions refused because no microblock could carry them.
+    txs_rejected_oversized,
+    /// Transactions refused by validation (missing inputs, bad signatures, …).
+    txs_rejected_invalid,
+    /// Transactions refused as double spends of a pooled transaction.
+    txs_rejected_double_spend,
     /// `getheaders` requests served to peers.
     sync_requests_served,
     /// `headers` batches received while syncing from peers.

@@ -263,18 +263,7 @@ impl ChainView {
     /// validation policy: full (cached-signature) validation when validating,
     /// otherwise the unchecked fee with zero as the unknown-input fallback.
     pub fn admission_fee(&mut self, tx: &Transaction, height: u64) -> Result<Amount, TxError> {
-        if self.validate {
-            let mut batch = self.new_batch();
-            let fee = self
-                .utxo
-                .validate_deferred(tx, height, &mut self.sig_cache, &mut batch)?;
-            batch
-                .flush(&mut self.sig_cache)
-                .map_err(|failure| TxError::BadSignature(failure.outpoint))?;
-            Ok(fee)
-        } else {
-            Ok(self.utxo.fee_unchecked(tx).unwrap_or(Amount::ZERO))
-        }
+        self.chained_admission_fee(tx, height, &|_| None)
     }
 
     /// Like [`Self::admission_fee`], but inputs missing from the UTXO view may
@@ -288,7 +277,9 @@ impl ChainView {
         height: u64,
         resolve: ng_chain::utxo::InputResolver<'_>,
     ) -> Result<Amount, TxError> {
-        debug_assert!(self.validate, "chained admission only runs under validation");
+        if !self.validate {
+            return Ok(self.utxo.fee_unchecked(tx).unwrap_or(Amount::ZERO));
+        }
         let mut batch = self.new_batch();
         let fee = self.utxo.validate_deferred_chained(
             tx,
@@ -299,8 +290,74 @@ impl ChainView {
         )?;
         batch
             .flush(&mut self.sig_cache)
-            .map_err(|failure| TxError::BadSignature(failure.outpoint))?;
+            .map_err(|failures| TxError::BadSignature(failures[0].outpoint))?;
         Ok(fee)
+    }
+
+    /// The verdicts on a batch of transactions admitted together at `height`, in
+    /// batch order: each the fee it would pay, or why it may not be pooled. What
+    /// one signature batch decides for a whole admission queue.
+    ///
+    /// Each transaction is validated like [`Self::chained_admission_fee`]: inputs
+    /// missing from the view resolve through `pooled`, then through the outputs
+    /// of the batch's earlier transactions that passed so far, so a parent and
+    /// its child arriving together both pass. Every uncached signature is
+    /// deferred into one [`BatchVerifier`] (with this view's executor) and
+    /// checked by a single flush, which names every failing transaction; those
+    /// fail with [`TxError::BadSignature`] and the rest are cached. A child whose
+    /// in-batch parent fails here still passes: the caller, pooling in batch
+    /// order, refuses it when it finds the parent refused.
+    pub(crate) fn batch_admission_fees<'a>(
+        &mut self,
+        txs: impl IntoIterator<Item = (Hash256, &'a Transaction)>,
+        height: u64,
+        pooled: ng_chain::utxo::InputResolver<'_>,
+    ) -> Vec<Result<Amount, TxError>> {
+        if !self.validate {
+            return txs
+                .into_iter()
+                .map(|(_, tx)| Ok(self.utxo.fee_unchecked(tx).unwrap_or(Amount::ZERO)))
+                .collect();
+        }
+        let mut batch = self.new_batch();
+        let mut verdicts = Vec::new();
+        // Position and body of every transaction that passed so far, by txid.
+        let mut passed: HashMap<Hash256, (usize, &Transaction)> = HashMap::new();
+        for (txid, tx) in txs {
+            let resolve = |outpoint: &OutPoint| {
+                pooled(outpoint).or_else(|| {
+                    let (_, parent) = passed.get(&outpoint.txid)?;
+                    parent.outputs.get(outpoint.vout as usize).copied()
+                })
+            };
+            let deferred = batch.len();
+            let verdict = self.utxo.validate_deferred_chained(
+                tx,
+                height,
+                &mut self.sig_cache,
+                &resolve,
+                &mut batch,
+            );
+            match verdict {
+                Ok(_) => {
+                    passed.insert(txid, (verdicts.len(), tx));
+                }
+                // Never flush a refused transaction's signatures: its verdict
+                // would be cached on a partial check.
+                Err(_) => batch.truncate(deferred),
+            }
+            verdicts.push(verdict);
+        }
+        if let Err(failures) = batch.flush(&mut self.sig_cache) {
+            for failure in failures {
+                if let Some(&(index, _)) = passed.get(&failure.txid) {
+                    if verdicts[index].is_ok() {
+                        verdicts[index] = Err(TxError::BadSignature(failure.outpoint));
+                    }
+                }
+            }
+        }
+        verdicts
     }
 
     /// Splits candidate transactions into the prefix-valid set (each validated
@@ -470,8 +527,11 @@ impl ChainView {
                             });
                         }
                     }
-                    if let Err(failure) = batch.flush(&mut self.sig_cache) {
+                    if let Err(failures) = batch.flush(&mut self.sig_cache) {
                         self.rollback_partial(&undo);
+                        // Jobs were deferred in block order: the first failure is
+                        // the earliest bad transaction.
+                        let failure = &failures[0];
                         let tx_index = txs
                             .iter()
                             .position(|tx| tx.txid() == failure.txid)

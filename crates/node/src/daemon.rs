@@ -407,10 +407,11 @@ impl Daemon {
                 let _ = reply.send(produced);
             }
             Command::SubmitTx(tx, reply) => {
-                let accepted = self
-                    .dispatch(EngineInput::SubmitTx(tx))
-                    .iter()
-                    .any(|event| matches!(event, ReportEvent::TxAccepted { .. }));
+                // The same input may admit queued relayed transactions too.
+                let submitted = tx.txid();
+                let accepted = self.dispatch(EngineInput::SubmitTx(tx)).iter().any(|event| {
+                    matches!(event, ReportEvent::TxAccepted { txid } if *txid == submitted)
+                });
                 let _ = reply.send(accepted);
             }
             Command::Snapshot(reply) => {

@@ -23,7 +23,7 @@
 //!
 //! | component | owns | does |
 //! |---|---|---|
-//! | `chain` | `node` (the block tree), `view` (the incremental ledger), `mempool`, `storage`, `last_snapshot_height`, `latest_snapshot` | admission, block production, the ledger roll and its persistence hooks, checkpoints, finality, restart recovery |
+//! | `chain` | `node` (the block tree), `view` (the incremental ledger), `mempool`, `admission` (the queue of relayed transactions), `storage`, `last_snapshot_height`, `latest_snapshot` | admission (relayed transactions in batches), block production, the ledger roll and its persistence hooks, checkpoints, finality, restart recovery |
 //! | `relay` | `peers`, `overlay`, `compact`, `held_back`, `relay_memory` | handshakes, `inv`/`getdata`, compact blocks, the eager/lazy overlay, announcing, punishing |
 //! | `onboarding` | `sync`, `bootstrap`, `backfill`, `backfilled`, `root_height` | headers-first download, snapshot bootstrap against a [`SnapshotPin`], backfill of the history below it |
 //! | `fraud` | `micro_sightings`, `poisons`, `pending_poisons` | §4.5: equivocation detection, poison validation, the min-txid rule, parking, re-assertion |
@@ -85,11 +85,23 @@ use fraud::Fraud;
 use onboarding::Onboarding;
 use relay::Relay;
 
-pub use types::{Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
+pub use types::{AdmitReject, Effect, EngineConfig, GossipConfig, Input, ReportEvent, SnapshotPin};
 
 /// Queues `message` for connection `peer`.
 fn send(effects: &mut Vec<Effect>, peer: u64, message: Message) {
     effects.push(Effect::Send { peer, message });
+}
+
+/// True for the messages that carry a block (or the rest of one): the admission
+/// queue is flushed before them.
+fn carries_block(message: &Message) -> bool {
+    matches!(
+        message,
+        Message::KeyBlock(_)
+            | Message::MicroBlock(_)
+            | Message::CmpctBlock(_)
+            | Message::BlockTxn { .. }
+    )
 }
 
 /// How the wire names a block's kind.
@@ -103,6 +115,14 @@ fn inv_kind(block: &NgBlock) -> InvKind {
 /// Surfaces a protocol event to the driver.
 fn report(effects: &mut Vec<Effect>, event: ReportEvent) {
     effects.push(Effect::Report(event));
+}
+
+/// Reports a refused transaction — unless a peer `relayed` a copy of one this
+/// node already holds: gossip redundancy, not a refusal.
+fn refuse(effects: &mut Vec<Effect>, txid: Hash256, reason: AdmitReject, relayed: bool) {
+    if !(relayed && reason.is_duplicate()) {
+        report(effects, ReportEvent::TxRejected { txid, reason });
+    }
 }
 
 /// The pure Bitcoin-NG protocol engine. See the module docs for the contract.
@@ -204,6 +224,9 @@ impl Engine {
             }
             Input::PeerDisconnected { peer } => self.relay.forget(peer, &mut self.onboarding),
             Input::Message { peer, message } => {
+                if carries_block(&message) {
+                    self.flush_admission(&mut effects);
+                }
                 self.on_message(peer, message, now_ms, &mut effects)
             }
             Input::Tick => {
@@ -215,9 +238,14 @@ impl Engine {
             Input::ProduceMicroblock {
                 require_transactions,
             } => {
+                self.flush_admission(&mut effects);
                 self.produce_microblock(now_ms, require_transactions, &mut effects);
             }
-            Input::SubmitTx(tx) => self.accept_tx(None, *tx, &mut effects),
+            Input::SubmitTx(tx) => self.accept_tx(None, *tx, now_ms, &mut effects),
+        }
+        let admission_due = self.chain.admission_due_ms();
+        if admission_due.is_some_and(|due| now_ms >= due) {
+            self.flush_admission(&mut effects);
         }
         self.autostream(now_ms, &mut effects);
         // Any input may have freed download windows, expired deadlines, or changed
@@ -389,7 +417,7 @@ impl Engine {
     /// same transactions deterministically (the precondition compact relay
     /// exploits) without paying for a transaction flood first.
     pub fn preload_tx(&mut self, tx: Transaction) -> bool {
-        self.chain.admit(&tx.txid(), &tx)
+        self.chain.admit(&tx.txid(), &tx).is_ok()
     }
 
     // ---- incoming messages ----------------------------------------------------
@@ -400,6 +428,9 @@ impl Engine {
             return; // unknown or already-forgotten connection
         };
         for action in actions {
+            if !self.relay.is_connected(peer) {
+                return; // an admission flush this message caused disconnected it
+            }
             match action {
                 PeerAction::Send(message) => send(effects, peer, message),
                 PeerAction::HandshakeComplete {
@@ -453,7 +484,7 @@ impl Engine {
         match message {
             Message::KeyBlock(kb) => self.on_block(from, NgBlock::Key(*kb), now_ms, effects),
             Message::MicroBlock(mb) => self.on_block(from, NgBlock::Micro(*mb), now_ms, effects),
-            Message::Tx(tx) => self.accept_tx(Some(from), *tx, effects),
+            Message::Tx(tx) => self.accept_tx(Some(from), *tx, now_ms, effects),
             Message::GetHeaders { locator, limit } => {
                 onboarding::serve_headers(&self.chain, from, &locator, limit, effects);
             }
@@ -513,14 +544,68 @@ impl Engine {
         }
     }
 
-    /// A transaction arrived (from a peer, or submitted locally): pool it if the
-    /// chain admits it, then remember and announce it.
-    fn accept_tx(&mut self, from: Option<u64>, tx: Transaction, effects: &mut Vec<Effect>) {
+    /// A transaction arrived (from a peer, or submitted locally). A validating
+    /// engine queues a peer's for batch admission ([`chain`'s module docs]); any
+    /// other is pooled now if the chain admits it, then remembered and announced.
+    /// A submit that spends a queued transaction's output flushes the queue first.
+    ///
+    /// [`chain`'s module docs]: chain
+    fn accept_tx(
+        &mut self,
+        from: Option<u64>,
+        tx: Transaction,
+        now_ms: u64,
+        effects: &mut Vec<Effect>,
+    ) {
         let txid = tx.txid();
-        if self.chain.admit(&txid, &tx) {
-            report(effects, ReportEvent::TxAccepted { txid });
-            self.relay.relay_tx(txid, tx, from, effects);
+        if let (Some(peer), true) = (from, self.chain.view().validating()) {
+            match self.chain.enqueue(txid, tx, peer, now_ms) {
+                Ok(true) => self.flush_admission(effects),
+                Ok(false) => {}
+                Err(reason) => refuse(effects, txid, reason, true),
+            }
+            return;
         }
+        if self.chain.spends_queued(&tx) {
+            self.flush_admission(effects);
+        }
+        match self.chain.admit(&txid, &tx) {
+            Ok(_) => {
+                report(effects, ReportEvent::TxAccepted { txid });
+                self.relay.relay_tx(txid, tx, from, effects);
+            }
+            Err(reason) => refuse(effects, txid, reason, from.is_some()),
+        }
+    }
+
+    /// Admits the admission queue as one batch ([`Chain::flush_admission`]):
+    /// reports every verdict, disconnects each peer that relayed a forged
+    /// signature, then announces what was pooled (its source excluded).
+    fn flush_admission(&mut self, effects: &mut Vec<Effect>) {
+        if self.chain.admission_due_ms().is_none() {
+            return; // nothing queued
+        }
+        let (mut forgers, mut admitted) = (std::collections::BTreeSet::new(), Vec::new());
+        for (txid, tx, from, verdict) in self.chain.flush_admission() {
+            match verdict {
+                Ok(_) => {
+                    report(effects, ReportEvent::TxAccepted { txid });
+                    admitted.push((txid, tx, from));
+                }
+                Err(reason) => {
+                    if reason.forged() && self.relay.is_connected(from) {
+                        forgers.insert(from);
+                    }
+                    refuse(effects, txid, reason, true);
+                }
+            }
+        }
+        for peer in forgers {
+            let reason = "relayed a transaction with a bad signature".to_string();
+            self.relay
+                .punish(peer, reason, &mut self.onboarding, effects);
+        }
+        self.relay.relay_admitted(admitted, effects);
     }
 
     /// The one path every delivered block takes (see the module docs); `requested`
@@ -625,10 +710,14 @@ impl Engine {
         Some(id)
     }
 
-    /// In auto mode, drain whatever the protocol's spacing rules allow right now.
+    /// In auto mode, drain whatever the protocol's spacing rules allow right now
+    /// (admitting the queue first when a microblock is due).
     fn autostream(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
         if !self.config.auto_microblocks {
             return;
+        }
+        if self.chain.admission_due_ms().is_some() && self.chain.node().microblock_ready(now_ms) {
+            self.flush_admission(effects);
         }
         while !self.chain.mempool().is_empty()
             && self.produce_microblock(now_ms, true, effects).is_some()
@@ -636,16 +725,19 @@ impl Engine {
     }
 
     /// Arms the driver's wakeup timer with the earliest deadline any component
-    /// waits on — block production, the download scheduler, the snapshot
-    /// bootstrap, the backfill, a lazy pull — if there is one and the driver does
-    /// not hold it already.
+    /// waits on — block production, the admission queue, the download
+    /// scheduler, the snapshot bootstrap, the backfill, a lazy pull — if there is
+    /// one and the driver does not hold it already.
     fn arm_timer(&mut self, now_ms: u64, effects: &mut Vec<Effect>) {
+        let admission = self.chain.admission_due_ms();
         // `None` while not leader: only a new key block unblocks production.
-        let production = (self.config.auto_microblocks && !self.chain.mempool().is_empty())
+        let pending = !self.chain.mempool().is_empty() || admission.is_some();
+        let production = (self.config.auto_microblocks && pending)
             .then(|| self.chain.node().next_microblock_ms())
             .flatten();
         let earliest = [
             production,
+            admission,
             self.onboarding.next_deadline(&self.relay),
             self.relay.overlay().next_deadline(),
         ]

@@ -3,8 +3,10 @@
 //!
 //! A transaction's first hop is its body, every later hop an `inv` the receiver
 //! answers with `getdata` only if the body has not reached it yet
-//! ([`Relay::relay_tx`]). Links are FIFO, so a leader's own transactions reach
-//! each peer ahead of the compact block that names them.
+//! ([`Relay::relay_tx`]); a validating node announces a whole admission batch
+//! in one `inv` per peer ([`Relay::relay_admitted`]). Links are FIFO, so a
+//! leader's own transactions reach each peer ahead of the compact block that
+//! names them.
 //!
 //! It owns the connections, the overlay's eager/lazy split, the half-done compact
 //! reconstructions, the ids of blocks held back from relay and the memory of
@@ -103,6 +105,11 @@ impl Relay {
         self.ready().collect()
     }
 
+    /// True while connection `peer` is registered.
+    pub(super) fn is_connected(&self, peer: u64) -> bool {
+        self.peers.contains_key(&peer)
+    }
+
     /// Every registered connection key, ascending.
     pub(super) fn connected_peers(&self) -> Vec<u64> {
         self.peers.keys().copied().collect()
@@ -180,8 +187,8 @@ impl Relay {
 
     // ---- serving: the wire is answered from the tree and the mempool ------------
 
-    /// An `inv`: fetch the object unless it is already here — a pending, recently
-    /// relayed or already confirmed transaction, or a held block.
+    /// An `inv`: fetch the object unless it is already here — a pending, queued,
+    /// recently relayed or already confirmed transaction, or a held block.
     pub(super) fn on_inv(
         &mut self,
         peer: u64,
@@ -193,6 +200,7 @@ impl Relay {
         let known = match item.kind {
             InvKind::Transaction => {
                 chain.mempool().contains(&item.id)
+                    || chain.queued(&item.id)
                     || self.relay_memory.contains_key(&item.id)
                     || chain.view().is_confirmed(&item.id)
             }
@@ -447,6 +455,34 @@ impl Relay {
         };
         self.relay_memory.insert(txid, tx);
         self.announce(txid, message, from, effects);
+    }
+
+    /// Remembers the transactions an admission batch pooled, each with the peer
+    /// that relayed it, and announces them: one `inv` per peer naming every one
+    /// it is not known to hold, so a batch costs each link one message.
+    pub(super) fn relay_admitted(
+        &mut self,
+        admitted: Vec<(Hash256, Transaction, u64)>,
+        effects: &mut Vec<Effect>,
+    ) {
+        for (txid, _, from) in &admitted {
+            if let Some(source) = self.peers.get_mut(from) {
+                source.mark_known(*txid);
+            }
+        }
+        for (peer, state) in self.peers.iter_mut() {
+            let items: Vec<InvItem> = admitted
+                .iter()
+                .filter(|(txid, _, _)| state.offer(*txid))
+                .map(|(txid, _, _)| InvItem::new(InvKind::Transaction, *txid))
+                .collect();
+            if !items.is_empty() {
+                send(effects, *peer, Message::Inv(items));
+            }
+        }
+        for (txid, tx, _) in admitted {
+            self.relay_memory.insert(txid, tx);
+        }
     }
 
     /// Hands `message` — the `inv` of a newly stored object `id`, or its body — to
@@ -987,7 +1023,18 @@ mod tests {
         produce(&mut a, 1_200);
         let mut spend = spend_to(bait.txid(), 24, KeyPair::from_id(9).address());
         spend.inputs[0].pubkey = Some(forged);
-        let effects = deliver(&mut a, 1_300, 7, Message::Tx(Box::new(spend)));
+        // Peer 8 relays it: queued, then refused by its admission batch (flushed
+        // here by production), and peer 8 is disconnected for it.
+        register_peer(&mut a, 8);
+        let queued = deliver(&mut a, 1_300, 8, Message::Tx(Box::new(spend)));
+        assert_eq!((reports(&queued).count(), sends(&queued)), (0, vec![]));
+        let effects = produce(&mut a, 1_301);
+        let forged_spend = |e: &&ReportEvent| {
+            matches!(e, ReportEvent::TxRejected { reason, .. } if reason.forged())
+        };
+        assert!(reports(&effects).any(|e| forged_spend(&e)));
+        let punished = |e: &&ReportEvent| matches!(e, ReportEvent::PeerMisbehaved { peer: 8, .. });
+        assert!(reports(&effects).any(|e| punished(&e)));
         assert!(!reports(&effects).any(|e| matches!(e, ReportEvent::TxAccepted { .. })));
         assert_eq!(a.mempool_len(), 0);
 

@@ -1,6 +1,7 @@
 //! The engine's wire-facing vocabulary: its configuration, the [`Input`]s a driver
 //! feeds it and the [`Effect`]s (with their [`ReportEvent`]s) it answers with.
 
+use ng_chain::error::TxError;
 use ng_chain::transaction::Transaction;
 use ng_core::params::NgParams;
 use ng_crypto::sha256::Hash256;
@@ -230,6 +231,16 @@ pub enum ReportEvent {
         /// The transaction id.
         txid: Hash256,
     },
+    /// A transaction was refused: submitted, or relayed by a peer and judged in
+    /// its admission batch. A peer's copy of a transaction this node already
+    /// holds ([`AdmitReject::is_duplicate`]) is gossip redundancy, not a refusal,
+    /// and is not reported; a submitted one is.
+    TxRejected {
+        /// The transaction id.
+        txid: Hash256,
+        /// Why it was refused.
+        reason: AdmitReject,
+    },
     /// A `getheaders` request was served.
     SyncRequestServed {
         /// Requesting connection key.
@@ -338,4 +349,36 @@ pub enum ReportEvent {
         /// Canonical id of the relayed poison transaction.
         txid: Hash256,
     },
+}
+
+/// Why a transaction was not pooled ([`ReportEvent::TxRejected`]).
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+pub enum AdmitReject {
+    /// Already pending: pooled, or queued for the next admission batch.
+    AlreadyPooled,
+    /// Already serialized on the main chain.
+    AlreadyConfirmed,
+    /// Larger than an empty microblock's payload: no block could ever carry it.
+    Oversized,
+    /// Validation against the ledger view failed.
+    Invalid(TxError),
+    /// It spends an outpoint a pooled transaction already spends.
+    DoubleSpend,
+}
+
+impl AdmitReject {
+    /// True if this node already holds the transaction: pending or confirmed.
+    pub fn is_duplicate(&self) -> bool {
+        matches!(
+            self,
+            AdmitReject::AlreadyPooled | AdmitReject::AlreadyConfirmed
+        )
+    }
+
+    /// True for a missing or forged signature. Under full validation a relay
+    /// forwards only what it admitted, so this is never an honest peer's mistake —
+    /// unlike a missing input or an immature coinbase, which depend on the view.
+    pub fn forged(&self) -> bool {
+        matches!(self, AdmitReject::Invalid(TxError::BadSignature(_)))
+    }
 }

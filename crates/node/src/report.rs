@@ -8,7 +8,7 @@
 //! [`NodeSnapshot`] assembled from an engine plus a counter snapshot is what both
 //! drivers hand to the convergence harnesses.
 
-use crate::engine::{Engine, ReportEvent};
+use crate::engine::{AdmitReject, Engine, ReportEvent};
 use ng_crypto::sha256::Hash256;
 use ng_metrics::counters::{CounterSnapshot, NodeCounters};
 
@@ -42,6 +42,13 @@ pub fn record(counters: &NodeCounters, event: &ReportEvent) {
             counters.blocks_accepted.incr();
         }
         ReportEvent::TxAccepted { .. } => counters.txs_accepted.incr(),
+        ReportEvent::TxRejected { reason, .. } => match reason {
+            AdmitReject::AlreadyPooled => counters.txs_rejected_pooled.incr(),
+            AdmitReject::AlreadyConfirmed => counters.txs_rejected_confirmed.incr(),
+            AdmitReject::Oversized => counters.txs_rejected_oversized.incr(),
+            AdmitReject::Invalid(_) => counters.txs_rejected_invalid.incr(),
+            AdmitReject::DoubleSpend => counters.txs_rejected_double_spend.incr(),
+        },
         ReportEvent::SyncRequestServed { .. } => counters.sync_requests_served.incr(),
         ReportEvent::SyncBatchReceived { .. } => counters.sync_batches_received.incr(),
         ReportEvent::StorageFailed { .. } => counters.storage_failures.incr(),
@@ -131,6 +138,15 @@ mod tests {
             &ReportEvent::MicroblockProduced { id: Hash256::ZERO },
         );
         record(&counters, &ReportEvent::TxAccepted { txid: Hash256::ZERO });
+        let rejected = |reason| ReportEvent::TxRejected {
+            txid: Hash256::ZERO,
+            reason,
+        };
+        record(&counters, &rejected(AdmitReject::AlreadyPooled));
+        record(&counters, &rejected(AdmitReject::DoubleSpend));
+        let outpoint = ng_chain::transaction::OutPoint::new(Hash256::ZERO, 0);
+        let forged = ng_chain::error::TxError::BadSignature(outpoint);
+        record(&counters, &rejected(AdmitReject::Invalid(forged)));
         record(&counters, &ReportEvent::SyncRequestServed { peer: 1 });
         let snap = counters.snapshot();
         assert_eq!(snap.blocks_accepted, 3, "remote + mined + produced");
@@ -138,6 +154,10 @@ mod tests {
         assert_eq!(snap.key_blocks_mined, 1);
         assert_eq!(snap.microblocks_produced, 1);
         assert_eq!(snap.txs_accepted, 1);
+        assert_eq!(snap.txs_rejected_pooled, 1);
+        assert_eq!(snap.txs_rejected_double_spend, 1);
+        assert_eq!(snap.txs_rejected_invalid, 1);
+        assert_eq!(snap.txs_rejected_confirmed + snap.txs_rejected_oversized, 0);
         assert_eq!(snap.sync_requests_served, 1);
     }
 

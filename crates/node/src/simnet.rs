@@ -622,11 +622,13 @@ impl SimNet {
         })
     }
 
-    /// Submits a transaction to node `node`'s mempool (and gossip).
+    /// Submits a transaction to node `node`'s mempool (and gossip); true if it
+    /// was pooled. (The same call may admit queued relayed transactions too.)
     pub fn submit_tx(&mut self, node: usize, tx: Transaction) -> bool {
+        let submitted = tx.txid();
         self.dispatch(node, Input::SubmitTx(Box::new(tx)))
             .iter()
-            .any(|event| matches!(event, ReportEvent::TxAccepted { .. }))
+            .any(|event| matches!(event, ReportEvent::TxAccepted { txid } if *txid == submitted))
     }
 
     /// Byzantine injection: puts an arbitrary crafted message on the wire from

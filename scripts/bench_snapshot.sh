@@ -20,6 +20,12 @@
 #     microblock through the batched + worker-pool connect
 #   * connect_256tx — the batched+parallel connect vs sequential per-signature
 #     verification, with the measured speedup and the worker count it used
+#   * admission_batch — µs per transaction to admit relayed signed `tx` frames
+#     through a validating Engine with two peers, from the first frame until the
+#     last is pooled (the deadline tick that flushes a short queue and the `inv`s
+#     to the other peer included; every signature new to the engine): a lone
+#     frame, and queues of 8, 32 and 128 (128 fills the engine's 64-transaction
+#     admission batch twice); --assert-fast pins the 128-queue below the lone frame
 #   * reorg_depth8_us — an 8-block undo-record rewind + rival-epoch connect
 #   * ledger_replay_from_genesis_1024_us — the old per-tip-change in-memory replay
 #     cost, for contrast with the incremental view
