@@ -280,26 +280,17 @@ impl ChainView {
         if !self.validate {
             return Ok(self.utxo.fee_unchecked(tx).unwrap_or(Amount::ZERO));
         }
-        let mut batch = self.new_batch();
-        let fee = self.utxo.validate_deferred_chained(
-            tx,
-            height,
-            &mut self.sig_cache,
-            resolve,
-            &mut batch,
-        )?;
-        batch
-            .flush(&mut self.sig_cache)
-            .map_err(|failures| TxError::BadSignature(failures[0].outpoint))?;
-        Ok(fee)
+        let mut verdicts = self.batch_admission_fees([(tx.txid(), tx)], height, resolve);
+        verdicts.pop().expect("one verdict per transaction")
     }
 
     /// The verdicts on a batch of transactions admitted together at `height`, in
     /// batch order: each the fee it would pay, or why it may not be pooled. What
     /// one signature batch decides for a whole admission queue.
     ///
-    /// Each transaction is validated like [`Self::chained_admission_fee`]: inputs
-    /// missing from the view resolve through `pooled`, then through the outputs
+    /// Each transaction is fully validated (signatures, vouts, value
+    /// conservation): inputs missing from the view resolve through `pooled`,
+    /// then through the outputs
     /// of the batch's earlier transactions that passed so far, so a parent and
     /// its child arriving together both pass. Every uncached signature is
     /// deferred into one [`BatchVerifier`] (with this view's executor) and

@@ -15,10 +15,14 @@
 //! of a txid wins) and admits the whole queue at once ([`Chain::flush_admission`]):
 //! every signature goes into one batch, which costs a fraction of verifying them
 //! one by one. The router flushes the queue when it holds [`ADMISSION_BATCH`]
-//! transactions, when the oldest has waited [`ADMISSION_DEADLINE_MS`] (the timer
-//! it arms includes that deadline), before it produces a microblock, and before
-//! it handles any message that carries a block — so compact reconstruction and
-//! connect find the transactions pooled and their signatures cached. A queued
+//! transactions; when the oldest has waited [`ADMISSION_DEADLINE_MS`], or
+//! [`ADMISSION_LONE_MS`] while no second frame has joined it (checked before each
+//! input is handled; the timer it arms includes that deadline); before it
+//! produces a microblock; and before it handles any message that carries a
+//! block — so compact reconstruction and connect find the transactions pooled
+//! and their signatures cached. The lone frame's short wait keeps batching from
+//! costing latency where it saves nothing: on a wall clock, a verification
+//! deferred until a block needs it sits on that block's path. A queued
 //! transaction is neither relayed nor selected: it is relayed once its batch
 //! admitted it. Local submits and re-admission after a reorg are admitted at
 //! once ([`Chain::admit`]), as is everything when validation is off: there is no
@@ -34,6 +38,7 @@ use ng_chain::error::{BlockError, TxError};
 use ng_chain::fifo::BoundedFifoMap;
 use ng_chain::mempool::Mempool;
 use ng_chain::payload::Payload;
+use ng_chain::sigcache::BatchExecutor;
 use ng_chain::transaction::{OutPoint, Transaction, TxInput, TxOutput};
 use ng_chain::utxo::UtxoSet;
 use ng_core::block::{KeyBlock, NgBlock};
@@ -44,6 +49,7 @@ use ng_crypto::sha256::Hash256;
 use ng_net::message::WireSnapshot;
 use ng_storage::{ChainStorage, Recovery, RollCommit, Snapshot, StoreError};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Relayed transactions an admission batch holds before it is flushed. Criterion
 /// `schnorr_verify_batch` prices one signature at 125 µs alone and at 105, 61
@@ -62,6 +68,17 @@ const ADMISSION_BATCH: usize = 64;
 /// production flushes sooner. It is also the most one relay hop can add to a
 /// transaction's propagation: two 10 ms microblock intervals.
 const ADMISSION_DEADLINE_MS: u64 = 20;
+
+/// Longest a relayed transaction waits alone in the admission queue, in the
+/// engine's ms: a second frame within it extends the wait to
+/// [`ADMISSION_DEADLINE_MS`]. A batch of one costs as much as a lone
+/// verification, so a frame with no company gains nothing by waiting, and on a
+/// wall clock its verification would then sit on the path of the block that
+/// carries it. At `mesh_signed`'s ≈ 3.3 frames per ms a lone frame is joined
+/// within about 0.3 ms (Poisson odds of none in 1 ms: e^-3.3 ≈ 4 %); at
+/// `tcp_durable`'s one frame per ms and 2 ms microblocks most frames are
+/// verified alone, before the block that carries them arrives.
+const ADMISSION_LONE_MS: u64 = 1;
 
 /// A transaction that was queued for admission, with its source peer and the
 /// verdict of its batch.
@@ -243,10 +260,7 @@ impl Chain {
     }
 
     /// Installs a signature batch executor on the ledger view.
-    pub(super) fn set_batch_executor(
-        &mut self,
-        executor: std::sync::Arc<dyn ng_chain::sigcache::BatchExecutor>,
-    ) {
+    pub(super) fn set_batch_executor(&mut self, executor: Arc<dyn BatchExecutor>) {
         self.view.set_batch_executor(executor);
     }
 
@@ -382,7 +396,8 @@ impl Chain {
     /// the queue is empty).
     pub(super) fn admission_due_ms(&self) -> Option<u64> {
         let (_, _, queued_at) = self.admission.values().next()?;
-        Some(queued_at + ADMISSION_DEADLINE_MS)
+        let alone = self.admission.len() == 1;
+        Some(queued_at + if alone { ADMISSION_LONE_MS } else { ADMISSION_DEADLINE_MS })
     }
 
     /// Queues a transaction `from` a peer for the next admission batch, unless it
@@ -1130,11 +1145,12 @@ mod tests {
         let queued = a.handle(1_100, relayed(5, &tx));
         assert_eq!(sends(&queued), vec![], "no inv yet");
         assert!(!a.mempool_contains(&tx.txid()));
-        // Queued is held: an announcement of it is not answered with a request,
-        // and a request for it is not served.
-        let announced = deliver(&mut a, 1_101, 6, Message::Inv(vec![item]));
+        // Queued is held (here within the millisecond a lone frame waits): an
+        // announcement of it is not answered with a request, and a request for it
+        // is not served.
+        let announced = deliver(&mut a, 1_100, 6, Message::Inv(vec![item]));
         assert_eq!(sends(&announced), vec![]);
-        let requested = deliver(&mut a, 1_102, 7, Message::GetData(vec![item]));
+        let requested = deliver(&mut a, 1_100, 7, Message::GetData(vec![item]));
         assert_eq!(sends(&requested), vec![]);
         // Production flushes first: the transaction is admitted, announced to the
         // one peer that has not announced it and is not its source, and only then
@@ -1162,24 +1178,46 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_frame_waits_one_millisecond_for_company() {
+        let (mut a, inputs) = funded_leader(3);
+        let txs: Vec<Transaction> = inputs
+            .iter()
+            .map(|input| spend(&a, *input, 900_000))
+            .collect();
+        // Alone, a frame is admitted by the tick its millisecond arms.
+        let effects = a.handle(1_100, relayed(5, &txs[0]));
+        assert!(effects.contains(&Effect::SetTimer { deadline_ms: 1_101 }));
+        assert_eq!(accepted(&a.handle(1_101, Input::Tick)), vec![txs[0].txid()]);
+        // A second frame within that millisecond makes a batch, which waits for
+        // the deadline.
+        a.handle(1_200, relayed(5, &txs[1]));
+        a.handle(1_200, relayed(6, &txs[2]));
+        assert_eq!(a.chain.admission_due_ms(), Some(1_200 + ADMISSION_DEADLINE_MS));
+        assert_eq!(accepted(&a.handle(1_201, Input::Tick)), vec![]);
+        let due = 1_200 + ADMISSION_DEADLINE_MS;
+        assert_eq!(accepted(&a.handle(due, Input::Tick)).len(), 2);
+    }
+
+    #[test]
     fn a_submit_while_frames_are_queued_is_answered_in_its_own_effects() {
         let (mut a, inputs) = funded_leader(3);
         let queued = spend(&a, inputs[0], 900_000);
         a.handle(1_100, relayed(5, &queued));
-        // An independent submit is admitted at once; the queue waits.
+        // An independent submit is admitted at once; the queue waits (every input
+        // here lands within the millisecond a lone frame waits).
         let mine = spend(&a, inputs[1], 900_000);
-        let effects = a.handle(1_101, Input::SubmitTx(Box::new(mine.clone())));
+        let effects = a.handle(1_100, Input::SubmitTx(Box::new(mine.clone())));
         assert_eq!(accepted(&effects), vec![mine.txid()]);
         assert!(a.chain.queued(&queued.txid()));
         // A submit spending a queued transaction flushes the queue first.
         let child = spend(&a, OutPoint::new(queued.txid(), 0), 800_000);
-        let effects = a.handle(1_102, Input::SubmitTx(Box::new(child.clone())));
+        let effects = a.handle(1_100, Input::SubmitTx(Box::new(child.clone())));
         assert_eq!(accepted(&effects), vec![queued.txid(), child.txid()]);
         // A refused submit is answered with its reason, the queue untouched.
         let other = spend(&a, inputs[2], 900_000);
         a.handle(1_103, relayed(5, &other));
         let forged = forge(spend(&a, inputs[2], 1));
-        let effects = a.handle(1_104, Input::SubmitTx(Box::new(forged.clone())));
+        let effects = a.handle(1_103, Input::SubmitTx(Box::new(forged.clone())));
         let reason = AdmitReject::Invalid(TxError::BadSignature(inputs[2]));
         assert_eq!(refused(&effects, forged.txid()), Some(reason));
         assert!(a.chain.queued(&other.txid()));
@@ -1198,11 +1236,13 @@ mod tests {
         };
         let mut now = 1_100;
         let mut pooled = 0;
-        for (i, tx) in txs.iter().enumerate() {
-            // Frames arrive every 3 ms from alternating peers, with ticks between.
-            let effects = a.handle(now, relayed(5 + (i as u64 % 2), tx));
-            pooled += accepted(&effects).len();
-            assert!(armed(&a, now), "after frame {i}");
+        for (i, pair) in txs.chunks(2).enumerate() {
+            // Two frames every 3 ms from two peers, with ticks between: a pair
+            // waits for the deadline, not the lone frame's millisecond.
+            for (peer, tx) in [5, 6].into_iter().zip(pair) {
+                pooled += accepted(&a.handle(now, relayed(peer, tx))).len();
+                assert!(armed(&a, now), "after the frames of pair {i}");
+            }
             if let Some(at) = a.last_timer.filter(|at| *at <= now + 3) {
                 let effects = a.handle(at, Input::Tick);
                 pooled += accepted(&effects).len();

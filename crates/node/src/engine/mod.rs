@@ -217,6 +217,10 @@ impl Engine {
     /// Feeds one input to the engine and returns the effects to execute, in order.
     pub fn handle(&mut self, now_ms: u64, input: Input) -> Vec<Effect> {
         let mut effects = Vec::new();
+        // What waited long enough is admitted before the input is handled.
+        if self.chain.admission_due_ms().is_some_and(|due| now_ms >= due) {
+            self.flush_admission(&mut effects);
+        }
         match input {
             Input::PeerConnected { peer, inbound } => {
                 let height = self.chain.height();
@@ -242,10 +246,6 @@ impl Engine {
                 self.produce_microblock(now_ms, require_transactions, &mut effects);
             }
             Input::SubmitTx(tx) => self.accept_tx(None, *tx, now_ms, &mut effects),
-        }
-        let admission_due = self.chain.admission_due_ms();
-        if admission_due.is_some_and(|due| now_ms >= due) {
-            self.flush_admission(&mut effects);
         }
         self.autostream(now_ms, &mut effects);
         // Any input may have freed download windows, expired deadlines, or changed
@@ -572,7 +572,10 @@ impl Engine {
         match self.chain.admit(&txid, &tx) {
             Ok(_) => {
                 report(effects, ReportEvent::TxAccepted { txid });
-                self.relay.relay_tx(txid, tx, from, effects);
+                match from {
+                    Some(peer) => self.relay.relay_admitted(vec![(txid, tx, peer)], effects),
+                    None => self.relay.relay_tx(txid, tx, effects),
+                }
             }
             Err(reason) => refuse(effects, txid, reason, from.is_some()),
         }

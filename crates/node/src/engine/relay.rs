@@ -1,10 +1,10 @@
 //! The relay component: the peer table and everything that decides what goes to
 //! which connection — `inv`/`getdata`, compact blocks, the eager/lazy overlay.
 //!
-//! A transaction's first hop is its body, every later hop an `inv` the receiver
-//! answers with `getdata` only if the body has not reached it yet
-//! ([`Relay::relay_tx`]); a validating node announces a whole admission batch
-//! in one `inv` per peer ([`Relay::relay_admitted`]). Links are FIFO, so a
+//! A transaction's first hop is its body ([`Relay::relay_tx`]), every later hop
+//! an `inv` the receiver answers with `getdata` only if the body has not reached
+//! it yet; a node announces what it admitted from peers, a whole admission batch
+//! at a time, in one `inv` per peer ([`Relay::relay_admitted`]). Links are FIFO, so a
 //! leader's own transactions reach each peer ahead of the compact block that
 //! names them.
 //!
@@ -437,29 +437,20 @@ impl Relay {
 
     // ---- announcing -----------------------------------------------------------
 
-    /// Remembers an admitted transaction ([`MAX_RELAY_TXS`]) and relays it. One
-    /// submitted here (`from` is `None`) is held by no peer, so an `inv` could
-    /// never save its body and would only put the `getdata` round trip in front
-    /// of it: its first hop is the `tx` itself. One a peer delivered may already
-    /// have reached the others, so every later hop is announced and fetched.
-    pub(super) fn relay_tx(
-        &mut self,
-        txid: Hash256,
-        tx: Transaction,
-        from: Option<u64>,
-        effects: &mut Vec<Effect>,
-    ) {
-        let message = match from {
-            None => Message::Tx(Box::new(tx.clone())),
-            Some(_) => Message::Inv(vec![InvItem::new(InvKind::Transaction, txid)]),
-        };
+    /// Remembers a transaction submitted here ([`MAX_RELAY_TXS`]) and pushes its
+    /// body to every peer. It is held by no peer, so an `inv` could never save
+    /// its body and would only put the `getdata` round trip in front of it.
+    pub(super) fn relay_tx(&mut self, txid: Hash256, tx: Transaction, effects: &mut Vec<Effect>) {
+        let message = Message::Tx(Box::new(tx.clone()));
         self.relay_memory.insert(txid, tx);
-        self.announce(txid, message, from, effects);
+        self.announce(txid, message, None, effects);
     }
 
-    /// Remembers the transactions an admission batch pooled, each with the peer
-    /// that relayed it, and announces them: one `inv` per peer naming every one
-    /// it is not known to hold, so a batch costs each link one message.
+    /// Remembers admitted transactions that peers relayed, each with its source
+    /// peer, and announces them: one `inv` per peer naming every one it is not
+    /// known to hold, so a batch costs each link one message. Such a transaction
+    /// may already have reached the others, so every later hop is announced and
+    /// fetched.
     pub(super) fn relay_admitted(
         &mut self,
         admitted: Vec<(Hash256, Transaction, u64)>,
@@ -791,8 +782,8 @@ mod tests {
         assert!(!knows(&a, 3), "nothing went to the handshake");
         // So the id is never offered to them again, in either form.
         let mut again = Vec::new();
-        a.relay.relay_tx(tx.txid(), tx.clone(), None, &mut again);
-        a.relay.relay_tx(tx.txid(), tx.clone(), Some(2), &mut again);
+        a.relay.relay_tx(tx.txid(), tx.clone(), &mut again);
+        a.relay.relay_admitted(vec![(tx.txid(), tx.clone(), 2)], &mut again);
         assert_eq!(again, vec![]);
 
         // A peer that announced the id first holds it: the others get one body each.

@@ -15,7 +15,7 @@
 #   scripts/loc.sh [--check] [ROOT]   # ROOT defaults to the repository this script is in
 
 set -euo pipefail
-MAX_TOTAL=17440
+MAX_TOTAL=17424
 MAX_ENGINE_MODULE_LINES=500
 
 check=0
