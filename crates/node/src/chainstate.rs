@@ -290,9 +290,8 @@ impl ChainView {
     ///
     /// Each transaction is fully validated (signatures, vouts, value
     /// conservation): inputs missing from the view resolve through `pooled`,
-    /// then through the outputs
-    /// of the batch's earlier transactions that passed so far, so a parent and
-    /// its child arriving together both pass. Every uncached signature is
+    /// then through the outputs of the batch's earlier transactions that passed
+    /// so far, so a parent and its child arriving together both pass. Every uncached signature is
     /// deferred into one [`BatchVerifier`] (with this view's executor) and
     /// checked by a single flush, which names every failing transaction; those
     /// fail with [`TxError::BadSignature`] and the rest are cached. A child whose
